@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankOrder
-from .phases import FEASIBILITY_SLACK
 from .spectrum import SchmidtSpectrum
 
-FEASIBILITY_TOL = FEASIBILITY_SLACK  # p_max <= 1/d + tol counts as feasible
 CONCENTRATION_TOL = 1e-12
 
 
@@ -109,9 +107,7 @@ def teleport_feasible(spectrum: SchmidtSpectrum, d: int) -> bool:
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    if spectrum.exact is not None:
-        return spectrum.p_max_exact <= Fraction(1, d)
-    return spectrum.p_max <= 1.0 / d + FEASIBILITY_TOL
+    return spectrum.admits(d)
 
 
 def locc_ccc_bound(n1: int, n2: int) -> Bits:
@@ -171,13 +167,13 @@ def residual_cap_integer(n: int, d: int) -> Bits:
 def _max_bells(spectrum: SchmidtSpectrum, n_copies: int) -> int:
     """Largest m with m <= n_copies * E_t, exact when the spectrum is exact."""
     if spectrum.exact is not None:
-        # m <= n*E_t  <=>  2^m * p_max^n <= 1
+        # m <= n*E_t  <=>  2^m * r^n <= q^n with p_max = r/q, so m is the bit
+        # length of q^n // r^n minus one; comparing one shifted candidate
+        # gives that without the quadratic-time long division
         p = spectrum.p_max_exact
-        budget = (1 / p) ** n_copies
-        m = 0
-        while 2 ** (m + 1) <= budget:
-            m += 1
-        return m
+        num, den = p.denominator**n_copies, p.numerator**n_copies
+        m = num.bit_length() - den.bit_length()
+        return m if den << m <= num else m - 1
     et = -math.log2(spectrum.p_max)
     return int(math.floor(n_copies * et + CONCENTRATION_TOL))
 
@@ -197,20 +193,15 @@ def concentration_bounds(
     if m_bells < 0:
         raise ValueError("m_bells must be non-negative")
     rank = spectrum.n
-    if spectrum.exact is not None:
-        p = spectrum.p_max_exact
-        feasible = 2**m_bells * p**n_copies <= 1
-    else:
-        et = -math.log2(spectrum.p_max)
-        feasible = m_bells <= n_copies * et + CONCENTRATION_TOL
+    m_max = _max_bells(spectrum, n_copies)
     # C1 >= n*log2(rank) - m = log2(rank^n / 2^m)
     c1 = Bits.log2(1, Fraction(rank**n_copies, 2**m_bells))
     c2 = Bits.log2(2 * m_bells, 2)
     return ConcentrationBounds(
         n_copies=n_copies,
         m_bells=m_bells,
-        feasible=feasible,
-        m_max=_max_bells(spectrum, n_copies),
+        feasible=m_bells <= m_max,
+        m_max=m_max,
         c1_lower_bound=c1,
         c2=c2,
     )

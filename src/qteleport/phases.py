@@ -25,7 +25,6 @@ from .spectrum import SchmidtSpectrum
 
 TWO_PI = 2.0 * np.pi
 
-FEASIBILITY_SLACK = 1e-12   # p_max <= 1/d + slack passes the feasibility gate
 RESIDUAL_TOL = 1e-9         # per-constraint acceptance for any returned PhaseMatrix
 PARTITION_TOL = 1e-9        # subgroup-sum tolerance on the float path
 SEARCH_R_TOL = 1e-18        # sum-of-squares acceptance for the numerical search
@@ -114,7 +113,7 @@ class Partition:
 
 
 def _feasibility_gate(spectrum: SchmidtSpectrum, d: int) -> None:
-    if spectrum.p_max > 1.0 / d + FEASIBILITY_SLACK:
+    if not spectrum.admits(d):
         raise InfeasibleSpectrum(
             f"max probability {spectrum.p_max!r} exceeds 1/{d}; "
             f"a {d}-level state cannot be teleported through this resource"

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumns, InfeasibleSpectrum
+from .errors import DegenerateColumns
 from .phases import (
     DEFAULT_MAX_NFEV,
     DEFAULT_RESTARTS,
-    FEASIBILITY_SLACK,
     TWO_PI,
     PhaseMatrix,
+    _feasibility_gate,
     solve_general,
 )
 from .spectrum import SchmidtSpectrum
@@ -116,13 +116,6 @@ class ConditionReport:
         return self.orthonormality_residual <= tol and self.unitarity_residual <= tol
 
 
-def _gate(spectrum: SchmidtSpectrum, d: int) -> None:
-    if spectrum.p_max > 1.0 / d + FEASIBILITY_SLACK:
-        raise InfeasibleSpectrum(
-            f"max probability {spectrum.p_max!r} exceeds 1/{d}; no protocol exists"
-        )
-
-
 def synthesize_general(
     spectrum: SchmidtSpectrum, d: int, phases: PhaseMatrix
 ) -> ProtocolTable:
@@ -132,7 +125,7 @@ def synthesize_general(
     angles (double geometric series); unitarity holds exactly when the phase
     matrix satisfies its constraint for the given spectrum.
     """
-    _gate(spectrum, d)
+    _feasibility_gate(spectrum, d)
     n = spectrum.n
     if phases.theta.shape != (d, n):
         raise ValueError(f"phase matrix shape {phases.theta.shape} does not match ({d}, {n})")
@@ -157,7 +150,7 @@ def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTab
     sqrt(s).  Reproduces the displayed qubit tables verbatim, including the
     four-outcome sign pattern at n = 2.
     """
-    _gate(spectrum, 2)
+    _feasibility_gate(spectrum, 2)
     n = spectrum.n
     if thetas.theta.shape != (2, n):
         raise ValueError(f"phase matrix shape {thetas.theta.shape} does not match (2, {n})")
@@ -212,9 +205,8 @@ def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitary
 
     Column m (m < d) is fixed to sqrt(s) * conj(V[j, m, :]) * sqrt(p); the
     unitarity condition makes these d columns orthonormal, and the remaining
-    n - d columns are completed by deterministic Gram-Schmidt over standard
-    basis seeds taken in index order, skipping seeds that are nearly dependent
-    on the span built so far.
+    n - d columns are the orthogonal complement from one batched complete QR
+    decomposition of the defined columns.
 
     Raises DegenerateColumns when the defined columns deviate from
     orthonormality by more than COLUMN_TOL, which signals a table violating
@@ -222,35 +214,21 @@ def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitary
     """
     if spectrum.n != table.n:
         raise ValueError(f"spectrum length {spectrum.n} does not match table n={table.n}")
-    s, d, n = table.s, table.d, table.n
+    s, d = table.s, table.d
     sqrt_p = np.sqrt(spectrum.as_array())
-    out = np.zeros((s, n, n), dtype=complex)
-    for j in range(s):
-        u = out[j]
-        u[:, :d] = (np.sqrt(s) * table.V[j].conj() * sqrt_p[None, :]).T
-        gram = u[:, :d].conj().T @ u[:, :d]
-        defect = float(np.abs(gram - np.eye(d)).max())
-        if defect > COLUMN_TOL:
-            raise DegenerateColumns(
-                f"outcome {j + 1}: defined correction columns deviate from "
-                f"orthonormality by {defect:.3e}"
-            )
-        filled = d
-        for seed in range(n):
-            if filled == n:
-                break
-            v = np.zeros(n, dtype=complex)
-            v[seed] = 1.0
-            for _ in range(2):  # twice-iterated Gram-Schmidt for numerical hygiene
-                v -= u[:, :filled] @ (u[:, :filled].conj().T @ v)
-            vnorm = np.linalg.norm(v)
-            if vnorm < COLUMN_TOL:
-                continue
-            u[:, filled] = v / vnorm
-            filled += 1
-        if filled != n:
-            raise DegenerateColumns(f"outcome {j + 1}: unitary completion failed")
-    return BobUnitarySet(unitaries=out)
+    defined = np.sqrt(s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]  # (s, n, d)
+    gram = defined.conj().transpose(0, 2, 1) @ defined
+    defects = np.abs(gram - np.eye(d)).max(axis=(1, 2))
+    failing = np.flatnonzero(defects > COLUMN_TOL)
+    if failing.size:
+        j = int(failing[0])
+        raise DegenerateColumns(
+            f"outcome {j + 1}: defined correction columns deviate from "
+            f"orthonormality by {defects[j]:.3e}"
+        )
+    unitaries, _ = np.linalg.qr(defined, mode="complete")
+    unitaries[:, :, :d] = defined
+    return BobUnitarySet(unitaries=unitaries)
 
 
 def verify_conditions(table: ProtocolTable, spectrum: SchmidtSpectrum) -> ConditionReport:

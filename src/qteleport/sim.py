@@ -1,24 +1,33 @@
 """Exact statevector simulation of the four-step teleportation protocol.
 
-The run walks the protocol literally for every outcome j:
+For every outcome j the run follows the algebra of the protocol:
 
-  1. assemble the initial state |psi>_1 |chi>_23;
-  2. project Alice's systems (1, 2) onto the measurement state |M_j>;
-  3. record the squared norm of the projected branch (the outcome
-     probability, equal to its normalization coefficient);
-  4. apply Bob's correction u_j^dagger on system 3 and compare against the
-     expected product state |M_j> (x) |psi> by squared overlap.
+  1. the initial state is |psi>_1 |chi>_23 with |chi> = sum_k sqrt(p_k)|k>|k>;
+  2. projecting Alice's systems (1, 2) onto |M_j> leaves the product branch
+     |M_j> (x) |o_j>, where o_j[l] = sqrt(p_l) sum_m conj(V[j,m,l]) psi_m;
+  3. the outcome probability is the squared norm of o_j (equal to the
+     normalization coefficient of the branch);
+  4. Bob's correction gives |c_j> = u_j^dagger |o_j>, and the fidelity is the
+     squared overlap of |M_j> (x) |c_j> / sqrt(p_j) with |M_j> (x) |psi>.
 
-Every outcome is enumerated (no sampling), so a fidelity-1 report is an exact
-certificate at machine precision rather than a statistical statement.
+All outcomes are computed at once from O(s*d*n) numbers; the full d*n^2
+branch states are built only on demand (`OutcomeRecord.post_state`,
+`OutcomeRecord.corrected_state`).  Every outcome is enumerated (no sampling),
+so a fidelity-1 report is an exact certificate at machine precision rather
+than a statistical statement.
 
 Residual entanglement is quantified by the Schmidt number n_s of the
 corrected state across the (1,2)|(3) cut; the amount left is log2(n_s) bits,
 capped by log2(n) - log2(d) since Bob's n-level system must host both the
 n_s-dimensional entangled part and the d-dimensional teleported state
-(n >= n_s * d).  Note: the source material writes this residual entanglement
-with a minus sign (-log2 n_s), which is inconsistent with a logarithm of a
-Schmidt number (n_s >= 1); this package reports n_s and +log2(n_s).
+(n >= n_s * d).  In `run_protocol` the corrected state is the product
+|M_j> (x) |c_j>, so n_s = 1 by construction and is recorded without an SVD.
+`residual_schmidt()` is the SVD reference measurement; the one-pair
+teleport through a two-Bell-pair resource (`one_pair_double_bell_trace`) is
+where n_s is actually measured, and there it is 2.  Note: the source
+material writes this residual entanglement with a minus sign (-log2 n_s),
+which is inconsistent with a logarithm of a Schmidt number (n_s >= 1); this
+package reports n_s and +log2(n_s).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 from . import phases as _phases
 from . import protocol as _protocol
 from .errors import DimensionMismatch
-from .linalg import RANK_TOL, BipartiteShape, as_state, schmidt_number, tensor
+from .linalg import RANK_TOL, BipartiteShape, as_state, schmidt_number
 from .protocol import BobUnitarySet, MeasurementBasis, ProtocolTable
 from .spectrum import SchmidtSpectrum
 
@@ -41,17 +50,27 @@ INPUT_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One measurement branch: the four protocol steps plus derived figures."""
+    """One measurement branch |M_j> (x) |overlap>, with Bob's correction applied."""
 
     j: int                          # outcome label, 1-based
     probability: float              # squared norm of the projected branch
-    normalization: float            # normalization coefficient of the branch (= probability)
-    post_state: np.ndarray          # projected state, unnormalized, flat over (1, 2, 3)
-    corrected_state: np.ndarray     # after Bob's correction, normalized
+    measurement_state: np.ndarray   # |M_j>, flat over (1, 2)
+    overlap: np.ndarray             # Bob's factor of the projected branch, unnormalized
+    correction: np.ndarray          # u_j^dagger applied to the overlap, unnormalized
     fidelity: float                 # squared overlap with |M_j> (x) |psi>
     residual_schmidt: int           # Schmidt number across the (1,2)|(3) cut
     d: int
     n: int
+
+    @property
+    def post_state(self) -> np.ndarray:
+        """Projected state, unnormalized, flat over (1, 2, 3)."""
+        return np.kron(self.measurement_state, self.overlap)
+
+    @property
+    def corrected_state(self) -> np.ndarray:
+        """State after Bob's correction, normalized, flat over (1, 2, 3)."""
+        return np.kron(self.measurement_state, self.correction) / math.sqrt(self.probability)
 
 
 @dataclass(frozen=True)
@@ -115,40 +134,32 @@ def run_protocol(
     if ubob.unitaries.shape != (s, n, n):
         raise DimensionMismatch(f"unitary set shape {ubob.unitaries.shape} != ({s}, {n}, {n})")
 
-    initial = tensor(psi, resource_state(spectrum)).reshape(d, n, n)
-    psi_embedded = np.zeros(n, dtype=complex)
-    psi_embedded[:d] = psi
+    states = basis.states.reshape(s, d, n)
+    overlaps = np.einsum("jml,m->jl", states.conj(), psi) * np.sqrt(spectrum.as_array())
+    probabilities = np.einsum("jl,jl->j", overlaps.conj(), overlaps).real
+    corrections = np.einsum("jkl,jk->jl", ubob.unitaries.conj(), overlaps)
+    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
+    state_norms = np.einsum("jx,jx->j", basis.states.conj(), basis.states).real
+    fidelities = state_norms**2 * np.abs(corrections[:, :d] @ psi.conj()) ** 2 / probabilities
 
-    records = []
-    for j in range(s):
-        m_state = basis.states[j].reshape(d, n)
-        # project systems (1, 2) onto |M_j>; the branch factors as |M_j> (x) overlap
-        overlap = np.einsum("mk,mkl->l", m_state.conj(), initial)
-        probability = float(np.vdot(overlap, overlap).real)
-        post = np.einsum("mk,l->mkl", m_state, overlap)
-        corrected_vec = ubob.unitaries[j].conj().T @ overlap
-        corrected = np.einsum("mk,l->mkl", m_state, corrected_vec) / math.sqrt(probability)
-        expected = np.einsum("mk,l->mkl", m_state, psi_embedded)
-        fidelity = float(
-            abs(np.vdot(expected.reshape(-1), corrected.reshape(-1))) ** 2
-        )
-        record = OutcomeRecord(
+    records = tuple(
+        OutcomeRecord(
             j=j + 1,
-            probability=probability,
-            normalization=probability,
-            post_state=post.reshape(-1),
-            corrected_state=corrected.reshape(-1),
-            fidelity=fidelity,
-            residual_schmidt=0,
+            probability=float(probabilities[j]),
+            measurement_state=basis.states[j],
+            overlap=overlaps[j],
+            correction=corrections[j],
+            fidelity=float(fidelities[j]),
+            residual_schmidt=1,  # |M_j> (x) |c_j> is a product state
             d=d,
             n=n,
         )
-        records.append(dataclasses.replace(record, residual_schmidt=residual_schmidt(record)))
-
+        for j in range(s)
+    )
     return SimulationTrace(
         d=d,
         n=n,
-        outcomes=tuple(records),
+        outcomes=records,
         total_probability=float(sum(rec.probability for rec in records)),
         min_fidelity=float(min(rec.fidelity for rec in records)),
         classical_bits=math.log2(s),
@@ -229,55 +240,23 @@ def one_pair_double_bell_trace(psi) -> SimulationTrace:
     the untouched pair.
 
     Systems are ordered (input, A-half-1, A-half-2 | B-half-1, B-half-2), so
-    the (1,2)|(3) cut is 8 x 4.
+    the (1,2)|(3) cut is 8 x 4.  The idle pair is normalized, so it leaves
+    every probability and fidelity of the one-pair run unchanged.
     """
-    psi = as_input_qudit(psi, 2)
     pair = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
-    theta = _phases.solve_d2(pair)
-    table = _protocol.synthesize_d2(pair, theta)
+    table = _protocol.synthesize_d2(pair, _phases.solve_d2(pair))
     basis = _protocol.measurement_basis(table)
-    ubob = _protocol.bob_unitaries(table, pair)
+    single = run_protocol(psi, pair, table, basis, _protocol.bob_unitaries(table, pair))
 
-    bell = resource_state(pair).reshape(2, 2)
-    # axes: (input, a1, b1, a2, b2) -> reorder to (input, a1, a2, b1, b2)
-    state = np.einsum("x,ab,cd->xabcd", psi, bell, bell).transpose(0, 1, 3, 2, 4)
+    idle = resource_state(pair).reshape(2, 2)  # (a2, b2)
+
+    def with_idle(bob: np.ndarray) -> np.ndarray:  # flat over (a2, b1, b2)
+        return np.einsum("ac,b->abc", idle, bob).reshape(-1)
 
     records = []
-    for j in range(4):
-        m_state = basis.states[j].reshape(2, 2)
-        overlap = np.einsum("mk,mkabc->abc", m_state.conj(), state)  # (a2, b1, b2)
-        probability = float(np.einsum("abc,abc->", overlap.conj(), overlap).real)
-        post = np.einsum("mk,abc->mkabc", m_state, overlap)
-        # correct Bob's half of the first pair (axis b), keeping (a2, b1, b2) order
-        corrected_overlap = np.einsum("xb,abc->axc", ubob.unitaries[j].conj().T, overlap)
-        corrected = (
-            np.einsum("mk,abc->mkabc", m_state, corrected_overlap)
-            / math.sqrt(probability)
+    for rec in single.outcomes:
+        rec = dataclasses.replace(
+            rec, overlap=with_idle(rec.overlap), correction=with_idle(rec.correction), n=4
         )
-        expected = np.einsum("mk,ac,b->mkabc", m_state, bell, psi)
-        fidelity = float(
-            abs(np.vdot(expected.reshape(-1), corrected.reshape(-1))) ** 2
-        )
-        record = OutcomeRecord(
-            j=j + 1,
-            probability=probability,
-            normalization=probability,
-            post_state=post.reshape(-1),
-            corrected_state=corrected.reshape(-1),
-            fidelity=fidelity,
-            residual_schmidt=schmidt_number(
-                corrected.reshape(-1), BipartiteShape(8, 4)
-            ),
-            d=2,
-            n=4,
-        )
-        records.append(record)
-
-    return SimulationTrace(
-        d=2,
-        n=4,
-        outcomes=tuple(records),
-        total_probability=float(sum(r.probability for r in records)),
-        min_fidelity=float(min(r.fidelity for r in records)),
-        classical_bits=math.log2(4),
-    )
+        records.append(dataclasses.replace(rec, residual_schmidt=residual_schmidt(rec)))
+    return dataclasses.replace(single, n=4, outcomes=tuple(records))

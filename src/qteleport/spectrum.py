@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 SUM_TOL = 1e-12
+FEASIBILITY_SLACK = 1e-12  # float spectra only: p_max <= 1/d + slack admits d
 
 
 def _as_fraction(value) -> Fraction:
@@ -78,6 +79,15 @@ class SchmidtSpectrum:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
+
+    def admits(self, d: int) -> bool:
+        """Whether a d-level state can be teleported faithfully: p_max <= 1/d.
+
+        Exact spectra compare exactly; only float spectra get FEASIBILITY_SLACK.
+        """
+        if self.exact is not None:
+            return self.p_max_exact <= Fraction(1, d)
+        return self.p_max <= 1.0 / d + FEASIBILITY_SLACK
 
     def is_uniform(self, tol: float = 1e-12) -> bool:
         if self.exact is not None:

@@ -184,6 +184,21 @@ class TestConcentration:
             assert c1 >= floor_bound - 1e-9
             assert c1 - floor_bound < 1.0 + 1e-9  # flooring loses less than one bit
 
+    def test_exact_m_max_brackets_the_budget(self):
+        for values in (["1/2", "1/3", "1/6"], ["3/5", "2/5"], ["7/10", "3/10"], ["1/1"]):
+            s = SchmidtSpectrum.from_rationals(values)
+            p = s.p_max_exact
+            for copies in (1, 2, 3, 7, 50, 137, 500):
+                conc = concentration_bounds(s, copies, 1)
+                m = conc.m_max
+                assert 2**m * p**copies <= 1 < 2 ** (m + 1) * p**copies
+                assert conc.feasible == (1 <= m)
+
+    def test_million_copies_return(self):
+        conc = concentration_bounds(GOLDEN, 10**6, 10**6)
+        assert conc.m_max == 10**6
+        assert conc.feasible
+
     def test_exact_feasibility_at_boundary(self):
         s = SchmidtSpectrum.from_rationals(["1/2", "1/4", "1/8", "1/8"])  # E_t = 1 exactly
         assert concentration_bounds(s, 3, 3).feasible

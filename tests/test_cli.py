@@ -74,6 +74,12 @@ class TestSynthesize:
         path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/2", "1/3", "1/6"]})
         assert run(["synthesize", path]) == 4
 
+    def test_exact_spectrum_just_above_half_exits_4(self, tmp_path):
+        excess = 10**14
+        spectrum = [f"{excess // 2 + 1}/{excess}", f"{excess // 2 - 1}/{excess}"]
+        path = write_problem(tmp_path, {"d": 2, "spectrum": spectrum})
+        assert run(["synthesize", path]) == 4
+
     def test_phase_failure_exits_5(self, tmp_path, capsys):
         path = write_problem(
             tmp_path, {"d": 3, "spectrum": ["1/3", "3/10", "4/15", "1/10"]}
@@ -206,6 +212,18 @@ class TestVerify:
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 6
         assert "unitarity" in capsys.readouterr().err
+
+    def test_slightly_scaled_outcome_is_reported_not_raised(self, tmp_path, capsys):
+        # |M_1| = 1 + 5e-10 once broke the normalization check of the
+        # corrected state inside the simulation instead of failing verification
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["V"][0] = [
+            [[re * (1 + 5e-10), im * (1 + 5e-10)] for re, im in row] for row in doc["table"]["V"][0]
+        ]
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        assert "violated: orthonormality" in capsys.readouterr().err
 
     def test_elided_table_is_parse_failure(self, tmp_path, capsys):
         out = self.emit_report(tmp_path)

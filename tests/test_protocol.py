@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from conftest import feasible_spectrum
 
 PAIR = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
+UNIFORM_12 = SchmidtSpectrum.from_rationals(["1/12"] * 12)
+UNIFORM_32 = SchmidtSpectrum.from_rationals(["1/32"] * 32)
 
 
 def bennett_table() -> ProtocolTable:
@@ -164,6 +168,16 @@ class TestSynthesis:
             else:
                 synthesize_general(s, 3, theta_dummy)  # must not raise the gate
 
+    def test_exact_spectrum_just_above_half_is_infeasible(self):
+        # float slack once let this exact spectrum through the gate at d = 2
+        excess = Fraction(1, 10**14)
+        s = SchmidtSpectrum.from_rationals([Fraction(1, 2) + excess, Fraction(1, 2) - excess])
+        assert not s.admits(2)
+        with pytest.raises(InfeasibleSpectrum):
+            solve_general(s, 2)
+        with pytest.raises(InfeasibleSpectrum):
+            synthesize_d2(s, PhaseMatrix(np.array([[0.0, 0.0], [0.0, np.pi]])))
+
     def test_method_dispatch(self):
         assert synthesize_auto(GOLDEN, 2).construction is Construction.D2_FORMULA
         assert (
@@ -190,10 +204,25 @@ class TestMeasurementBasis:
 
 class TestBobUnitaries:
     def test_unitarity(self):
-        table = golden_table()
-        ubob = bob_unitaries(table, GOLDEN)
-        for u in ubob.unitaries:
-            assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-10
+        # (3, 12) partition tables and (2, 32) tables leave n - d >= 2d columns to complete
+        thirds = SchmidtSpectrum.from_rationals(
+            ["1/6", "1/9", "1/15", "1/12", "1/9", "1/15", "1/24", "1/15", "1/9", "1/24",
+             "1/15", "1/15"]
+        )
+        rng = np.random.default_rng(37)
+        wide = SchmidtSpectrum.from_probs(feasible_spectrum(rng, 32, 1 / 2))
+        cases = [
+            (GOLDEN, golden_table()),
+            (thirds, synthesize_auto(thirds, 3)),
+            (UNIFORM_12, synthesize_auto(UNIFORM_12, 3)),
+            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2)),
+            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2, method="general")),
+            (wide, synthesize_auto(wide, 2)),
+        ]
+        for spectrum, table in cases:
+            ubob = bob_unitaries(table, spectrum)
+            for u in ubob.unitaries:
+                assert np.abs(u.conj().T @ u - np.eye(table.n)).max() < 1e-10
 
     def test_square_case_needs_no_completion(self):
         s = SchmidtSpectrum.from_rationals(["1/3"] * 3)

@@ -25,6 +25,12 @@ from conftest import feasible_spectrum, random_state
 
 PAIR = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
+# splits into four groups of weight 1/4: (1/5, 1/20), (1/8, 1/8), (1/6, 1/12), (3/16, 1/16)
+QUARTERS = SchmidtSpectrum.from_rationals(
+    ["1/5", "1/8", "1/6", "3/16", "1/8", "1/12", "1/20", "1/16"]
+)
+# a float spectrum with no equal-weight split at d = 3: only the search solves it
+SEARCH = SchmidtSpectrum.from_probs([0.3, 0.25, 0.2, 0.15, 0.1])
 
 
 def protocol_parts(spectrum, d, method="auto"):
@@ -85,13 +91,19 @@ class TestProbabilities:
         table, basis, ubob = protocol_parts(GOLDEN, 2)
         trace = run_protocol(random_state(rng, 2), GOLDEN, table, basis, ubob)
         for rec in trace.outcomes:
-            assert rec.normalization == rec.probability
-            assert abs(np.vdot(rec.post_state, rec.post_state).real - rec.normalization) < 1e-12
+            assert abs(np.vdot(rec.post_state, rec.post_state).real - rec.probability) < 1e-12
 
 
 class TestResidualEntanglement:
     def test_full_protocol_leaves_nothing(self, rng):
-        for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3)]:
+        cases = [
+            (PAIR, 2),
+            (GOLDEN, 2),
+            (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3),
+            (QUARTERS, 4),
+            (SEARCH, 3),
+        ]
+        for spectrum, d in cases:
             table, basis, ubob = protocol_parts(spectrum, d)
             trace = run_protocol(random_state(rng, d), spectrum, table, basis, ubob)
             for rec in trace.outcomes:
