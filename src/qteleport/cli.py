@@ -21,6 +21,7 @@ invariant violation, 4 infeasible spectrum, 5 phase factors not found,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
 from .linalg import basis_state
 from .phases import PhaseMatrix, solve_general
 from .protocol import (
+    CONDITION_TOL,
     Construction,
     ProtocolTable,
     bob_unitaries,
@@ -41,8 +43,8 @@ from .protocol import (
     synthesize_general,
     verify_conditions,
 )
-from .sim import random_input_sweep, run_protocol
-from .spectrum import SchmidtSpectrum
+from .sim import INPUT_NORM_TOL, random_input_sweep, run_protocol
+from .spectrum import SUM_TOL, SchmidtSpectrum
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,9 +55,11 @@ EXIT_VERIFY = 6
 
 TABLE_ELISION_THRESHOLD = 64  # outcomes; larger tables are summarized unless --emit-table
 
+SUM_ACCEPT_TOL = 1e-9  # float spectra summing this close to 1 are renormalized, not refused
+
 TOLERANCES = {
-    "orthonormality": 1e-10,
-    "unitarity": 1e-10,
+    "orthonormality": CONDITION_TOL,
+    "unitarity": CONDITION_TOL,
     "fidelity": 1e-10,
     "probabilityUniformity": 1e-10,
 }
@@ -110,12 +114,14 @@ def parse_spectrum_items(items) -> SchmidtSpectrum:
                 raise ParseFailure(f"field 'spectrum': cannot parse entry {it!r}")
         else:
             raise ParseFailure("field 'spectrum': entries must be numbers or 'num/den' strings")
+    if not all(math.isfinite(v) for v in values):
+        raise InputFailure("field 'spectrum': entries must be finite")
     if any(v <= 0 for v in values):
         raise InputFailure("field 'spectrum': entries must be positive")
     total = sum(values)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > SUM_ACCEPT_TOL:
         raise InputFailure(f"field 'spectrum': entries sum to {total!r}, not 1")
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > SUM_TOL:
         values = [v / total for v in values]
     return SchmidtSpectrum.from_probs(values)
 
@@ -146,7 +152,7 @@ def parse_problem_doc(doc) -> Problem:
         amps = np.array([complex(p[0], p[1]) for p in pairs])
         if amps.size != d:
             raise InputFailure(f"field 'inputState' must have {d} amplitudes, got {amps.size}")
-        if abs(np.vdot(amps, amps).real - 1.0) > 1e-12:
+        if not abs(np.vdot(amps, amps).real - 1.0) <= INPUT_NORM_TOL:  # NaN fails too
             raise InputFailure("field 'inputState' must be normalized")
         input_state = amps
 
@@ -190,7 +196,7 @@ def _phases_doc(theta: PhaseMatrix, spectrum: SchmidtSpectrum) -> dict:
     return {
         "d": theta.d,
         "n": theta.n,
-        "theta": [[float(x) for x in row] for row in theta.theta],
+        "theta": theta.theta.tolist(),
         "constraintResidual": theta.constraint_residual(spectrum),
     }
 
@@ -207,10 +213,7 @@ def _table_doc(table: ProtocolTable, spectrum: SchmidtSpectrum, emit_table: bool
         "V": None,
     }
     if emit_table or table.s <= TABLE_ELISION_THRESHOLD:
-        doc["V"] = [
-            [[reportio.complex_pair(v) for v in row] for row in block]
-            for block in table.V
-        ]
+        doc["V"] = np.stack([table.V.real, table.V.imag], axis=-1).tolist()
     return doc
 
 
@@ -346,6 +349,8 @@ def _verify_report_doc(doc) -> list[str]:
         raise ParseFailure(
             f"report table has shape {coeffs.shape}, expected ({d * n}, {d}, {n})"
         )
+    if not np.isfinite(coeffs).all():
+        raise ParseFailure("report table holds non-finite coefficients")
     if problem.spectrum.n != n or problem.d != d:
         raise ParseFailure("report table dimensions disagree with the echoed problem")
 
@@ -371,7 +376,7 @@ def _verify_report_doc(doc) -> list[str]:
         )
 
     sim_doc = doc.get("simulation") if isinstance(doc.get("simulation"), dict) else {}
-    trials = sim_doc.get("trials", problem.trials or 20)
+    trials = sim_doc.get("trials", problem.trials or DEFAULT_TRIALS)
     seed = sim_doc.get("seed", problem.seed or DEFAULT_SEED)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ParseFailure("report simulation section has an unusable 'trials' value")

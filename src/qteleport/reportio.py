@@ -1,78 +1,29 @@
 """Deterministic JSON serialization for problem files and report documents.
 
-Reports are plain JSON objects, emitted with sorted keys, two-space indent and
-every float rendered with 17 significant digits, so identical inputs produce
-byte-identical documents and parse(serialize(x)) == x.
+Reports are plain JSON objects, emitted by the standard encoder with sorted
+keys and two-space indent.  Floats print in Python's shortest round-trip form,
+so identical inputs produce byte-identical documents and
+parse(serialize(x)) == x.  NaN and infinities are refused in both directions.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 from .bounds import Bits, BoundsReport, CccBound, ConcentrationBounds
 
 
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinite values")
-    text = format(float(x), ".17g")
-    if not any(c in text for c in ".e"):
-        text += ".0"
-    return text
-
-
 def dumps(obj) -> str:
     """Serialize to deterministic JSON text (trailing newline included)."""
-    pieces: list[str] = []
-    _emit(obj, pieces, 0)
-    return "".join(pieces) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(obj, out: list[str], depth: int) -> None:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(inner + json.dumps(key) + ": ")
-            _emit(obj[key], out, depth + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(inner)
-            _emit(item, out, depth + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a valid JSON number")
 
 
 def loads(text: str):
-    return json.loads(text)
-
-
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def bits_doc(bits: Bits | None) -> dict | None:
@@ -87,6 +38,11 @@ def bits_doc(bits: Bits | None) -> dict | None:
             bits.argument.numerator,
             bits.argument.denominator,
         ]
+        try:
+            for k in exact:
+                str(k)
+        except ValueError:  # beyond sys.get_int_max_str_digits(): no exact form
+            exact = None
     return {"bits": bits.value, "exact": exact}
 
 

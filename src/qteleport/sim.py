@@ -92,7 +92,7 @@ class SimulationTrace:
 def as_input_qudit(amps, d: int | None = None) -> np.ndarray:
     """Validate a normalized d-level input state."""
     vec = as_state(amps, d)
-    if abs(np.vdot(vec, vec).real - 1.0) > INPUT_NORM_TOL:
+    if not abs(np.vdot(vec, vec).real - 1.0) <= INPUT_NORM_TOL:  # NaN fails too
         raise ValueError("input state must be normalized")
     return vec
 

@@ -40,7 +40,7 @@ class SchmidtSpectrum:
     def __post_init__(self):
         if len(self.probs) == 0:
             raise ValueError("spectrum must contain at least one probability")
-        if any(p <= 0.0 for p in self.probs):
+        if any(not p > 0.0 for p in self.probs):  # NaN fails too
             raise ValueError("all probabilities must be strictly positive")
         if self.exact is not None:
             if len(self.exact) != len(self.probs):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qteleport import reportio
@@ -58,6 +59,17 @@ class TestBounds:
         path = write_problem(tmp_path, {"d": 2, "spectrum": [1.2, -0.2]})
         assert run(["bounds", path]) == 3
 
+    def test_nan_token_is_parse_failure(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"d": 2, "spectrum": [float("nan"), 0.5]})
+        assert run(["bounds", path]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    def test_overflowing_entry_is_invariant_violation(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"d": 2, "spectrum": [1e400, 0.5]}', encoding="utf-8")
+        assert run(["bounds", str(path)]) == 3
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSynthesize:
     def test_worked_example(self, tmp_path, capsys):
@@ -79,6 +91,11 @@ class TestSynthesize:
         spectrum = [f"{excess // 2 + 1}/{excess}", f"{excess // 2 - 1}/{excess}"]
         path = write_problem(tmp_path, {"d": 2, "spectrum": spectrum})
         assert run(["synthesize", path]) == 4
+
+    def test_nan_token_is_parse_failure(self, tmp_path):
+        # a NaN entry must not reach the feasibility gate, which reads it as infeasible
+        path = write_problem(tmp_path, {"d": 2, "spectrum": [float("nan"), 0.5]})
+        assert run(["synthesize", path]) == 2
 
     def test_phase_failure_exits_5(self, tmp_path, capsys):
         path = write_problem(
@@ -145,6 +162,21 @@ class TestSimulate:
         problem["inputState"] = [[1.0, 0.0], [1.0, 0.0]]
         path = write_problem(tmp_path, problem)
         assert run(["simulate", path]) == 3
+
+    def test_nan_input_state_is_parse_failure(self, tmp_path):
+        problem = dict(GOLDEN_PROBLEM)
+        problem["inputState"] = [[float("nan"), 0.0], [1.0, 0.0]]
+        path = write_problem(tmp_path, problem)
+        assert run(["simulate", path]) == 2
+
+    def test_overflowing_input_state_is_invariant_violation(self, tmp_path):
+        # an amplitude of 1e400 parses to inf, whose norm is NaN
+        path = tmp_path / "problem.json"
+        path.write_text(
+            '{"d": 2, "spectrum": ["1/2", "1/2"], "inputState": [[1e400, 0], [1, 0]]}',
+            encoding="utf-8",
+        )
+        assert run(["simulate", str(path)]) == 3
 
     def test_round_trip_parse_serialize(self, tmp_path):
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
@@ -225,6 +257,15 @@ class TestVerify:
         assert run(["verify", str(out)]) == 6
         assert "violated: orthonormality" in capsys.readouterr().err
 
+    def test_overflowing_entry_is_parse_failure(self, tmp_path, capsys):
+        # a 1e400 entry parses to inf, whose NaN residuals compare as within tolerance
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["V"][0][0][0][0] = 12345.5
+        out.write_text(reportio.dumps(doc).replace("12345.5", "1e400"), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_elided_table_is_parse_failure(self, tmp_path, capsys):
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
@@ -265,6 +306,51 @@ class TestConcentrate:
 
     def test_bad_copies(self, capsys):
         assert run(["concentrate", "--spectrum", "1/2,1/2", "--copies", "0", "--bells", "0"]) == 3
+
+    def test_non_finite_entry_is_invariant_violation(self, capsys):
+        for spectrum in ("nan,0.5", "inf,0.5"):
+            assert run(["concentrate", "--spectrum", spectrum, "--copies", "2", "--bells", "1"]) == 3
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spectrum, copies, bells", [
+        ("1/2,1/2", 20000, 10),
+        ("1/2,1/3,1/6", 9100, 3000),
+    ])
+    def test_exact_form_beyond_digit_limit_is_null(self, capsys, spectrum, copies, bells):
+        # the exact C1 integers exceed Python's int-to-str digit limit
+        assert run(
+            ["concentrate", "--spectrum", spectrum, "--copies", str(copies), "--bells", str(bells)]
+        ) == 0
+        conc = reportio.loads(capsys.readouterr().out)["concentration"]
+        assert conc["C1LowerBound"]["exact"] is None
+        assert math.isfinite(conc["C1LowerBound"]["bits"])
+        assert conc["mMax"] == (2**copies).bit_length() - 1  # p_max = 1/2
+
+
+class TestReportEncoding:
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 5e-324, 1e16, -0.0])
+    def test_floats_round_trip_bit_exactly(self, value):
+        back = reportio.loads(reportio.dumps({"x": value}))["x"]
+        assert float.hex(back) == float.hex(value)
+
+    def test_sorted_keys_and_trailing_newline(self):
+        text = reportio.dumps({"b": 1, "a": [], "c": {}})
+        assert text == '{\n  "a": [],\n  "b": 1,\n  "c": {}\n}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            reportio.dumps({"x": [value]})
+
+    @pytest.mark.parametrize("value", [1j, np.int64(3)])
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            reportio.dumps({"x": value})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_loads_rejects_non_finite_tokens(self, token):
+        with pytest.raises(ValueError):
+            reportio.loads(f'{{"x": {token}}}')
 
 
 class TestParser:

@@ -38,6 +38,11 @@ class TestSchmidtSpectrum:
         with pytest.raises(ValueError):
             SchmidtSpectrum.from_probs([0.5, 0.4])
 
+    def test_rejects_nan(self):
+        # NaN passes both a `p <= 0` and a `|sum - 1| > tol` check
+        with pytest.raises(ValueError):
+            SchmidtSpectrum.from_probs([float("nan"), 0.5])
+
     def test_exact_sum_must_be_one(self):
         with pytest.raises(ValueError):
             SchmidtSpectrum.from_rationals(["1/2", "1/3"])

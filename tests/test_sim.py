@@ -169,6 +169,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_input_qudit([1.0, 1.0])
 
+    def test_overflowing_input_is_not_normalized(self):
+        # the norm of [inf, 1] is NaN, which a `> tol` check lets through
+        with pytest.raises(ValueError):
+            as_input_qudit([math.inf, 1.0])
+
     def test_haar_states_are_normalized(self, rng):
         for _ in range(10):
             psi = haar_random_state(5, rng)
