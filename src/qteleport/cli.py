@@ -180,7 +180,21 @@ def load_problem(path: str) -> Problem:
         doc = reportio.loads(text)
     except ValueError as err:
         raise ParseFailure(f"problem file is not valid JSON: {err}")
-    return parse_problem_doc(doc)
+    problem = parse_problem_doc(doc)
+    for key, value in doc.items():  # the whole document is echoed into the report
+        if not _all_finite(value):
+            raise ParseFailure(f"field {key!r} holds a number that overflows a double")
+    return problem
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return True
 
 
 def _write_report(doc: dict, out_path: str | None) -> None:

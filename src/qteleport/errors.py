@@ -18,7 +18,11 @@ class InfeasibleSpectrum(QTeleportError):
 
 
 class NoPartition(QTeleportError):
-    """No assignment of probabilities into equal-sum subgroups exists."""
+    """No split of the probabilities into equal-sum subgroups was found.
+
+    Either none exists, or the partition search ran out of its node budget;
+    the message says which.
+    """
 
 
 class PhaseFactorsNotFound(QTeleportError):

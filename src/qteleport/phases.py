@@ -10,12 +10,20 @@ solution when every p_k <= 1/2.  For general d a solution exists whenever the
 probabilities split into d subgroups of equal weight 1/d; beyond that the
 solver falls back to a multi-restart least-squares search and reports failure
 honestly when nothing reaches the acceptance threshold.
+
+The split is found by first-fit backtracking (find_partition), kept bounded
+without changing which split it returns: a dead-gap prune drops placements
+that leave a subgroup impossible to complete, a meet-in-the-middle subset-sum
+test run only once the search has stalled (and only for n <= SUBSET_SUM_MAX_N)
+proves most hopeless spectra hopeless at once, and PARTITION_NODE_BUDGET caps
+the placements.  When no split is found, for whichever reason, solve_general
+falls through to the numerical search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -30,6 +38,17 @@ PARTITION_TOL = 1e-9        # subgroup-sum tolerance on the float path
 SEARCH_R_TOL = 1e-18        # sum-of-squares acceptance for the numerical search
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_NFEV = 100_000
+PARTITION_NODE_BUDGET = 1_000_000  # first-fit placements before find_partition gives up
+SUBSET_SUM_AFTER = 4096     # placements before the lazy subset-sum test runs
+SUBSET_SUM_MAX_N = 40       # largest n given the subset-sum test (2 * 2**(n/2) sums)
+# Float rounding allowance of the subset-sum test.  A k-term sum of positive
+# values, added in any order, is off its exact value by at most (k-1)*u*S
+# (u = 2**-53, S the sum), since every partial sum is at most S.  First fit
+# and the meet-in-the-middle test add a subset's terms in different orders,
+# so for a subset near 1/d <= 1/2 they differ by at most 2*(n-1)*u*(1/2 + tol)
+# plus u for each of the two window subtractions: under (n + 2) * 2**-52,
+# which is below 1e-14 for n <= 40.  1e-12 leaves a hundredfold margin.
+SUBSET_SUM_MARGIN = 1e-12
 _SEARCH_SEED = 0x5EED
 
 
@@ -166,10 +185,26 @@ def solve_d2(spectrum: SchmidtSpectrum) -> PhaseMatrix:
 def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
     """Split the probabilities into d subgroups each summing to exactly 1/d.
 
-    Backtracking first-fit over indices sorted by descending probability.
-    Exact rational arithmetic when the spectrum carries exact values;
-    otherwise float sums compared within PARTITION_TOL.  Raises NoPartition
-    when the search space is exhausted.
+    Backtracking first-fit over indices sorted by descending probability:
+    each value goes into the first subgroup it fits, trying at most one empty
+    subgroup (empty subgroups are interchangeable), and the first complete
+    split in that order is returned.  Exact spectra are scaled to integers
+    over L = lcm(denominators, d) and compared against L // d exactly; float
+    spectra compare float sums within PARTITION_TOL.
+
+    Three devices bound the search without changing which split it returns:
+
+    * dead-gap prune: a placement that leaves its subgroup neither full nor
+      able to take the smallest value is dropped, since every later value is
+      at least that large;
+    * lazy subset-sum test: after SUBSET_SUM_AFTER placements without success,
+      and for n <= SUBSET_SUM_MAX_N, a meet-in-the-middle test asks whether
+      any subset sums to 1/d at all; if none does, no split exists;
+    * node budget: after PARTITION_NODE_BUDGET placements the search stops.
+
+    Raises NoPartition when no split exists or the budget runs out (the
+    message says which); solve_general then falls through to the numerical
+    search either way.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -177,45 +212,108 @@ def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
     if n < d:
         raise NoPartition(f"cannot split {n} probabilities into {d} non-empty subgroups")
 
-    exact = spectrum.exact is not None
-    if exact:
-        values = list(spectrum.exact)
-        target = Fraction(1, d)
-        fits = lambda acc, v: acc + v <= target
-        full = lambda acc: acc == target
+    if spectrum.exact is not None:
+        scale = math.lcm(d, *(f.denominator for f in spectrum.exact))
+        values = [f.numerator * (scale // f.denominator) for f in spectrum.exact]
+        target, tol = scale // d, 0
     else:
         values = list(spectrum.probs)
-        target = 1.0 / d
-        fits = lambda acc, v: acc + v <= target + PARTITION_TOL
-        full = lambda acc: abs(acc - target) <= PARTITION_TOL
+        target, tol = 1.0 / d, PARTITION_TOL
 
     order = sorted(range(n), key=lambda i: (-values[i], i))
+    groups = _first_fit([values[i] for i in order], d, target, tol)
     assignment = [0] * n
-    sums = [values[0] * 0] * d
-
-    def place(pos: int) -> bool:
-        if pos == n:
-            return all(full(s) for s in sums)
-        idx = order[pos]
-        v = values[idx]
-        seen_empty = False
-        for g in range(d):
-            if sums[g] == 0 * v:
-                if seen_empty:
-                    break  # empty groups are interchangeable
-                seen_empty = True
-            if fits(sums[g], v):
-                sums[g] = sums[g] + v
-                assignment[idx] = g + 1
-                if place(pos + 1):
-                    return True
-                sums[g] = sums[g] - v
-                assignment[idx] = 0
-        return False
-
-    if not place(0):
-        raise NoPartition(f"no partition of the spectrum into {d} subgroups of weight 1/{d}")
+    for idx, g in zip(order, groups):
+        assignment[idx] = g + 1
     return Partition(tuple(assignment), d)
+
+
+def _first_fit(vals: list, d: int, target, tol) -> list[int]:
+    """Subgroup index of each of `vals` (descending) in the first complete split.
+
+    A subgroup sum `acc` fits value v when acc + v <= target + tol and is
+    full when |acc - target| <= tol; with integer values and tol = 0 both
+    tests are exact.
+    """
+    n = len(vals)
+    hi = target + tol
+    smallest = vals[-1]
+    sums = [0 * smallest] * d
+    groups = [0] * n      # subgroup of vals[pos]
+    before = [0] * n      # its subgroup's sum before; restored exactly on backtrack
+    used = 0              # non-empty subgroups; they are always 0..used-1
+    checkpoint = SUBSET_SUM_AFTER if n <= SUBSET_SUM_MAX_N else PARTITION_NODE_BUDGET
+    nodes = pos = g = 0
+    while True:
+        v = vals[pos]
+        stop = used + 1 if used < d else d  # try at most one empty subgroup
+        while g < stop:
+            acc = sums[g] + v
+            # fits, and the subgroup can still be completed: dead-gap prune
+            if acc <= hi and (abs(acc - target) <= tol or acc + smallest <= hi):
+                break
+            g += 1
+        if g < stop:
+            before[pos], sums[g], groups[pos] = sums[g], acc, g
+            if g == used:
+                used += 1
+            pos += 1
+            nodes += 1
+            if pos == n and all(abs(acc - target) <= tol for acc in sums):
+                return groups
+            if nodes == checkpoint:
+                if nodes == PARTITION_NODE_BUDGET:
+                    raise NoPartition(
+                        f"partition search stopped at its budget of {nodes} placements; "
+                        f"a split into {d} subgroups of weight 1/{d} may still exist"
+                    )
+                if not _some_subset_reaches(vals, target, tol):
+                    raise NoPartition(
+                        f"no subset of the spectrum sums to 1/{d}, "
+                        f"so no partition into {d} subgroups exists"
+                    )
+                checkpoint = PARTITION_NODE_BUDGET
+            if pos < n:
+                g = 0
+                continue
+        # backtrack: take back the placement at pos - 1 and try its next subgroup
+        pos -= 1
+        if pos < 0:
+            raise NoPartition(f"no partition of the spectrum into {d} subgroups of weight 1/{d}")
+        g = groups[pos]
+        sums[g] = before[pos]
+        if not sums[g]:
+            used -= 1
+        g += 1
+
+
+def _subset_sums(vals: list, dtype) -> np.ndarray:
+    sums = np.zeros(1, dtype=dtype)
+    for v in vals:
+        sums = np.concatenate((sums, sums + v))
+    return sums
+
+
+def _some_subset_reaches(vals: list, target, tol) -> bool:
+    """Whether some subset of `vals` sums to `target`, by meet in the middle.
+
+    Integer values are tested exactly (int64 while the total fits, Python
+    integers beyond).  Float values are tested within tol plus
+    SUBSET_SUM_MARGIN, so a subset that first-fit's own sum order would
+    accept as full is never missed.
+    """
+    if isinstance(target, int):
+        dtype = np.int64 if sum(vals) < 2**62 else object
+        lo = hi = target
+    else:
+        dtype = np.float64
+        lo, hi = target - (tol + SUBSET_SUM_MARGIN), target + (tol + SUBSET_SUM_MARGIN)
+    half = len(vals) // 2
+    left = np.sort(_subset_sums(vals[:half], dtype))
+    right = _subset_sums(vals[half:], dtype)
+    first = np.searchsorted(left, lo - right, side="left")
+    last = np.searchsorted(left, hi - right, side="right")
+    return bool(np.any(first < last))
 
 
 def phases_from_partition(partition: Partition, d: int, n: int) -> PhaseMatrix:

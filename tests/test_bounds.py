@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -203,6 +204,31 @@ class TestConcentration:
         s = SchmidtSpectrum.from_rationals(["1/2", "1/4", "1/8", "1/8"])  # E_t = 1 exactly
         assert concentration_bounds(s, 3, 3).feasible
         assert not concentration_bounds(s, 3, 4).feasible
+
+    def test_nielsen_majorization_cross_check(self, rng):
+        # Nielsen (PRL 83, 436, 1999): n copies convert to m Bell pairs by LOCC
+        # exactly when the n-fold product spectrum is majorized by the uniform
+        # spectrum on 2^m, i.e. every top-k partial sum is at most min(k, 2^m)/2^m
+        def majorized_by_uniform(partial: list[Fraction], m: int) -> bool:
+            return all(total <= Fraction(min(k, 2**m), 2**m) for k, total in enumerate(partial, 1))
+
+        spectra = [["1/1"], ["1/2", "1/2"], ["3/5", "2/5"], ["1/2", "1/3", "1/6"],
+                   ["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"], ["7/10", "1/5", "1/10"]]
+        for _ in range(6):
+            weights = rng.integers(1, 20, int(rng.integers(2, 4)))
+            spectra.append([Fraction(int(w), int(weights.sum())) for w in weights])
+        for values in spectra:
+            s = SchmidtSpectrum.from_rationals(values)
+            for copies in range(1, 7):
+                product = [math.prod(t) for t in itertools.product(s.exact, repeat=copies)]
+                partial = list(itertools.accumulate(sorted(product, reverse=True)))
+                m_nielsen = 0
+                while majorized_by_uniform(partial, m_nielsen + 1):
+                    m_nielsen += 1
+                assert concentration_bounds(s, copies, 0).m_max == m_nielsen, (values, copies)
+                for m in range(m_nielsen + 3):
+                    conc = concentration_bounds(s, copies, m)
+                    assert conc.feasible == majorized_by_uniform(partial, m), (values, copies, m)
 
 
 class TestBits:

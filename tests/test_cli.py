@@ -70,6 +70,19 @@ class TestBounds:
         assert run(["bounds", str(path)]) == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bounds", "synthesize", "simulate"])
+    @pytest.mark.parametrize("field,text", [
+        ("note", '1e400'),
+        ("meta", '{"notes": [1, -1e400]}'),
+    ])
+    def test_overflowing_unread_field_is_parse_failure(self, tmp_path, capsys, command, field, text):
+        # the problem document is echoed into the report, where an overflowed
+        # literal cannot be written; the read fields keep their own exit codes
+        path = tmp_path / "problem.json"
+        path.write_text(f'{{"d": 2, "spectrum": ["1/2", "1/2"], "{field}": {text}}}', encoding="utf-8")
+        assert run([command, str(path)]) == 2
+        assert repr(field) in capsys.readouterr().err
+
 
 class TestSynthesize:
     def test_worked_example(self, tmp_path, capsys):

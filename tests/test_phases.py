@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qteleport import phases
 from qteleport.errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound
 from qteleport.phases import (
+    PARTITION_TOL,
     PhaseMatrix,
     canonicalize,
     find_partition,
@@ -144,6 +147,208 @@ class TestFindPartition:
         assert sorted(part.assignment) == [1, 2, 3, 4]
 
 
+def reference_first_fit(spectrum: SchmidtSpectrum, d: int):
+    """Frozen recursive first-fit search, the reference for find_partition.
+
+    Unpruned, unbounded backtracking on Fractions (exact spectra) or on float
+    sums within PARTITION_TOL; returns the assignment, or None.
+    """
+    if spectrum.exact is not None:
+        values = list(spectrum.exact)
+        target = Fraction(1, d)
+        fits = lambda acc, v: acc + v <= target
+        full = lambda acc: acc == target
+    else:
+        values = list(spectrum.probs)
+        target = 1.0 / d
+        fits = lambda acc, v: acc + v <= target + PARTITION_TOL
+        full = lambda acc: abs(acc - target) <= PARTITION_TOL
+    n = len(values)
+    order = sorted(range(n), key=lambda i: (-values[i], i))
+    assignment = [0] * n
+    sums = [values[0] * 0] * d
+
+    def place(pos: int) -> bool:
+        if pos == n:
+            return all(full(s) for s in sums)
+        idx = order[pos]
+        v = values[idx]
+        seen_empty = False
+        for g in range(d):
+            if sums[g] == 0 * v:
+                if seen_empty:
+                    break
+                seen_empty = True
+            if fits(sums[g], v):
+                sums[g] = sums[g] + v
+                assignment[idx] = g + 1
+                if place(pos + 1):
+                    return True
+                sums[g] = sums[g] - v
+                assignment[idx] = 0
+        return False
+
+    return tuple(assignment) if n >= d and place(0) else None
+
+
+def brute_force_splits(spectrum: SchmidtSpectrum, d: int) -> bool:
+    """Whether any of the d**n labelings gives d subgroups of weight 1/d."""
+    labels = np.array(list(itertools.product(range(d), repeat=spectrum.n)))
+    members = np.stack([labels == g for g in range(d)])  # (d, labelings, n)
+    if spectrum.exact is not None:
+        scale = np.lcm.reduce([f.denominator for f in spectrum.exact] + [d])
+        weights = np.array([int(f * scale) for f in spectrum.exact], dtype=np.int64)
+        return bool((members @ weights == scale // d).all(axis=0).any())
+    sums = members @ spectrum.as_array()
+    return bool((np.abs(sums - 1.0 / d) <= PARTITION_TOL).all(axis=0).any())
+
+
+def random_weights(rng, n: int, d: int) -> list[int]:
+    """Positive integer weights; half the time with a planted split into d parts of 24."""
+    if rng.random() < 0.5:
+        return [int(w) for w in rng.integers(1, 10, n)]
+    cuts = np.sort(rng.choice(np.arange(1, n), d - 1, replace=False))
+    weights = []
+    for k in np.diff(np.concatenate([[0], cuts, [n]])):
+        parts = np.sort(rng.choice(np.arange(1, 24), k - 1, replace=False))
+        weights += np.diff(np.concatenate([[0], parts, [24]])).tolist()
+    return [int(w) for w in rng.permutation(weights)]
+
+
+def random_spectra(seed: int, count: int, max_n: int):
+    """(spectrum, d) pairs: exact and float images of random integer weights."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(d, max_n + 1))
+        weights = random_weights(rng, n, d)
+        total = sum(weights)
+        exact = SchmidtSpectrum.from_rationals([Fraction(w, total) for w in weights])
+        out += [(exact, d), (SchmidtSpectrum.from_probs(exact.probs), d)]
+    return out
+
+
+def near_uniform(n: int, seed: int) -> SchmidtSpectrum:
+    p = np.random.default_rng(seed).dirichlet(np.full(n, 30.0))
+    return SchmidtSpectrum.from_probs(p / p.sum())
+
+
+class TestPartitionSearch:
+    """find_partition against brute force and the frozen recursive search."""
+
+    @pytest.mark.parametrize("subset_sum_after", [phases.SUBSET_SUM_AFTER, 1])
+    def test_succeeds_exactly_when_brute_force_does(self, monkeypatch, subset_sum_after):
+        # with SUBSET_SUM_AFTER = 1 the subset-sum test runs on every search
+        monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", subset_sum_after)
+        outcomes = set()
+        for spectrum, d in random_spectra(seed=17, count=40, max_n=9):
+            if d == 4 and spectrum.n > 8:
+                continue
+            try:
+                find_partition(spectrum, d)
+                found = True
+            except NoPartition:
+                found = False
+            assert found == brute_force_splits(spectrum, d), (spectrum.probs, d)
+            outcomes.add(found)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("subset_sum_after", [phases.SUBSET_SUM_AFTER, 1])
+    def test_same_first_partition_as_reference(self, monkeypatch, subset_sum_after):
+        monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", subset_sum_after)
+        for spectrum, d in random_spectra(seed=29, count=60, max_n=12):
+            try:
+                got = find_partition(spectrum, d).assignment
+            except NoPartition:
+                got = None
+            assert got == reference_first_fit(spectrum, d), (spectrum.probs, d)
+
+    def test_large_denominators_use_python_integers(self, monkeypatch):
+        # common denominator beyond int64: the subset-sum test falls back to
+        # Python integers and still decides exactly
+        monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", 1)
+        big = 10**19 + 7
+        split = [Fraction(k, 3 * big) for k in (big - 5, 5, big // 2, big - big // 2, big)]
+        assert find_partition(SchmidtSpectrum.from_rationals(split), 3).assignment == (
+            reference_first_fit(SchmidtSpectrum.from_rationals(split), 3)
+        )
+        # three entries of 1/3 - 9/(3*big) and small ones 5, 11, 11: no subset sums to 9
+        skewed = [Fraction(k, 3 * big) for k in (big - 9, big - 9, big - 9, 5, 11, 11)]
+        with pytest.raises(NoPartition, match="no subset"):
+            find_partition(SchmidtSpectrum.from_rationals(skewed), 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_float_margin_keeps_grouped_spectra(self, monkeypatch, d):
+        # the subset-sum test must never reject a split first fit accepts,
+        # even when subgroup sums sit on the last floats first fit accepts
+        monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", 1)
+        target = 1.0 / d
+        full = lambda acc: abs(acc - target) <= PARTITION_TOL
+
+        def edge_entry(k: int, sign: int) -> float:
+            """Entry w whose k-fold running sum is the last full one on the sign side."""
+            running = lambda w: sum([w] * k)
+            w = (target + sign * PARTITION_TOL) / k
+            while full(running(np.nextafter(w, sign * np.inf))):
+                w = np.nextafter(w, sign * np.inf)
+            while not full(running(w)):
+                w = np.nextafter(w, -sign * np.inf)
+            return float(w)
+
+        rng = np.random.default_rng(d)
+        for n in (8, 16, 24, 32):
+            cuts = np.sort(rng.choice(np.arange(1, n), d - 1, replace=False))
+            sizes = np.diff(np.concatenate([[0], cuts, [n]])).tolist()
+            entries = [edge_entry(sizes[0], 1), edge_entry(sizes[1], -1)]
+            entries += [target / k for k in sizes[2:]]
+            values = [w for w, k in zip(entries, sizes) for _ in range(k)]
+            spectrum = SchmidtSpectrum.from_probs(rng.permutation(values))
+            sums = find_partition(spectrum, d).subgroup_sums(spectrum)
+            assert max(abs(x - target) for x in sums) <= PARTITION_TOL
+
+    def test_float_margin_at_the_tolerance_edge(self, monkeypatch):
+        # d = 2 with random entries: the only subsets near 1/2 are the two
+        # planted halves, whose descending running sums are the last floats
+        # first fit accepts; without SUBSET_SUM_MARGIN some are rejected
+        monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", 1)
+        full = lambda acc: abs(acc - 0.5) <= PARTITION_TOL
+        running = lambda entries: sum(sorted(entries, reverse=True))
+
+        def edge_half(k: int, sign: int) -> list[float]:
+            entries = (rng.dirichlet(np.ones(k)) * (0.5 + sign * PARTITION_TOL)).tolist()
+            nudged = lambda w, toward: entries[:-1] + [float(np.nextafter(w, toward * np.inf))]
+            while full(running(nudged(entries[-1], sign))):
+                entries = nudged(entries[-1], sign)
+            while not full(running(entries)):
+                entries = nudged(entries[-1], -sign)
+            return entries
+
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            halves = edge_half(int(rng.integers(2, 10)), 1) + edge_half(int(rng.integers(2, 10)), -1)
+            spectrum = SchmidtSpectrum.from_probs(halves)
+            sums = find_partition(spectrum, 2).subgroup_sums(spectrum)  # index-order sums
+            assert max(abs(x - 0.5) for x in sums) <= PARTITION_TOL + 1e-15
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_near_uniform_rejected_fast(self, n):
+        for seed in range(3):
+            start = time.perf_counter()
+            with pytest.raises(NoPartition, match="no subset"):
+                find_partition(near_uniform(n, seed), 3)
+            assert time.perf_counter() - start < 0.5
+
+    def test_budget_bounds_large_searches(self):
+        # past SUBSET_SUM_MAX_N, and with subsets of weight 1/3 aplenty, only
+        # the node budget stops the search
+        spectrum = near_uniform(48, 0)
+        start = time.perf_counter()
+        with pytest.raises(NoPartition, match="budget"):
+            find_partition(spectrum, 3)
+        assert time.perf_counter() - start < 30.0
+
+
 class TestPhasesFromPartition:
     def test_uniform_identity_partition_is_fourier(self):
         d = 3
@@ -196,6 +401,13 @@ class TestSolveGeneral:
         with pytest.raises(PhaseFactorsNotFound) as err:
             solve_general(s, 3)
         assert err.value.best_residual > 1e-3
+
+    def test_deep_first_fit_does_not_recurse(self):
+        # the recursive search hit Python's recursion limit near n = 1000
+        s = SchmidtSpectrum.from_rationals([Fraction(1, 1200)] * 1200)
+        theta = solve_general(s, 3)
+        assert isinstance(theta, PhaseMatrix)
+        assert theta.constraint_residual(s) < 1e-12
 
     def test_gate_infeasible(self):
         with pytest.raises(InfeasibleSpectrum):
