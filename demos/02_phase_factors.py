@@ -77,5 +77,6 @@ print("\n  p = (1/3, 3/10, 4/15, 1/10), d = 3: feasible by the 1/d rule, yet")
 try:
     solve_general(s, 3)
 except PhaseFactorsNotFound as err:
-    print(f"  every strategy fails (best residual {err.best_residual:.3e})")
+    print(f"  {err}")
+    print(f"  proved (no search ran): {err.proved}")
     print("  -> for 2 < d < n phase factors need not exist; the solver says so")

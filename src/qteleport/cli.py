@@ -32,13 +32,16 @@ from . import __version__, reportio
 from .bounds import build_bounds_report, concentration_bounds, entanglement_of_teleportation, schmidt_entanglement
 from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
 from .linalg import basis_state
-from .phases import PhaseMatrix, solve_general
-from .protocol import (
+# solve_general, synthesize_d2 and synthesize_general are not called here, but
+# stay importable from this module: bench/tracing.py wraps them by these names.
+from .phases import PhaseMatrix, solve_general  # noqa: F401
+from .protocol import (  # noqa: F401
     CONDITION_TOL,
     Construction,
     ProtocolTable,
     bob_unitaries,
     measurement_basis,
+    synthesize_auto,
     synthesize_d2,
     synthesize_general,
     verify_conditions,
@@ -231,15 +234,6 @@ def _table_doc(table: ProtocolTable, spectrum: SchmidtSpectrum, emit_table: bool
     return doc
 
 
-def _synthesize(problem: Problem, method: str) -> tuple[PhaseMatrix, ProtocolTable]:
-    theta = solve_general(problem.spectrum, problem.d)
-    if method == "d2" or (method == "auto" and problem.d == 2):
-        table = synthesize_d2(problem.spectrum, theta)
-    else:
-        table = synthesize_general(problem.spectrum, problem.d, theta)
-    return theta, table
-
-
 def cmd_bounds(args) -> int:
     problem = load_problem(args.problem)
     report = build_bounds_report(problem.spectrum, problem.d)
@@ -256,7 +250,7 @@ def cmd_synthesize(args) -> int:
     problem = load_problem(args.problem)
     if args.method == "d2" and problem.d != 2:
         raise ParseFailure("--method d2 requires a problem with d = 2")
-    theta, table = _synthesize(problem, args.method)
+    theta, table = synthesize_auto(problem.spectrum, problem.d, method=args.method)
     doc = {
         "toolVersion": __version__,
         "problem": problem.raw,
@@ -275,7 +269,7 @@ def cmd_simulate(args) -> int:
         raise InputFailure("--trials must be at least 1")
     seed = args.seed if args.seed is not None else (problem.seed or DEFAULT_SEED)
 
-    theta, table = _synthesize(problem, "auto")
+    theta, table = synthesize_auto(problem.spectrum, problem.d)
     sweep = random_input_sweep(problem.spectrum, problem.d, trials, seed, table=table)
     reference_input = (
         problem.input_state if problem.input_state is not None else basis_state(problem.d, 0)
@@ -354,15 +348,18 @@ def _verify_report_doc(doc) -> list[str]:
         raise ParseFailure("report table holds no coefficients (section 'table', field 'V')")
     try:
         d, n = int(table_doc["d"]), int(table_doc["n"])
-        coeffs = np.array(
-            [[[complex(re, im) for re, im in row] for row in block] for block in table_doc["V"]]
-        )
+        pairs = np.asarray(table_doc["V"])  # a ragged table raises ValueError
     except (KeyError, TypeError, ValueError) as err:
         raise ParseFailure(f"report table is malformed: {err}")
-    if coeffs.shape != (d * n, d, n):
+    # strings, nulls and integers past int64 give a non-numeric dtype; a
+    # dtype=float conversion would have accepted "1.0"
+    if pairs.dtype.kind not in "biuf":
+        raise ParseFailure("report table is malformed: entries must be [re, im] pairs of numbers")
+    if pairs.shape != (d * n, d, n, 2):
         raise ParseFailure(
-            f"report table has shape {coeffs.shape}, expected ({d * n}, {d}, {n})"
+            f"report table has shape {pairs.shape}, expected ({d * n}, {d}, {n}, 2)"
         )
+    coeffs = pairs.astype(float).view(complex)[..., 0]
     if not np.isfinite(coeffs).all():
         raise ParseFailure("report table holds non-finite coefficients")
     if problem.spectrum.n != n or problem.d != d:
@@ -497,8 +494,9 @@ def main(argv=None) -> int:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except PhaseFactorsNotFound as err:
+        how = "proved none exist" if err.proved else "search exhausted"
         print(
-            f"phase factors not found: {err} (best residual {err.best_residual:.6e})",
+            f"phase factors not found: {err} ({how}; best residual {err.best_residual:.6e})",
             file=sys.stderr,
         )
         return EXIT_NO_PHASES

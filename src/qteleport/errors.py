@@ -26,11 +26,17 @@ class NoPartition(QTeleportError):
 
 
 class PhaseFactorsNotFound(QTeleportError):
-    """Every phase-factor strategy failed; carries the best residual seen."""
+    """No phase factors were found.
 
-    def __init__(self, message: str, best_residual: float):
+    `proved` is True when it was proved that none exist; no search ran then,
+    and `best_residual` is inf.  Otherwise every strategy failed and
+    `best_residual` is the best the search reached.
+    """
+
+    def __init__(self, message: str, best_residual: float, proved: bool = False):
         super().__init__(message)
         self.best_residual = best_residual
+        self.proved = proved
 
 
 class DegenerateColumns(QTeleportError):

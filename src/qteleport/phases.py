@@ -18,12 +18,20 @@ test run only once the search has stalled (and only for n <= SUBSET_SUM_MAX_N)
 proves most hopeless spectra hopeless at once, and PARTITION_NODE_BUDGET caps
 the placements.  When no split is found, for whichever reason, solve_general
 falls through to the numerical search.
+
+For d = 3, n = 4 the question is decided before the search runs
+(decide_three_by_four): existence reduces to whether a real function g has a
+zero on the configuration curve of a planar quadrilateral built from the
+spectrum, and a Lipschitz-bounded sampling of g, float rounding included,
+proves that no solution exists whenever g keeps one sign.  Only that proof
+skips the search; every other case runs it unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -49,6 +57,29 @@ SUBSET_SUM_MAX_N = 40       # largest n given the subset-sum test (2 * 2**(n/2) 
 # plus u for each of the two window subtractions: under (n + 2) * 2**-52,
 # which is below 1e-14 for n <= 40.  1e-12 leaves a hundredfold margin.
 SUBSET_SUM_MARGIN = 1e-12
+QUAD_SAMPLES = 256          # first sampling of g over the quadrilateral's crank angle
+QUAD_MAX_SAMPLES = 1 << 15  # past this many samples the decision is left to the search
+# decide_three_by_four certifies only quadrilaterals whose dyad triangle keeps
+# R = 16 * area**2 above this floor.  The float R is within 2**-49 of the true
+# one (see QUAD_ROUNDING), so the true quadrilateral is then strictly Grashof.
+QUAD_R_FLOOR = 2.0**-40
+# Float rounding allowance of decide_three_by_four, in units of
+# (1 + 1/H_min) / e_min**2, where H_min**2 is the least R and e_min = l - s
+# the least |D| over the crank angle.  Let u = 2**-53.  Every side is at most
+# 1/sqrt(12), so |z_k| < 0.3, |D| < 0.6, e**2 <= 1/3, each factor of R is at
+# most 1/3 and |E1| < 0.42.  The float sides are within 2u relative of the
+# true ones (the exact p(1 - 3p) rounded once, then sqrt), and exp(i*phi) is
+# within 4u per component (numpy's sin and cos are good to a few ulps).
+# Then, in absolute terms: D is within 4u, e**2 within 6u, (b +- c)**2 within
+# 3u, each factor of R within 10u and R within 8u; H = sqrt(R) within
+# 8u/H_min + u, since |sqrt x - sqrt y| <= |x - y| / sqrt y; E1 = e**2 +
+# b**2 - c**2 within 10u; the numerator D*(E1 + iH) within 9u + 5u/H_min;
+# z_b = numerator / (2 e**2) within (7u + 3u/H_min) / e_min**2; z_c = D - z_b
+# within (9u + 3u/H_min) / e_min**2 (e_min**2 <= 1/3 absorbs lone u terms).
+# Each z_k enters two of g's three terms, each term a product of |z| < 0.3
+# weighted by |c_k| <= 1, so g is within 24u * (1 + 1/H_min) / e_min**2.
+# 2**-40 = 8192u exceeds that by more than a hundredfold.
+QUAD_ROUNDING = 2.0**-40
 _SEARCH_SEED = 0x5EED
 
 
@@ -404,6 +435,123 @@ def _search_phases(
     return best_r, None
 
 
+_CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, k): weight 4 p_k - 1 on Im(conj(z_i) z_j)
+
+
+def phase_obstruction(probs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """g = Im(Q[0,1] Q[1,2] Q[2,0]) on closed quadrilaterals z, over z's leading axes.
+
+    Q = I - sqrt(p) sqrt(p)^T - v v^H with v_k = z_k / sqrt(p_k), for z of
+    shape (..., 4) with |z_k|**2 = p_k (1 - 3 p_k) and sum_k z_k = 0.
+    Expanding the product with |v_k|**2 = 1 - 3 p_k leaves the closed form
+    g = sum over the cycle (i, j, k) of (0, 1, 2) of (4 p_k - 1) Im(conj(z_i) z_j).
+    """
+    weights = 4.0 * np.asarray(probs, dtype=float) - 1.0
+    return sum(weights[k] * (z[..., i].conj() * z[..., j]).imag for i, j, k in _CYCLE)
+
+
+@dataclass(frozen=True)
+class QuadrilateralVerdict:
+    """What decide_three_by_four settled about a d = 3, n = 4 spectrum.
+
+    solvable is True when phase factors exist, False when it is proved that
+    none do (margin is then the certified lower bound on |g| over the
+    configuration curve), and None when the question is left to the search.
+    """
+
+    solvable: bool | None
+    margin: float = 0.0
+
+
+def decide_three_by_four(spectrum: SchmidtSpectrum) -> QuadrilateralVerdict:
+    """Decide whether d = 3 phase factors exist for a four-term spectrum.
+
+    Gauge row 0 of A[m, k] = sqrt(p_k) exp(i theta[m, k]) to sqrt(p).  A
+    solution makes A^H A = I - v v^H a rank-3 projector, so |v_k|**2 =
+    1 - 3 p_k, and row 0 is orthogonal to v: the z_k = sqrt(p_k) v_k close a
+    planar quadrilateral with sides a_k = sqrt(p_k (1 - 3 p_k)).  Rows 1 and 2
+    are then an orthonormal basis of the range of Q = I - sqrt(p) sqrt(p)^T -
+    v v^H with |A[m, k]|**2 = Q[k, k] / 2.  Such a basis exists exactly when
+    the four Bloch vectors of Q's range are coplanar, that is when
+    g = phase_obstruction vanishes.  So phase factors exist iff g has a zero
+    on the quadrilateral's configuration curve (rotations quotiented out).
+    The quadrilateral always closes: a(p) = sqrt(p (1 - 3p)) is concave, so
+    the other three sides sum to at least their value at a vertex of
+    {p_j in [0, 1/3], sum = 1 - p_l}, which is a(1/3 - p_l) = a(p_l).
+
+    g is odd under reflection (z -> conj z).  A non-Grashof quadrilateral
+    (shortest + longest side >= the other two) has one reflection-symmetric
+    curve, so g has a zero on it by the intermediate value theorem.  A
+    strictly Grashof one has two mirror-image curves.  On one, parameterised
+    by the angle phi of the shortest side against the longest, the other two
+    sides follow as a triangle that never degenerates (the shortest side turns
+    fully), so g is smooth and periodic in phi.  Samples of g, a Lipschitz
+    bound and QUAD_ROUNDING then prove that g keeps one sign (no solution),
+    find a certified sign change (a solution), or leave the question open.
+    A side of a float spectrum whose p_k lies a hair above 1/3 (admitted by
+    FEASIBILITY_SLACK) is clamped to length 0.  No phase factors exist for
+    such a spectrum, so a proof about the clamped quadrilateral stays true,
+    and any other verdict only lets the search run.
+    """
+    if spectrum.n != 4:
+        raise ValueError("decide_three_by_four needs a four-term spectrum")
+    values = spectrum.exact if spectrum.exact is not None else [Fraction(p) for p in spectrum.probs]
+    sides = [math.sqrt(max(f * (1 - 3 * f), 0)) for f in values]
+    s_i, b_i, c_i, l_i = sorted(range(4), key=lambda k: (sides[k], k))
+    s, b, c, l = (sides[k] for k in (s_i, b_i, c_i, l_i))
+    if s + l >= b + c:
+        return QuadrilateralVerdict(True)
+
+    def dyad_r(e2):  # 16 * area**2 of the triangle with sides sqrt(e2), b and c
+        return ((b + c) ** 2 - e2) * (e2 - (b - c) ** 2)
+
+    # R is concave in e**2 = |D|**2, which ranges over [(l - s)**2, (l + s)**2]
+    r_min = min(dyad_r((l - s) ** 2), dyad_r((l + s) ** 2))
+    if not r_min > QUAD_R_FLOOR:
+        return QuadrilateralVerdict(None)
+    h_min = math.sqrt(r_min - 2.0**-49)
+    rounding = QUAD_ROUNDING * (1 + 1 / h_min) / (l - s) ** 2
+    # Bounds on |dz_k/dphi|: 0 for the longest side (held fixed), s for the
+    # shortest, and for the dyad (z_b + z_c = D, |D'| = s) differentiating the
+    # closure gives b |beta'| = b |dot(D', z_c)| / |cross(z_b, z_c)|
+    # <= 2 s b c / H_min, likewise for z_c.
+    speed = [0.0] * 4
+    speed[s_i] = s
+    speed[b_i] = speed[c_i] = 2 * s * b * c / h_min
+    weights = [abs(4 * p - 1) for p in spectrum.probs]
+    lipschitz = sum(
+        weights[k] * (speed[i] * sides[j] + sides[i] * speed[j]) for i, j, k in _CYCLE
+    )
+    probs = spectrum.as_array()
+    samples = QUAD_SAMPLES
+    while samples <= QUAD_MAX_SAMPLES:
+        crank = np.exp(1j * (TWO_PI / samples) * np.arange(samples))
+        dyad = -(l + s * crank)
+        e2 = dyad.real**2 + dyad.imag**2
+        height = np.sqrt(np.maximum(dyad_r(e2), 0.0))
+        z = np.empty((samples, 4), dtype=complex)
+        z[:, l_i] = l
+        z[:, s_i] = s * crank
+        z[:, b_i] = dyad * ((e2 + b * b - c * c) + 1j * height) / (2 * e2)
+        z[:, c_i] = dyad - z[:, b_i]
+        g = phase_obstruction(probs, z)
+        lo, hi = float(g.min()), float(g.max())
+        if lo < -rounding and hi > rounding:
+            return QuadrilateralVerdict(True)
+        least = lo if lo > 0 else -hi if hi < 0 else 0.0
+        if not least > rounding:
+            return QuadrilateralVerdict(None)
+        # Every angle lies within half a sample spacing of a sample; the
+        # samples sit within a few ulps of i * 2pi / samples, and the factor
+        # 1 + 1e-9 covers that and the rounding of the Lipschitz bound.
+        reach = lipschitz * math.pi * (1 + 1e-9)
+        margin = least - rounding - reach / samples
+        if margin > 0:
+            return QuadrilateralVerdict(False, margin)
+        samples = max(2 * samples, 1 << math.ceil(reach / (least - rounding)).bit_length())
+    return QuadrilateralVerdict(None)
+
+
 def solve_general(
     spectrum: SchmidtSpectrum,
     d: int,
@@ -416,12 +564,16 @@ def solve_general(
 
     (a) the constructive qubit solver when d = 2;
     (b) the equal-weight subgroup partition when one exists;
-    (c) the multi-restart numerical search, accepted only when the summed
+    (c) for d = 3, n = 4, decide_three_by_four: when it proves that no phase
+        factors exist, stop there;
+    (d) the multi-restart numerical search, accepted only when the summed
         squared constraint violation drops below SEARCH_R_TOL.
 
     Raises InfeasibleSpectrum when p_max > 1/d (no phase factors can exist),
-    and PhaseFactorsNotFound when every strategy fails; the latter is a
-    legitimate outcome for 2 < d < n.
+    and PhaseFactorsNotFound when no phase factors exist or every strategy
+    fails; the latter is a legitimate outcome for 2 < d < n.  Its `proved`
+    flag tells the two apart: a proof sets best_residual to inf, since no
+    search ran.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -436,6 +588,16 @@ def solve_general(
         pass
     else:
         return phases_from_partition(partition, d, spectrum.n)
+
+    if d == 3 and spectrum.n == 4:
+        verdict = decide_three_by_four(spectrum)
+        if verdict.solvable is False:
+            raise PhaseFactorsNotFound(
+                f"no phase factors exist for d=3, n=4: the obstruction g stays at least "
+                f"{verdict.margin:.3e} away from 0 on the spectrum's quadrilateral",
+                best_residual=math.inf,
+                proved=True,
+            )
 
     best_r, theta = _search_phases(spectrum.as_array(), d, restarts, max_nfev, seed)
     if theta is None:

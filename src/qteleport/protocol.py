@@ -175,8 +175,8 @@ def synthesize_auto(
     method: str = "auto",
     restarts: int = DEFAULT_RESTARTS,
     max_nfev: int = DEFAULT_MAX_NFEV,
-) -> ProtocolTable:
-    """Solve for phase factors and synthesize a table in one step.
+) -> tuple[PhaseMatrix, ProtocolTable]:
+    """Solve for phase factors and synthesize a table in one step: (theta, table).
 
     method "d2" forces the qubit construction, "general" the general formula,
     "auto" picks the qubit construction at d = 2.
@@ -187,8 +187,8 @@ def synthesize_auto(
         raise ValueError("the qubit construction requires d = 2")
     theta = solve_general(spectrum, d, restarts=restarts, max_nfev=max_nfev)
     if d == 2 and method in ("auto", "d2"):
-        return synthesize_d2(spectrum, theta)
-    return synthesize_general(spectrum, d, theta)
+        return theta, synthesize_d2(spectrum, theta)
+    return theta, synthesize_general(spectrum, d, theta)
 
 
 def measurement_basis(table: ProtocolTable) -> MeasurementBasis:

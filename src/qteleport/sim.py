@@ -199,7 +199,7 @@ def random_input_sweep(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if table is None:
-        table = _protocol.synthesize_auto(spectrum, d)
+        _, table = _protocol.synthesize_auto(spectrum, d)
     basis = _protocol.measurement_basis(table)
     ubob = _protocol.bob_unitaries(table, spectrum)
 

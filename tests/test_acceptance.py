@@ -120,7 +120,7 @@ def test_criterion_3_feasibility_gate_both_directions():
         for d in (2, 3):
             feasible = s.p_max <= 1 / d + 1e-12
             try:
-                table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
+                _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
             except InfeasibleSpectrum:
                 assert not feasible, "gate rejected a feasible spectrum"
                 gated += 1
@@ -145,7 +145,7 @@ def test_criterion_3_feasibility_gate_both_directions():
 
 def test_criterion_4_classical_cost_accounting():
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3)]:
-        table = synthesize_auto(spectrum, d)
+        _, table = synthesize_auto(spectrum, d)
         assert table.s == spectrum.n * d
         basis = measurement_basis(table)
         ubob = bob_unitaries(table, spectrum)
@@ -168,7 +168,7 @@ def test_criterion_4_classical_cost_accounting():
 def test_criterion_5_residual_entanglement():
     rng = np.random.default_rng(5)
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/4"] * 4), 2)]:
-        table = synthesize_auto(spectrum, d)
+        _, table = synthesize_auto(spectrum, d)
         basis = measurement_basis(table)
         ubob = bob_unitaries(table, spectrum)
         trace = run_protocol(haar_random_state(d, rng), spectrum, table, basis, ubob)
@@ -242,7 +242,7 @@ def test_criterion_7_property_suite():
         n = int(rng.integers(d, 7))
         s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
         try:
-            table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
+            _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
         except PhaseFactorsNotFound:
             continue
         done += 1

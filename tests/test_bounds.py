@@ -268,7 +268,7 @@ class TestReportConsistency:
                     synthesize_auto(s, d, restarts=2, max_nfev=500)
             else:
                 try:
-                    table = synthesize_auto(s, d, restarts=4, max_nfev=1000)
+                    _, table = synthesize_auto(s, d, restarts=4, max_nfev=1000)
                 except PhaseFactorsNotFound:
                     continue
                 # the trace's classical bits equal the zero-residual bound exactly

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qteleport import reportio
+from qteleport import protocol, reportio
 from qteleport.cli import main
+from qteleport.errors import PhaseFactorsNotFound
 
 GOLDEN_PROBLEM = {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 11, "trials": 20}
 
@@ -116,6 +117,18 @@ class TestSynthesize:
         )
         assert run(["synthesize", path]) == 5
         assert "best residual" in capsys.readouterr().err
+
+    def test_phase_failure_says_proved_or_exhausted(self, tmp_path, capsys, monkeypatch):
+        path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/3", "3/10", "4/15", "1/10"]})
+        assert run(["synthesize", path]) == 5
+        assert "(proved none exist; best residual inf)" in capsys.readouterr().err
+
+        def exhausted(*args, **kwargs):
+            raise PhaseFactorsNotFound("no phase factors found", best_residual=0.01)
+
+        monkeypatch.setattr(protocol, "solve_general", exhausted)
+        assert run(["synthesize", path]) == 5
+        assert "(search exhausted; best residual 1.000000e-02)" in capsys.readouterr().err
 
     def test_method_general(self, tmp_path, capsys):
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
@@ -278,6 +291,24 @@ class TestVerify:
         out.write_text(reportio.dumps(doc).replace("12345.5", "1e400"), encoding="utf-8")
         assert run(["verify", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["1.0", None])
+    def test_non_numeric_entry_is_parse_failure(self, tmp_path, capsys, entry):
+        # np.asarray(V, dtype=float) would turn the string "1.0" into a number
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["V"][0][0][0][0] = entry
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "pairs of numbers" in capsys.readouterr().err
+
+    def test_ragged_table_is_parse_failure(self, tmp_path, capsys):
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["V"][0][0].pop()
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "malformed" in capsys.readouterr().err
 
     def test_elided_table_is_parse_failure(self, tmp_path, capsys):
         out = self.emit_report(tmp_path)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 from qteleport import phases
 from qteleport.errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound
 from qteleport.phases import (
+    DEFAULT_MAX_NFEV,
+    DEFAULT_RESTARTS,
     PARTITION_TOL,
     PhaseMatrix,
     canonicalize,
+    decide_three_by_four,
     find_partition,
+    phase_obstruction,
     phases_from_partition,
     solve_d2,
     solve_general,
@@ -449,3 +454,153 @@ class TestPhaseMatrix:
         canon = PhaseMatrix(canonicalize(shifted))
         np.testing.assert_array_equal(canon.theta[0], np.zeros(4))
         assert canon.constraint_residual(s) < 1e-9
+
+
+def search_outcome(spectrum: SchmidtSpectrum):
+    """solve_general's own 64-restart search, run directly: (best R, theta or None)."""
+    return phases._search_phases(
+        spectrum.as_array(), 3, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
+    )
+
+
+def four_term_spectrum(rng) -> np.ndarray:
+    """Four-term spectrum with p_max < 1/3: every side of its quadrilateral is positive."""
+    while True:
+        p = rng.dirichlet([3.0] * 4)
+        if p.max() < 1 / 3:
+            return p
+
+
+def random_quadrilaterals(rng, probs: np.ndarray, count: int) -> np.ndarray:
+    """Closed configurations z (count, 4) with |z_k|**2 = p_k (1 - 3 p_k)."""
+    sides = np.sqrt(probs * (1 - 3 * probs))
+    out = []
+    while len(out) < count:
+        z01 = sides[:2] * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        gap = -z01.sum()
+        e, b, c = abs(gap), sides[2], sides[3]
+        if not abs(b - c) < e < b + c:
+            continue
+        x = (e * e + b * b - c * c) / (2 * e)
+        z2 = gap / e * (x + 1j * np.sqrt(b * b - x * x))
+        out.append([z01[0], z01[1], z2, gap - z2])
+    return np.array(out)
+
+
+# the three exhausted-search spectra of the benchmark's solve workload
+EXHAUSTED = [(0.333, 0.3, 0.2, 0.167), (0.3331, 0.2469, 0.24, 0.18), (0.3325, 0.2675, 0.25, 0.15)]
+
+
+class TestThreeByFour:
+    def test_agrees_with_the_search_on_a_seeded_grid(self):
+        # 300 spectra, 60 per Dirichlet concentration; every decided verdict
+        # must match what the 64-restart search reaches on its own
+        rng = np.random.default_rng(2026)
+        verdicts, disagreements = [], []
+        for concentration in (0.5, 1.0, 3.0, 10.0, 30.0):
+            drawn = 0
+            while drawn < 60:
+                p = rng.dirichlet([concentration] * 4)
+                if p.max() > 1 / 3:
+                    continue
+                drawn += 1
+                s = SchmidtSpectrum.from_probs(p / p.sum())
+                verdict = decide_three_by_four(s)
+                verdicts.append(verdict.solvable)
+                found = search_outcome(s)[1] is not None
+                if verdict.solvable is not None and verdict.solvable != found:
+                    disagreements.append((s.probs, verdict, found))
+        assert disagreements == []
+        assert verdicts.count(True) >= 30 and verdicts.count(False) >= 150
+        assert verdicts.count(None) <= 3
+
+    def test_obstruction_is_the_bargmann_invariant(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = four_term_spectrum(rng)
+            z = random_quadrilaterals(rng, p, 5)
+            u = np.sqrt(p)
+            for config in z:
+                v = config / u
+                q = np.eye(4) - np.outer(u, u) - np.outer(v, v.conj())
+                bargmann = (q[0, 1] * q[1, 2] * q[2, 0]).imag
+                assert abs(phase_obstruction(p, config) - bargmann) < 1e-15
+
+    def test_obstruction_is_odd_under_reflection(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            p = four_term_spectrum(rng)
+            z = random_quadrilaterals(rng, p, 10)
+            np.testing.assert_array_equal(phase_obstruction(p, z.conj()), -phase_obstruction(p, z))
+
+    def test_exhausted_spectra_are_proved_without_a_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(phases, "least_squares", no_search)
+        for p in EXHAUSTED:
+            s = SchmidtSpectrum.from_probs(p)
+            with pytest.raises(PhaseFactorsNotFound) as err:
+                solve_general(s, 3)
+            assert err.value.proved and err.value.best_residual == math.inf
+            assert decide_three_by_four(s).margin > 0.01
+
+    def test_margin_is_below_the_densely_sampled_minimum(self):
+        # the certified margin bounds |g| between the decision's own samples,
+        # so a denser grid offset from them never finds a smaller |g|
+        rng = np.random.default_rng(12)
+        proved = [np.asarray(p) for p in EXHAUSTED]
+        while len(proved) < 23:
+            p = rng.dirichlet([3.0] * 4)
+            if p.max() < 1 / 3 and decide_three_by_four(SchmidtSpectrum.from_probs(p)).solvable is False:
+                proved.append(p)
+        angles = 2 * np.pi * (np.arange(1 << 16) + rng.random()) / (1 << 16)
+        crank = np.exp(1j * angles)
+        for probs in proved:
+            sides = np.sqrt(probs * (1 - 3 * probs))
+            s_i, b_i, c_i, l_i = np.argsort(sides)
+            gap = -(sides[l_i] + sides[s_i] * crank)
+            e, b, c = np.abs(gap), sides[b_i], sides[c_i]
+            x = (e * e + b * b - c * c) / (2 * e)
+            z = np.empty((crank.size, 4), dtype=complex)
+            z[:, l_i], z[:, s_i] = sides[l_i], sides[s_i] * crank
+            z[:, b_i] = gap / e * (x + 1j * np.sqrt(b * b - x * x))
+            z[:, c_i] = gap - z[:, b_i]
+            g = phase_obstruction(probs, z)
+            assert np.all(g > 0) or np.all(g < 0)
+            margin = decide_three_by_four(SchmidtSpectrum.from_probs(probs)).margin
+            assert 0 < margin <= np.abs(g).min()
+
+    def test_zero_side_proved_none(self):
+        # p_1 = 1/3 exactly: one side of the quadrilateral has length 0
+        s = SchmidtSpectrum.from_rationals(["1/3", "3/10", "4/15", "1/10"])
+        assert decide_three_by_four(s).solvable is False
+        with pytest.raises(PhaseFactorsNotFound) as err:
+            solve_general(s, 3)
+        assert err.value.proved
+        assert "no phase factors exist" in str(err.value)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 7), Fraction(1, 10), Fraction(1, 6)])
+    def test_two_zero_sides_solvable(self, x):
+        s = SchmidtSpectrum.from_rationals([Fraction(1, 3), Fraction(1, 3), x, Fraction(1, 3) - x])
+        assert decide_three_by_four(s).solvable is True
+        assert solve_general(s, 3).constraint_residual(s) < 1e-12
+
+    def test_hair_above_a_third_gives_no_nan(self):
+        # admitted by FEASIBILITY_SLACK on the float path; 1 - 3p < 0 there
+        s = SchmidtSpectrum.from_probs([1 / 3 + 4e-13, 0.3, 4 / 15 - 4e-13, 0.1])
+        assert s.admits(3)
+        with np.errstate(all="raise"):
+            verdict = decide_three_by_four(s)
+        assert verdict.solvable is False and math.isfinite(verdict.margin)
+
+    def test_inconclusive_falls_back_to_the_search(self):
+        # shortest + longest side equals the other two to the last ulp: the
+        # dyad triangle degenerates, so nothing is certified and the search
+        # runs, returning the same theta as the search on its own
+        s = SchmidtSpectrum.from_probs([0.3, 0.25, 0.1700989933579326, 0.27990100664206735])
+        assert decide_three_by_four(s).solvable is None
+        theta = solve_general(s, 3)
+        _, expected = search_outcome(s)
+        np.testing.assert_array_equal(theta.theta, canonicalize(expected))
+        assert theta.constraint_residual(s) < 1e-9

@@ -148,7 +148,7 @@ class TestSynthesis:
             for _ in range(8):
                 s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
                 try:
-                    table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
+                    _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
                 except PhaseFactorsNotFound:
                     continue
                 assert verify_conditions(table, s).ok(1e-10)
@@ -179,13 +179,24 @@ class TestSynthesis:
             synthesize_d2(s, PhaseMatrix(np.array([[0.0, 0.0], [0.0, np.pi]])))
 
     def test_method_dispatch(self):
-        assert synthesize_auto(GOLDEN, 2).construction is Construction.D2_FORMULA
+        assert synthesize_auto(GOLDEN, 2)[1].construction is Construction.D2_FORMULA
         assert (
-            synthesize_auto(GOLDEN, 2, method="general").construction
+            synthesize_auto(GOLDEN, 2, method="general")[1].construction
             is Construction.GENERAL_FORMULA
         )
         with pytest.raises(ValueError):
             synthesize_auto(SchmidtSpectrum.from_rationals(["1/3"] * 3), 3, method="d2")
+
+    def test_auto_returns_the_phases_its_table_uses(self):
+        thirds = SchmidtSpectrum.from_rationals(["1/3"] * 3)
+        for spectrum, d, method, build in [
+            (GOLDEN, 2, "auto", lambda th: synthesize_d2(GOLDEN, th)),
+            (GOLDEN, 2, "general", lambda th: synthesize_general(GOLDEN, 2, th)),
+            (thirds, 3, "auto", lambda th: synthesize_general(thirds, 3, th)),
+        ]:
+            theta, table = synthesize_auto(spectrum, d, method=method)
+            np.testing.assert_array_equal(theta.theta, solve_general(spectrum, d).theta)
+            np.testing.assert_array_equal(table.V, build(theta).V)
 
 
 class TestMeasurementBasis:
@@ -213,11 +224,11 @@ class TestBobUnitaries:
         wide = SchmidtSpectrum.from_probs(feasible_spectrum(rng, 32, 1 / 2))
         cases = [
             (GOLDEN, golden_table()),
-            (thirds, synthesize_auto(thirds, 3)),
-            (UNIFORM_12, synthesize_auto(UNIFORM_12, 3)),
-            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2)),
-            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2, method="general")),
-            (wide, synthesize_auto(wide, 2)),
+            (thirds, synthesize_auto(thirds, 3)[1]),
+            (UNIFORM_12, synthesize_auto(UNIFORM_12, 3)[1]),
+            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2)[1]),
+            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2, method="general")[1]),
+            (wide, synthesize_auto(wide, 2)[1]),
         ]
         for spectrum, table in cases:
             ubob = bob_unitaries(table, spectrum)

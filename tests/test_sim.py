@@ -34,7 +34,7 @@ SEARCH = SchmidtSpectrum.from_probs([0.3, 0.25, 0.2, 0.15, 0.1])
 
 
 def protocol_parts(spectrum, d, method="auto"):
-    table = synthesize_auto(spectrum, d, method=method)
+    _, table = synthesize_auto(spectrum, d, method=method)
     return table, measurement_basis(table), bob_unitaries(table, spectrum)
 
 
