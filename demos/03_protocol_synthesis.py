@@ -16,6 +16,7 @@ import numpy as np
 from qteleport import (
     SchmidtSpectrum,
     bob_unitaries,
+    correction_columns,
     measurement_basis,
     solve_d2,
     synthesize_d2,
@@ -44,9 +45,9 @@ for j, state in enumerate(measurement_basis(table).states, start=1):
     print(f"  j={j}:", np.round(rotated.real * np.sqrt(2), 3))
 print("-> the Bell basis, up to signs")
 
-ubob = bob_unitaries(table, pair)
+columns = correction_columns(table, pair)  # n = d: the columns are the whole 2x2 correction
 print("\ncorrections are sqrt(2) * V:",
-      all(np.abs(ubob.unitaries[j].conj().T - np.sqrt(2) * table.V[j]).max() < 1e-12
+      all(np.abs(columns[j].conj().T - np.sqrt(2) * table.V[j]).max() < 1e-12
           for j in range(4)))
 
 # ---------------------------------------------------------------------------
@@ -60,13 +61,16 @@ report6 = verify_conditions(table6, golden)
 print(f"s = {table6.s} outcomes; residuals "
       f"({report6.orthonormality_residual:.2e}, {report6.unitarity_residual:.2e})")
 
+columns6 = correction_columns(table6, golden)
+pinned = max(np.abs(c.conj().T @ c - np.eye(2)).max() for c in columns6)
+print(f"the table pins 2 orthonormal columns of each 3x3 correction, to {pinned:.2e}")
 ubob6 = bob_unitaries(table6, golden)
 worst = max(
     np.abs(u.conj().T @ u - np.eye(3)).max() for u in ubob6.unitaries
 )
-print(f"all 6 corrections unitary to {worst:.2e}")
-print("(only the first 2 columns are pinned by the table; the third is")
-print(" completed deterministically against them)")
+print(f"the reference completion makes all 6 corrections unitary to {worst:.2e}")
+print("(the third column is completed deterministically against the first two;")
+print(" it never touches the teleported state, so the simulator skips it)")
 
 # ---------------------------------------------------------------------------
 # General-d formula: uniform qutrit resource

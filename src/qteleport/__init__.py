@@ -56,6 +56,7 @@ from .protocol import (
     MeasurementBasis,
     ProtocolTable,
     bob_unitaries,
+    correction_columns,
     measurement_basis,
     synthesize_auto,
     synthesize_d2,

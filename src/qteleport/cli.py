@@ -21,6 +21,7 @@ invariant violation, 4 infeasible spectrum, 5 phase factors not found,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,15 +33,14 @@ from . import __version__, reportio
 from .bounds import build_bounds_report, concentration_bounds, entanglement_of_teleportation, schmidt_entanglement
 from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
 from .linalg import basis_state
-# solve_general, synthesize_d2 and synthesize_general are not called here, but
-# stay importable from this module: bench/tracing.py wraps them by these names.
+# solve_general, synthesize_d2, synthesize_general and bob_unitaries are unused
+# here but stay importable: bench/tracing.py wraps them by these names.
 from .phases import PhaseMatrix, solve_general  # noqa: F401
 from .protocol import (  # noqa: F401
     CONDITION_TOL,
     Construction,
     ProtocolTable,
     bob_unitaries,
-    measurement_basis,
     synthesize_auto,
     synthesize_d2,
     synthesize_general,
@@ -274,9 +274,7 @@ def cmd_simulate(args) -> int:
     reference_input = (
         problem.input_state if problem.input_state is not None else basis_state(problem.d, 0)
     )
-    basis = measurement_basis(table)
-    ubob = bob_unitaries(table, problem.spectrum)
-    reference = run_protocol(reference_input, problem.spectrum, table, basis, ubob)
+    reference = run_protocol(reference_input, problem.spectrum, table)
 
     doc = {
         "toolVersion": __version__,
@@ -351,14 +349,17 @@ def _verify_report_doc(doc) -> list[str]:
         pairs = np.asarray(table_doc["V"])  # a ragged table raises ValueError
     except (KeyError, TypeError, ValueError) as err:
         raise ParseFailure(f"report table is malformed: {err}")
-    # strings, nulls and integers past int64 give a non-numeric dtype; a
-    # dtype=float conversion would have accepted "1.0"
-    if pairs.dtype.kind not in "biuf":
-        raise ParseFailure("report table is malformed: entries must be [re, im] pairs of numbers")
     if pairs.shape != (d * n, d, n, 2):
         raise ParseFailure(
             f"report table has shape {pairs.shape}, expected ({d * n}, {d}, {n}, 2)"
         )
+    # strings, nulls and integers past int64 give a non-numeric dtype (dtype=float
+    # would accept "1.0"); numpy reads a boolean among numbers as 0.0 or 1.0
+    entries = table_doc["V"]
+    for _ in range(3):
+        entries = itertools.chain.from_iterable(entries)
+    if pairs.dtype.kind not in "iuf" or bool in map(type, entries):
+        raise ParseFailure("report table is malformed: entries must be [re, im] pairs of numbers")
     coeffs = pairs.astype(float).view(complex)[..., 0]
     if not np.isfinite(coeffs).all():
         raise ParseFailure("report table holds non-finite coefficients")
@@ -396,7 +397,7 @@ def _verify_report_doc(doc) -> list[str]:
     try:
         sweep = random_input_sweep(problem.spectrum, d, trials, seed, table=table)
     except DegenerateColumns as err:
-        violations.append(f"correction unitaries cannot be built: {err}")
+        violations.append(f"Bob's corrections cannot be built: {err}")
         return violations
     if sweep.min_fidelity < 1.0 - tolerances["fidelity"]:
         violations.append(

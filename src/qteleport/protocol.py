@@ -86,10 +86,6 @@ class MeasurementBasis:
     def __post_init__(self):
         object.__setattr__(self, "states", _freeze(np.asarray(self.states, dtype=complex)))
 
-    @property
-    def s(self) -> int:
-        return self.states.shape[0]
-
 
 @dataclass(frozen=True)
 class BobUnitarySet:
@@ -99,10 +95,6 @@ class BobUnitarySet:
 
     def __post_init__(self):
         object.__setattr__(self, "unitaries", _freeze(np.asarray(self.unitaries, dtype=complex)))
-
-    @property
-    def s(self) -> int:
-        return self.unitaries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -200,23 +192,16 @@ def measurement_basis(table: ProtocolTable) -> MeasurementBasis:
     return MeasurementBasis(states=table.V.reshape(table.s, table.d * table.n))
 
 
-def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitarySet:
-    """Bob's correction for each outcome, extended to a full n x n unitary.
-
-    Column m (m < d) is fixed to sqrt(s) * conj(V[j, m, :]) * sqrt(p); the
-    unitarity condition makes these d columns orthonormal, and the remaining
-    n - d columns are the orthogonal complement from one batched complete QR
-    decomposition of the defined columns.
-
-    Raises DegenerateColumns when the defined columns deviate from
-    orthonormality by more than COLUMN_TOL, which signals a table violating
-    the unitarity condition for this spectrum.
-    """
+def correction_columns(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
+    """Bob's d defined correction columns per outcome, shape (s, n, d): column m
+    of u_j is sqrt(s) * conj(V[j, m, :]) * sqrt(p).  Raises DegenerateColumns when
+    they deviate from orthonormality by more than COLUMN_TOL, as for a table that
+    violates the unitarity condition for this spectrum."""
     if spectrum.n != table.n:
         raise ValueError(f"spectrum length {spectrum.n} does not match table n={table.n}")
     s, d = table.s, table.d
     sqrt_p = np.sqrt(spectrum.as_array())
-    defined = np.sqrt(s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]  # (s, n, d)
+    defined = np.sqrt(s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
     gram = defined.conj().transpose(0, 2, 1) @ defined
     defects = np.abs(gram - np.eye(d)).max(axis=(1, 2))
     failing = np.flatnonzero(defects > COLUMN_TOL)
@@ -226,8 +211,15 @@ def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitary
             f"outcome {j + 1}: defined correction columns deviate from "
             f"orthonormality by {defects[j]:.3e}"
         )
+    return defined
+
+
+def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitarySet:
+    """Reference completion of `correction_columns` to full n x n unitaries by one
+    batched complete QR; the simulator never builds the completed columns."""
+    defined = correction_columns(table, spectrum)
     unitaries, _ = np.linalg.qr(defined, mode="complete")
-    unitaries[:, :, :d] = defined
+    unitaries[:, :, :table.d] = defined
     return BobUnitarySet(unitaries=unitaries)
 
 

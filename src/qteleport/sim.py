@@ -9,9 +9,11 @@ For every outcome j the run follows the algebra of the protocol:
      normalization coefficient of the branch);
   4. Bob's correction gives |c_j> = u_j^dagger |o_j>, and the fidelity is the
      squared overlap of |M_j> (x) |c_j> / sqrt(p_j) with |M_j> (x) |psi>.
+     As o_j = D_j psi / sqrt(s) for the d defined columns D_j of u_j, c_j is
+     D_j^dagger o_j followed by zeros: the rest of u_j is never built.
 
-All outcomes are computed at once from O(s*d*n) numbers; the full d*n^2
-branch states are built only on demand (`OutcomeRecord.post_state`,
+One kernel computes all outcomes of T inputs from O(T*s*d*n) numbers; the full
+d*n^2 branch states are built only on demand (`OutcomeRecord.post_state`,
 `OutcomeRecord.corrected_state`).  Every outcome is enumerated (no sampling),
 so a fidelity-1 report is an exact certificate at machine precision rather
 than a statistical statement.
@@ -42,10 +44,11 @@ from . import phases as _phases
 from . import protocol as _protocol
 from .errors import DimensionMismatch
 from .linalg import RANK_TOL, BipartiteShape, as_state, schmidt_number
-from .protocol import BobUnitarySet, MeasurementBasis, ProtocolTable
+from .protocol import ProtocolTable
 from .spectrum import SchmidtSpectrum
 
 INPUT_NORM_TOL = 1e-12
+SWEEP_BLOCK_BYTES = 1 << 20  # overlaps one sweep block may hold, so memory stays flat in trials
 
 
 @dataclass(frozen=True)
@@ -117,36 +120,39 @@ def residual_schmidt(record: OutcomeRecord) -> int:
     return schmidt_number(record.corrected_state, shape, rank_tol=RANK_TOL)
 
 
-def run_protocol(
-    psi,
-    spectrum: SchmidtSpectrum,
-    table: ProtocolTable,
-    basis: MeasurementBasis,
-    ubob: BobUnitarySet,
-) -> SimulationTrace:
+def _branches(psis: np.ndarray, spectrum: SchmidtSpectrum, table: ProtocolTable, columns):
+    """Overlaps (T, s, n), probabilities (T, s), the first d entries of each
+    correction (T, s, d) and fidelities (T, s) of T inputs psis (T, d)."""
+    overlaps = np.einsum("jml,tm->tjl", table.V.conj(), psis) * np.sqrt(spectrum.as_array())
+    probabilities = np.einsum("tjl,tjl->tj", overlaps.conj(), overlaps).real
+    corrections = np.einsum("jlm,tjl->tjm", columns.conj(), overlaps)
+    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
+    states = table.V.reshape(table.s, -1)
+    state_norms = np.einsum("jx,jx->j", states.conj(), states).real
+    overlap_with_input = np.einsum("tjm,tm->tj", corrections, psis.conj())
+    fidelities = state_norms**2 * np.abs(overlap_with_input) ** 2 / probabilities
+    return overlaps, probabilities, corrections, fidelities
+
+
+def run_protocol(psi, spectrum: SchmidtSpectrum, table: ProtocolTable) -> SimulationTrace:
     """Simulate all s outcomes of the protocol for one input state."""
     d, n, s = table.d, table.n, table.s
     psi = as_input_qudit(psi, d)
     if spectrum.n != n:
         raise DimensionMismatch(f"spectrum length {spectrum.n} != table n = {n}")
-    if basis.states.shape != (s, d * n):
-        raise DimensionMismatch(f"basis shape {basis.states.shape} != ({s}, {d * n})")
-    if ubob.unitaries.shape != (s, n, n):
-        raise DimensionMismatch(f"unitary set shape {ubob.unitaries.shape} != ({s}, {n}, {n})")
-
-    states = basis.states.reshape(s, d, n)
-    overlaps = np.einsum("jml,m->jl", states.conj(), psi) * np.sqrt(spectrum.as_array())
-    probabilities = np.einsum("jl,jl->j", overlaps.conj(), overlaps).real
-    corrections = np.einsum("jkl,jk->jl", ubob.unitaries.conj(), overlaps)
-    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
-    state_norms = np.einsum("jx,jx->j", basis.states.conj(), basis.states).real
-    fidelities = state_norms**2 * np.abs(corrections[:, :d] @ psi.conj()) ** 2 / probabilities
+    columns = _protocol.correction_columns(table, spectrum)
+    branches = _branches(psi[None, :], spectrum, table, columns)
+    overlaps, probabilities, defined, fidelities = (out[0] for out in branches)
+    # o_j lies in the span of the defined columns and the QR completion of u_j
+    # is orthogonal to that span, so u_j^dagger o_j is zero past entry d
+    corrections = np.pad(defined, ((0, 0), (0, n - d)))
+    states = _protocol.measurement_basis(table).states
 
     records = tuple(
         OutcomeRecord(
             j=j + 1,
             probability=float(probabilities[j]),
-            measurement_state=basis.states[j],
+            measurement_state=states[j],
             overlap=overlaps[j],
             correction=corrections[j],
             fidelity=float(fidelities[j]),
@@ -200,21 +206,18 @@ def random_input_sweep(
         raise ValueError("trials must be at least 1")
     if table is None:
         _, table = _protocol.synthesize_auto(spectrum, d)
-    basis = _protocol.measurement_basis(table)
-    ubob = _protocol.bob_unitaries(table, spectrum)
+    columns = _protocol.correction_columns(table, spectrum)
+    block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s * table.n))  # complex128 overlaps
 
     rng = np.random.default_rng(seed)
-    uniform = 1.0 / table.s
-    min_fid, max_fid_dev, max_prob_dev, max_ns, max_total_dev = 1.0, 0.0, 0.0, 1, 0.0
-    for _ in range(trials):
-        trace = run_protocol(haar_random_state(d, rng), spectrum, table, basis, ubob)
-        min_fid = min(min_fid, trace.min_fidelity)
-        max_fid_dev = max(max_fid_dev, max(abs(r.fidelity - 1.0) for r in trace.outcomes))
-        max_prob_dev = max(
-            max_prob_dev, float(np.abs(trace.probabilities - uniform).max())
-        )
-        max_ns = max(max_ns, max(r.residual_schmidt for r in trace.outcomes))
-        max_total_dev = max(max_total_dev, abs(trace.total_probability - 1.0))
+    min_fid, max_fid_dev, max_prob_dev, max_total_dev = 1.0, 0.0, 0.0, 0.0
+    for start in range(0, trials, block):
+        psis = np.array([haar_random_state(d, rng) for _ in range(min(block, trials - start))])
+        _, probabilities, _, fidelities = _branches(psis, spectrum, table, columns)
+        min_fid = min(min_fid, float(fidelities.min()))
+        max_fid_dev = max(max_fid_dev, float(np.abs(fidelities - 1.0).max()))
+        max_prob_dev = max(max_prob_dev, float(np.abs(probabilities - 1.0 / table.s).max()))
+        max_total_dev = max(max_total_dev, float(np.abs(probabilities.sum(axis=1) - 1.0).max()))
     return SweepReport(
         d=d,
         n=spectrum.n,
@@ -224,7 +227,7 @@ def random_input_sweep(
         min_fidelity=min_fid,
         max_fidelity_deviation=max_fid_dev,
         max_probability_deviation=max_prob_dev,
-        max_residual_schmidt=max_ns,
+        max_residual_schmidt=1,  # every corrected branch is a product state
         total_probability_deviation=max_total_dev,
     )
 
@@ -245,8 +248,7 @@ def one_pair_double_bell_trace(psi) -> SimulationTrace:
     """
     pair = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
     table = _protocol.synthesize_d2(pair, _phases.solve_d2(pair))
-    basis = _protocol.measurement_basis(table)
-    single = run_protocol(psi, pair, table, basis, _protocol.bob_unitaries(table, pair))
+    single = run_protocol(psi, pair, table)
 
     idle = resource_state(pair).reshape(2, 2)  # (a2, b2)
 

@@ -55,12 +55,10 @@ def test_criterion_1_golden_six_outcome_protocol():
     assert conditions.orthonormality_residual < 1e-10
     assert conditions.unitarity_residual < 1e-10
 
-    basis = measurement_basis(table)
-    ubob = bob_unitaries(table, GOLDEN)
     rng = np.random.default_rng(1)
     worst_fid, worst_prob = 1.0, 0.0
     for _ in range(100):
-        trace = run_protocol(haar_random_state(2, rng), GOLDEN, table, basis, ubob)
+        trace = run_protocol(haar_random_state(2, rng), GOLDEN, table)
         worst_fid = min(worst_fid, trace.min_fidelity)
         worst_prob = max(worst_prob, float(np.abs(trace.probabilities - 1 / 6).max()))
     assert worst_fid >= 1 - 1e-10
@@ -96,11 +94,10 @@ def test_criterion_2_bennett_recovery():
     for j in range(4):
         assert np.abs(ubob.unitaries[j].conj().T - np.sqrt(2) * table.V[j]).max() < 1e-12
 
-    basis = measurement_basis(table)
     rng = np.random.default_rng(2)
     worst = 1.0
     for _ in range(25):
-        trace = run_protocol(haar_random_state(2, rng), PAIR, table, basis, ubob)
+        trace = run_protocol(haar_random_state(2, rng), PAIR, table)
         worst = min(worst, trace.min_fidelity)
     assert worst >= 1 - 1e-10
     report(
@@ -147,9 +144,7 @@ def test_criterion_4_classical_cost_accounting():
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3)]:
         _, table = synthesize_auto(spectrum, d)
         assert table.s == spectrum.n * d
-        basis = measurement_basis(table)
-        ubob = bob_unitaries(table, spectrum)
-        trace = run_protocol(basis_state(d, 0), spectrum, table, basis, ubob)
+        trace = run_protocol(basis_state(d, 0), spectrum, table)
         assert trace.classical_bits == math.log2(spectrum.n * d)
 
     zero_residual = teleport_ccc_bound(4, 2, assume_zero_residual=True)
@@ -169,9 +164,7 @@ def test_criterion_5_residual_entanglement():
     rng = np.random.default_rng(5)
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/4"] * 4), 2)]:
         _, table = synthesize_auto(spectrum, d)
-        basis = measurement_basis(table)
-        ubob = bob_unitaries(table, spectrum)
-        trace = run_protocol(haar_random_state(d, rng), spectrum, table, basis, ubob)
+        trace = run_protocol(haar_random_state(d, rng), spectrum, table)
         assert all(rec.residual_schmidt == 1 for rec in trace.outcomes)
 
     trace = one_pair_double_bell_trace(haar_random_state(2, rng))
@@ -254,12 +247,11 @@ def test_criterion_7_property_suite():
         for u in ubob.unitaries:
             assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
 
-        basis = measurement_basis(table)
         amps = haar_random_state(d, rng)
         parts = [
-            run_protocol(basis_state(d, m), s, table, basis, ubob) for m in range(d)
+            run_protocol(basis_state(d, m), s, table) for m in range(d)
         ]
-        whole = run_protocol(amps, s, table, basis, ubob)
+        whole = run_protocol(amps, s, table)
         for j in range(table.s):
             superposed = sum(
                 amps[m] * parts[m].outcomes[j].post_state for m in range(d)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qteleport import protocol, reportio
+from qteleport import cli, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
 
@@ -292,15 +292,31 @@ class TestVerify:
         assert run(["verify", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["1.0", None])
+    @pytest.mark.parametrize("entry", ["1.0", None, True, "all-boolean"])
     def test_non_numeric_entry_is_parse_failure(self, tmp_path, capsys, entry):
-        # np.asarray(V, dtype=float) would turn the string "1.0" into a number
+        # np.asarray(V, dtype=float) would turn the string "1.0" into a number,
+        # and np.asarray(V) reads a boolean among floats as 1.0
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["table"]["V"][0][0][0][0] = entry
+        if entry == "all-boolean":
+            doc["table"]["V"] = [
+                [[[re > 0, im > 0] for re, im in row] for row in block]
+                for block in doc["table"]["V"]
+            ]
+        else:
+            doc["table"]["V"][0][0][0][0] = entry
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 2
         assert "pairs of numbers" in capsys.readouterr().err
+
+    def test_simulate_and_verify_build_no_full_unitaries(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("full correction unitaries built")
+
+        monkeypatch.setattr(protocol, "bob_unitaries", refuse)
+        monkeypatch.setattr(cli, "bob_unitaries", refuse)
+        out = self.emit_report(tmp_path)
+        assert run(["verify", str(out)]) == 0
 
     def test_ragged_table_is_parse_failure(self, tmp_path, capsys):
         out = self.emit_report(tmp_path)

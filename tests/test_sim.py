@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qteleport.errors import DimensionMismatch
+from qteleport import sim
+from qteleport.errors import DegenerateColumns, DimensionMismatch
 from qteleport.phases import solve_general
 from qteleport.protocol import (
+    Construction,
+    ProtocolTable,
     bob_unitaries,
-    measurement_basis,
     synthesize_auto,
     synthesize_general,
 )
@@ -31,11 +34,18 @@ QUARTERS = SchmidtSpectrum.from_rationals(
 )
 # a float spectrum with no equal-weight split at d = 3: only the search solves it
 SEARCH = SchmidtSpectrum.from_probs([0.3, 0.25, 0.2, 0.15, 0.1])
+# qubit closed form, partition and search tables
+PROTOCOL_CASES = [
+    (PAIR, 2),
+    (GOLDEN, 2),
+    (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3),
+    (QUARTERS, 4),
+    (SEARCH, 3),
+]
 
 
-def protocol_parts(spectrum, d, method="auto"):
-    _, table = synthesize_auto(spectrum, d, method=method)
-    return table, measurement_basis(table), bob_unitaries(table, spectrum)
+def protocol_table(spectrum, d):
+    return synthesize_auto(spectrum, d)[1]
 
 
 def amplitude_oracle_probability(psi, spectrum, table, j):
@@ -51,9 +61,9 @@ def amplitude_oracle_probability(psi, spectrum, table, j):
 
 class TestBennettSetup:
     def test_four_uniform_faithful_outcomes(self, rng):
-        table, basis, ubob = protocol_parts(PAIR, 2)
+        table = protocol_table(PAIR, 2)
         for _ in range(10):
-            trace = run_protocol(random_state(rng, 2), PAIR, table, basis, ubob)
+            trace = run_protocol(random_state(rng, 2), PAIR, table)
             assert np.abs(trace.probabilities - 0.25).max() < 1e-10
             assert trace.min_fidelity >= 1 - 1e-10
             assert trace.classical_bits == 2.0
@@ -61,9 +71,9 @@ class TestBennettSetup:
 
 class TestWorkedExample:
     def test_all_six_outcomes_faithful(self, rng):
-        table, basis, ubob = protocol_parts(GOLDEN, 2)
+        table = protocol_table(GOLDEN, 2)
         for _ in range(10):
-            trace = run_protocol(random_state(rng, 2), GOLDEN, table, basis, ubob)
+            trace = run_protocol(random_state(rng, 2), GOLDEN, table)
             assert trace.min_fidelity >= 1 - 1e-10
             assert np.abs(trace.probabilities - 1 / 6).max() < 1e-10
             assert trace.classical_bits == math.log2(6)
@@ -73,39 +83,32 @@ class TestProbabilities:
     @pytest.mark.parametrize("probs,d", [(["1/2", "1/2"], 2), (["1/2", "1/3", "1/6"], 2), (["1/3", "1/3", "1/3"], 3)])
     def test_against_amplitude_oracle(self, rng, probs, d):
         spectrum = SchmidtSpectrum.from_rationals(probs)
-        table, basis, ubob = protocol_parts(spectrum, d)
+        table = protocol_table(spectrum, d)
         psi = random_state(rng, d)
-        trace = run_protocol(psi, spectrum, table, basis, ubob)
+        trace = run_protocol(psi, spectrum, table)
         for rec in trace.outcomes:
             oracle = amplitude_oracle_probability(psi, spectrum, table, rec.j - 1)
             assert abs(rec.probability - oracle) < 1e-12
             assert abs(rec.probability - 1 / table.s) < 1e-10
 
     def test_completeness(self, rng):
-        table, basis, ubob = protocol_parts(GOLDEN, 2)
+        table = protocol_table(GOLDEN, 2)
         for _ in range(20):
-            trace = run_protocol(random_state(rng, 2), GOLDEN, table, basis, ubob)
+            trace = run_protocol(random_state(rng, 2), GOLDEN, table)
             assert abs(trace.total_probability - 1.0) < 1e-10
 
     def test_normalization_equals_probability(self, rng):
-        table, basis, ubob = protocol_parts(GOLDEN, 2)
-        trace = run_protocol(random_state(rng, 2), GOLDEN, table, basis, ubob)
+        table = protocol_table(GOLDEN, 2)
+        trace = run_protocol(random_state(rng, 2), GOLDEN, table)
         for rec in trace.outcomes:
             assert abs(np.vdot(rec.post_state, rec.post_state).real - rec.probability) < 1e-12
 
 
 class TestResidualEntanglement:
     def test_full_protocol_leaves_nothing(self, rng):
-        cases = [
-            (PAIR, 2),
-            (GOLDEN, 2),
-            (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3),
-            (QUARTERS, 4),
-            (SEARCH, 3),
-        ]
-        for spectrum, d in cases:
-            table, basis, ubob = protocol_parts(spectrum, d)
-            trace = run_protocol(random_state(rng, d), spectrum, table, basis, ubob)
+        for spectrum, d in PROTOCOL_CASES:
+            table = protocol_table(spectrum, d)
+            trace = run_protocol(random_state(rng, d), spectrum, table)
             for rec in trace.outcomes:
                 assert rec.residual_schmidt == 1
                 assert residual_schmidt(rec) == 1
@@ -121,15 +124,32 @@ class TestResidualEntanglement:
             assert rec.residual_schmidt * rec.d <= rec.n
 
 
+class TestBranchAlgebra:
+    def test_against_full_unitary_reference(self, rng):
+        # the corrections come from the d defined columns alone; the full QR
+        # completion must give the same vector, zeros past entry d included
+        for spectrum, d in PROTOCOL_CASES:
+            table = protocol_table(spectrum, d)
+            unitaries = bob_unitaries(table, spectrum).unitaries
+            psi = random_state(rng, d)
+            padded = np.concatenate([psi, np.zeros(table.n - d)])
+            for rec in run_protocol(psi, spectrum, table).outcomes:
+                reference = unitaries[rec.j - 1].conj().T @ rec.overlap
+                assert np.abs(rec.correction - reference).max() < 1e-12
+                target = np.kron(rec.measurement_state, padded)
+                fidelity = abs(np.vdot(target, rec.corrected_state)) ** 2
+                assert abs(rec.fidelity - fidelity) < 1e-12
+
+
 class TestLinearity:
     def test_superposition_of_basis_inputs(self, rng):
-        table, basis, ubob = protocol_parts(GOLDEN, 2)
+        table = protocol_table(GOLDEN, 2)
         amps = random_state(rng, 2)
         traces = [
-            run_protocol(e, GOLDEN, table, basis, ubob)
+            run_protocol(e, GOLDEN, table)
             for e in (np.array([1, 0], complex), np.array([0, 1], complex))
         ]
-        combined = run_protocol(amps, GOLDEN, table, basis, ubob)
+        combined = run_protocol(amps, GOLDEN, table)
         for j in range(table.s):
             superposed = (
                 amps[0] * traces[0].outcomes[j].post_state
@@ -158,12 +178,55 @@ class TestSweep:
         with pytest.raises(ValueError):
             random_input_sweep(PAIR, 2, trials=0, seed=1)
 
+    @pytest.mark.parametrize("spectrum,d", [(GOLDEN, 2), (QUARTERS, 4), (SEARCH, 3)])
+    def test_blocks_agree_with_per_trial_runs(self, monkeypatch, spectrum, d):
+        table = protocol_table(spectrum, d)
+        # three trials per block, so 10 trials span four blocks, the last one short
+        monkeypatch.setattr(sim, "SWEEP_BLOCK_BYTES", 3 * 16 * table.s * table.n)
+        report = random_input_sweep(spectrum, d, trials=10, seed=5, table=table)
+        rng = np.random.default_rng(5)
+        traces = [
+            run_protocol(haar_random_state(d, rng), spectrum, table) for _ in range(10)
+        ]
+        fids = np.array([[r.fidelity for r in t.outcomes] for t in traces])
+        probs = np.array([t.probabilities for t in traces])
+        totals = np.array([t.total_probability for t in traces])
+        assert abs(report.min_fidelity - min(1.0, fids.min())) < 1e-14
+        assert abs(report.max_fidelity_deviation - np.abs(fids - 1).max()) < 1e-14
+        assert abs(report.max_probability_deviation - np.abs(probs - 1 / table.s).max()) < 1e-14
+        assert abs(report.total_probability_deviation - np.abs(totals - 1).max()) < 1e-14
+        assert report.max_residual_schmidt == 1
+
+    def test_memory_does_not_grow_with_trials(self):
+        spectrum = SchmidtSpectrum.from_rationals(["1/32"] * 32)
+        table = protocol_table(spectrum, 2)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                random_input_sweep(spectrum, 2, trials=trials, seed=3, table=table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 2 * peak(20)
+
+    def test_degenerate_columns_raise(self, rng):
+        table = protocol_table(GOLDEN, 2)
+        scaled = np.array(table.V)
+        scaled[0] *= 1 + 1e-6
+        broken = ProtocolTable(d=2, n=3, V=scaled, construction=Construction.EXPLICIT)
+        with pytest.raises(DegenerateColumns):
+            run_protocol(random_state(rng, 2), GOLDEN, broken)
+        with pytest.raises(DegenerateColumns):
+            random_input_sweep(GOLDEN, 2, trials=5, seed=1, table=broken)
+
 
 class TestValidation:
     def test_dimension_mismatch(self, rng):
-        table, basis, ubob = protocol_parts(GOLDEN, 2)
+        table = protocol_table(GOLDEN, 2)
         with pytest.raises(DimensionMismatch):
-            run_protocol(random_state(rng, 2), PAIR, table, basis, ubob)
+            run_protocol(random_state(rng, 2), PAIR, table)
 
     def test_input_must_be_normalized(self):
         with pytest.raises(ValueError):
@@ -194,8 +257,7 @@ class TestGeneralFormulaSimulation:
             except PhaseFactorsNotFound:
                 continue
             table = synthesize_general(s, d, theta)
-            basis, ubob = measurement_basis(table), bob_unitaries(table, s)
-            trace = run_protocol(random_state(rng, d), s, table, basis, ubob)
+            trace = run_protocol(random_state(rng, d), s, table)
             assert trace.min_fidelity >= 1 - 1e-10
             assert trace.classical_bits == math.log2(n * d)
             done += 1
