@@ -43,20 +43,8 @@ def as_state(entries, dim: int | None = None) -> np.ndarray:
     return vec
 
 
-def norm(vec) -> float:
-    return float(np.linalg.norm(np.asarray(vec, dtype=complex)))
-
-
 def is_normalized(vec, tol: float = NORM_TOL) -> bool:
-    return abs(norm(vec) ** 2 - 1.0) <= tol
-
-
-def normalize(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / nv
+    return abs(float(np.linalg.norm(np.asarray(vec, dtype=complex))) ** 2 - 1.0) <= tol
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
@@ -69,23 +57,6 @@ def basis_state(dim: int, k: int) -> np.ndarray:
 def tensor(a, b) -> np.ndarray:
     """Tensor product of two vectors: entry (i * dimB + j) equals a_i * b_j."""
     return np.kron(as_state(a), as_state(b))
-
-
-def density(state) -> np.ndarray:
-    """Rank-1 density matrix |psi><psi|."""
-    vec = as_state(state)
-    return np.outer(vec, vec.conj())
-
-
-def unit_root_phases(n: int) -> np.ndarray:
-    """The n x n unitary of roots of unity: entry [j, k] = exp(2*pi*i*(j+1)*(k+1)/n).
-
-    Indices are 0-based; the stored values follow the 1-based convention used by
-    the qubit protocol table, where the exponent is built from j*k with both
-    indices running from 1 to n.
-    """
-    idx = np.arange(1, n + 1)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n)
 
 
 def _as_bipartite_matrix(state, shape: BipartiteShape) -> np.ndarray:

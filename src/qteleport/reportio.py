@@ -1,9 +1,14 @@
 """Deterministic JSON serialization for problem files and report documents.
 
-Reports are plain JSON objects, emitted by the standard encoder with sorted
-keys and two-space indent.  Floats print in Python's shortest round-trip form,
-so identical inputs produce byte-identical documents and
-parse(serialize(x)) == x.  NaN and infinities are refused in both directions.
+Reports are plain JSON objects with sorted keys.  Objects are laid out one
+key per line with two-space indent; a list of numbers (or of short lists of
+numbers, such as the [re, im] pairs of a table row) sits on one line, and any
+other list has one element per line.  Every scalar is written by the standard
+library's C encoder, so floats print in Python's shortest round-trip form,
+identical inputs produce byte-identical documents and
+parse(serialize(x)) == x.  Apart from whitespace, the text equals
+json.dumps(x, sort_keys=True).  NaN and infinities are refused in both
+directions.
 """
 
 from __future__ import annotations
@@ -13,9 +18,39 @@ import json
 from .bounds import Bits, BoundsReport, CccBound, ConcentrationBounds
 
 
+_INLINE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # the C encoder: no indent
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
 def dumps(obj) -> str:
     """Serialize to deterministic JSON text (trailing newline included)."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _encode(obj, "\n") + "\n"
+
+
+def _is_row(items) -> bool:
+    """Scalars, or lists of scalars: one line.  Only the first element is read,
+    which decides the layout alone; any content still encodes to valid JSON."""
+    first = items[0]
+    if isinstance(first, (list, tuple)):
+        return not first or isinstance(first[0], _SCALARS)
+    return isinstance(first, _SCALARS)
+
+
+def _key(key) -> str:
+    """Object keys as the standard encoder coerces them: str, int, float, bool or None."""
+    if not isinstance(key, _SCALARS):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _INLINE(key if isinstance(key, str) else _INLINE(key))
+
+
+def _encode(obj, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        body = ",".join(f"{inner}{_key(k)}: {_encode(obj[k], inner)}" for k in sorted(obj))
+        return "{" + body + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj and not _is_row(obj):
+        return "[" + ",".join(inner + _encode(item, inner) for item in obj) + pad + "]"
+    return _INLINE(obj)
 
 
 def _reject_constant(token: str):

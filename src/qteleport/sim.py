@@ -120,15 +120,24 @@ def residual_schmidt(record: OutcomeRecord) -> int:
     return schmidt_number(record.corrected_state, shape, rank_tol=RANK_TOL)
 
 
-def _branches(psis: np.ndarray, spectrum: SchmidtSpectrum, table: ProtocolTable, columns):
-    """Overlaps (T, s, n), probabilities (T, s), the first d entries of each
-    correction (T, s, d) and fidelities (T, s) of T inputs psis (T, d)."""
-    overlaps = np.einsum("jml,tm->tjl", table.V.conj(), psis) * np.sqrt(spectrum.as_array())
-    probabilities = np.einsum("tjl,tjl->tj", overlaps.conj(), overlaps).real
-    corrections = np.einsum("jlm,tjl->tjm", columns.conj(), overlaps)
-    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
+def _table_operands(spectrum: SchmidtSpectrum, table: ProtocolTable):
+    """What `_branches` reads of the table, built once per run or sweep:
+    sqrt(p) (n,), Bob's defined columns (s, n, d) and |M_j|^2 (s,)."""
     states = table.V.reshape(table.s, -1)
     state_norms = np.einsum("jx,jx->j", states.conj(), states).real
+    columns = _protocol.correction_columns(table, spectrum)
+    return np.sqrt(spectrum.as_array()), columns, state_norms
+
+
+def _branches(psis: np.ndarray, table: ProtocolTable, operands):
+    """Overlaps (T, s, n), probabilities (T, s), the first d entries of each
+    correction (T, s, d) and fidelities (T, s) of T inputs psis (T, d)."""
+    sqrt_p, columns, state_norms = operands
+    # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
+    overlaps = np.einsum("jml,tm->tjl", table.V, psis.conj()).conj() * sqrt_p
+    probabilities = np.einsum("tjl,tjl->tj", overlaps.conj(), overlaps).real
+    corrections = np.einsum("jlm,tjl->tjm", columns, overlaps.conj()).conj()
+    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
     overlap_with_input = np.einsum("tjm,tm->tj", corrections, psis.conj())
     fidelities = state_norms**2 * np.abs(overlap_with_input) ** 2 / probabilities
     return overlaps, probabilities, corrections, fidelities
@@ -140,8 +149,7 @@ def run_protocol(psi, spectrum: SchmidtSpectrum, table: ProtocolTable) -> Simula
     psi = as_input_qudit(psi, d)
     if spectrum.n != n:
         raise DimensionMismatch(f"spectrum length {spectrum.n} != table n = {n}")
-    columns = _protocol.correction_columns(table, spectrum)
-    branches = _branches(psi[None, :], spectrum, table, columns)
+    branches = _branches(psi[None, :], table, _table_operands(spectrum, table))
     overlaps, probabilities, defined, fidelities = (out[0] for out in branches)
     # o_j lies in the span of the defined columns and the QR completion of u_j
     # is orthogonal to that span, so u_j^dagger o_j is zero past entry d
@@ -206,14 +214,14 @@ def random_input_sweep(
         raise ValueError("trials must be at least 1")
     if table is None:
         _, table = _protocol.synthesize_auto(spectrum, d)
-    columns = _protocol.correction_columns(table, spectrum)
+    operands = _table_operands(spectrum, table)
     block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s * table.n))  # complex128 overlaps
 
     rng = np.random.default_rng(seed)
     min_fid, max_fid_dev, max_prob_dev, max_total_dev = 1.0, 0.0, 0.0, 0.0
     for start in range(0, trials, block):
         psis = np.array([haar_random_state(d, rng) for _ in range(min(block, trials - start))])
-        _, probabilities, _, fidelities = _branches(psis, spectrum, table, columns)
+        _, probabilities, _, fidelities = _branches(psis, table, operands)
         min_fid = min(min_fid, float(fidelities.min()))
         max_fid_dev = max(max_fid_dev, float(np.abs(fidelities - 1.0).max()))
         max_prob_dev = max(max_prob_dev, float(np.abs(probabilities - 1.0 / table.s).max()))

@@ -1,14 +1,32 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qteleport import cli, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
 
 GOLDEN_PROBLEM = {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 11, "trials": 20}
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: (
+        st.lists(children, max_size=5) | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=40,
+)
+OUTSIDE_STRINGS_WHITESPACE = re.compile(r'("(?:[^"\\]|\\.)*")|\s+')
+
+
+def without_whitespace(text):
+    """JSON text with all whitespace outside string literals removed."""
+    return OUTSIDE_STRINGS_WHITESPACE.sub(lambda m: m.group(1) or "", text)
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -411,6 +429,36 @@ class TestReportEncoding:
     def test_loads_rejects_non_finite_tokens(self, token):
         with pytest.raises(ValueError):
             reportio.loads(f'{{"x": {token}}}')
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_round_trip_and_tokens_match_stdlib(self, doc):
+        text = reportio.dumps(doc)
+        assert reportio.loads(text) == doc
+        assert without_whitespace(text) == without_whitespace(
+            json.dumps(doc, indent=2, sort_keys=True)
+        )
+
+    def test_numeric_rows_sit_on_one_line(self, tmp_path):
+        d, n = 2, 32
+        s = d * n
+        path = write_problem(tmp_path, {"d": d, "spectrum": ["1/32"] * n, "trials": 2})
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--emit-table", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        first = lines.index('    "V": [')
+        last = lines.index("    ],", first)
+        rows = [line for line in lines[first:last + 1] if line.lstrip().startswith("[[")]
+        # one line per (j, m) row of n [re, im] pairs, plus the brackets of V and its s entries
+        assert len(rows) == s * d
+        assert last - first + 1 == s * (d + 2) + 2
+        assert len(lines) < s * (d + 2) + 100
+        assert len(reportio.loads(out.read_text(encoding="utf-8"))["table"]["V"]) == s
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_inside_a_row_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            reportio.dumps({"x": [[1.0, value]]})
 
 
 class TestParser:

@@ -4,13 +4,12 @@ import pytest
 from qteleport.errors import ShapeMismatch
 from qteleport.linalg import (
     BipartiteShape,
+    as_state,
     basis_state,
-    density,
     partial_trace,
     schmidt_decompose,
     schmidt_number,
     tensor,
-    unit_root_phases,
 )
 
 from conftest import random_state
@@ -27,6 +26,18 @@ def tensor_oracle(a, b):
         for j in range(b.size):
             out[i * b.size + j] = a[i] * b[j]
     return out
+
+
+def density(state):
+    """Rank-1 density matrix |psi><psi|."""
+    vec = as_state(state)
+    return np.outer(vec, vec.conj())
+
+
+def unit_root_phases(n):
+    """The n x n unitary of roots of unity: entry [j, k] = exp(2*pi*i*(j+1)*(k+1)/n)."""
+    idx = np.arange(1, n + 1)
+    return np.exp(2j * np.pi * np.outer(idx, idx) / n)
 
 
 class TestTensor:

@@ -11,6 +11,7 @@ from qteleport.protocol import (
     Construction,
     ProtocolTable,
     bob_unitaries,
+    correction_columns,
     synthesize_auto,
     synthesize_general,
 )
@@ -139,6 +140,19 @@ class TestBranchAlgebra:
                 target = np.kron(rec.measurement_state, padded)
                 fidelity = abs(np.vdot(target, rec.corrected_state)) ** 2
                 assert abs(rec.fidelity - fidelity) < 1e-12
+
+    def test_conjugating_the_inputs_matches_conjugating_the_table(self, rng):
+        # conj(A) B == conj(A conj(B)) bit for bit, so the kernel conjugates the small operand
+        for spectrum, d in PROTOCOL_CASES:
+            table = protocol_table(spectrum, d)
+            psis = np.array([random_state(rng, d) for _ in range(3)])
+            operands = sim._table_operands(spectrum, table)
+            overlaps, _, corrections, _ = sim._branches(psis, table, operands)
+            want = np.einsum("jml,tm->tjl", table.V.conj(), psis) * np.sqrt(spectrum.as_array())
+            columns = correction_columns(table, spectrum)
+            np.testing.assert_array_equal(overlaps, want)
+            want_corrections = np.einsum("jlm,tjl->tjm", columns.conj(), want)
+            np.testing.assert_array_equal(corrections, want_corrections)
 
 
 class TestLinearity:
