@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, reportio
 from .bounds import build_bounds_report, concentration_bounds, entanglement_of_teleportation, schmidt_entanglement
 from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
-from .linalg import basis_state
+from .linalg import basis_state, is_normalized
 # solve_general, synthesize_d2, synthesize_general and bob_unitaries are unused
 # here but stay importable: bench/tracing.py wraps them by these names.
 from .phases import PhaseMatrix, solve_general  # noqa: F401
@@ -46,7 +46,7 @@ from .protocol import (  # noqa: F401
     synthesize_general,
     verify_conditions,
 )
-from .sim import INPUT_NORM_TOL, random_input_sweep, run_protocol
+from .sim import random_input_sweep, run_protocol
 from .spectrum import SUM_TOL, SchmidtSpectrum
 
 EXIT_OK = 0
@@ -155,7 +155,7 @@ def parse_problem_doc(doc) -> Problem:
         amps = np.array([complex(p[0], p[1]) for p in pairs])
         if amps.size != d:
             raise InputFailure(f"field 'inputState' must have {d} amplitudes, got {amps.size}")
-        if not abs(np.vdot(amps, amps).real - 1.0) <= INPUT_NORM_TOL:  # NaN fails too
+        if not is_normalized(amps):
             raise InputFailure("field 'inputState' must be normalized")
         input_state = amps
 
@@ -371,6 +371,12 @@ def _verify_report_doc(doc) -> list[str]:
     if isinstance(recorded, dict):
         for key, value in recorded.items():
             if key in tolerances and isinstance(value, (int, float)):
+                # JSON true reads as 1 and a 1e400 literal as inf: either would
+                # let a report loosen its own checks (NaN fails the test too)
+                if isinstance(value, bool) or not 0 < value <= sys.float_info.max:
+                    raise ParseFailure(
+                        f"report tolerance {key!r} must be a positive finite number, got {value!r}"
+                    )
                 tolerances[key] = float(value)
 
     table = ProtocolTable(d=d, n=n, V=coeffs, construction=Construction.EXPLICIT)

@@ -43,8 +43,10 @@ def as_state(entries, dim: int | None = None) -> np.ndarray:
     return vec
 
 
-def is_normalized(vec, tol: float = NORM_TOL) -> bool:
-    return abs(float(np.linalg.norm(np.asarray(vec, dtype=complex))) ** 2 - 1.0) <= tol
+def is_normalized(vec) -> bool:
+    """True when <v|v> is within NORM_TOL of 1; NaN and infinite amplitudes fail."""
+    vec = np.asarray(vec, dtype=complex)
+    return bool(abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL)  # a NaN comparison is False
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:

@@ -25,6 +25,11 @@ zero on the configuration curve of a planar quadrilateral built from the
 spectrum, and a Lipschitz-bounded sampling of g, float rounding included,
 proves that no solution exists whenever g keeps one sign.  Only that proof
 skips the search; every other case runs it unchanged.
+
+The search is the only user of scipy (scipy.optimize.least_squares), which
+is imported on its first call rather than with this module: importing
+scipy.optimize costs more than most CLI runs, and the closed forms, the
+partition and the d = 3, n = 4 decision never need it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound
 from .spectrum import SchmidtSpectrum
@@ -361,6 +365,13 @@ def phases_from_partition(partition: Partition, d: int, n: int) -> PhaseMatrix:
     rows = np.arange(d, dtype=float)[:, None]  # canonical: row m holds (2*pi/d)*m*l(k)
     theta = np.mod(TWO_PI / d * rows * labels[None, :], TWO_PI)
     return PhaseMatrix(canonicalize(theta))
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call (see the module docstring)."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 def _search_phases(

@@ -43,11 +43,10 @@ import numpy as np
 from . import phases as _phases
 from . import protocol as _protocol
 from .errors import DimensionMismatch
-from .linalg import RANK_TOL, BipartiteShape, as_state, schmidt_number
+from .linalg import RANK_TOL, BipartiteShape, as_state, is_normalized, schmidt_number
 from .protocol import ProtocolTable
 from .spectrum import SchmidtSpectrum
 
-INPUT_NORM_TOL = 1e-12
 SWEEP_BLOCK_BYTES = 1 << 20  # overlaps one sweep block may hold, so memory stays flat in trials
 
 
@@ -95,7 +94,7 @@ class SimulationTrace:
 def as_input_qudit(amps, d: int | None = None) -> np.ndarray:
     """Validate a normalized d-level input state."""
     vec = as_state(amps, d)
-    if not abs(np.vdot(vec, vec).real - 1.0) <= INPUT_NORM_TOL:  # NaN fails too
+    if not is_normalized(vec):
         raise ValueError("input state must be normalized")
     return vec
 

@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qteleport
 from qteleport import cli, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
@@ -310,6 +314,24 @@ class TestVerify:
         assert run(["verify", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "token", ["true", "1e400", "1" + "0" * 400, "0", "-1e-10"],
+        ids=["boolean", "non-finite", "integer-past-double", "zero", "negative"],
+    )
+    def test_recorded_tolerance_cannot_loosen_the_checks(self, tmp_path, capsys, token):
+        # true reads as 1.0 and 1e400 as inf, which would pass this tampered
+        # table; a 400-digit integer cannot be converted to a float at all
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["V"][0][0] = [[re * (1 + 3e-9), im * (1 + 3e-9)] for re, im in doc["table"]["V"][0][0]]
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        doc["tolerances"] = {key: 12345.5 for key in doc["tolerances"]}
+        out.write_text(reportio.dumps(doc).replace("12345.5", token), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 2
+        assert "positive finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["1.0", None, True, "all-boolean"])
     def test_non_numeric_entry_is_parse_failure(self, tmp_path, capsys, entry):
         # np.asarray(V, dtype=float) would turn the string "1.0" into a number,
@@ -471,3 +493,43 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+
+COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from qteleport.cli import main
+
+def problem(name, doc):
+    with open(name, "w") as handle:
+        json.dump(doc, handle)
+    return name
+
+readme = problem("readme.json", {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 7, "trials": 20})
+codes = [
+    main(["bounds", readme, "--out", "bounds.json"]),
+    main(["concentrate", "--spectrum", "1/2,1/2", "--copies", "3", "--bells", "3", "--out", "c.json"]),
+    main(["synthesize", problem("partition.json", {"d": 3, "spectrum": ["1/3"] + ["1/6"] * 4}),
+          "--out", "partition-report.json"]),
+    main(["synthesize", problem("proved.json", {"d": 3, "spectrum": [0.333, 0.3, 0.2, 0.167]})]),
+    main(["simulate", readme, "--out", "report.json"]),
+    main(["verify", "report.json"]),
+]
+before = "scipy.optimize" in sys.modules
+search = main(["synthesize", problem("search.json", {"d": 3, "spectrum": [0.3, 0.25, 0.2, 0.15, 0.1]}),
+               "--out", "search-report.json"])
+print(json.dumps({"codes": codes, "before": before, "search": search,
+                  "after": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_search(tmp_path):
+    # a fresh interpreter, so nothing imported by other tests counts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qteleport.__file__)))
+    child = subprocess.run([sys.executable, "-c", COLD_START, src], cwd=tmp_path,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 5, 0, 0]
+    assert result["before"] is False, "scipy.optimize loaded before any search ran"
+    assert result["search"] == 0 and result["after"] is True

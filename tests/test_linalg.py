@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from qteleport.cli import InputFailure, parse_problem_doc
 from qteleport.errors import ShapeMismatch
 from qteleport.linalg import (
     BipartiteShape,
     as_state,
     basis_state,
+    is_normalized,
     partial_trace,
     schmidt_decompose,
     schmidt_number,
     tensor,
 )
+from qteleport.sim import as_input_qudit
 
 from conftest import random_state
 
@@ -63,6 +66,42 @@ class TestTensor:
             ref = alpha * tensor(a, b)
             assert np.abs(left - ref).max() < 1e-12
             assert np.abs(right - ref).max() < 1e-12
+
+
+class TestIsNormalized:
+    """The one normalization check behind linalg, the simulator and the problem parser."""
+
+    UNIT = np.array([0.6, 0.8j])
+
+    @staticmethod
+    def verdicts(amps):
+        """Whether is_normalized, as_input_qudit and parse_problem_doc accept amps."""
+        out = [is_normalized(amps)]
+        try:
+            as_input_qudit(amps, 2)
+            out.append(True)
+        except ValueError:
+            out.append(False)
+        doc = {"d": 2, "spectrum": ["1/2", "1/2"], "inputState": [[a.real, a.imag] for a in amps]}
+        try:
+            parse_problem_doc(doc)
+            out.append(True)
+        except InputFailure:
+            out.append(False)
+        return out
+
+    @pytest.mark.parametrize("defect", [0.0, 5e-13, -5e-13])
+    def test_defect_within_tolerance_is_accepted(self, defect):
+        assert self.verdicts(self.UNIT * np.sqrt(1 + defect)) == [True, True, True]
+
+    @pytest.mark.parametrize(
+        "amps",
+        [UNIT * np.sqrt(1 + 2e-12), UNIT * np.sqrt(1 - 2e-12),
+         np.array([np.nan, 0.8]), np.array([np.inf, 0.8])],  # a 1e400 literal parses to inf
+        ids=["over", "under", "nan", "inf"],
+    )
+    def test_defect_beyond_tolerance_is_refused(self, amps):
+        assert self.verdicts(amps) == [False, False, False]
 
 
 class TestSchmidtDecompose:
