@@ -11,8 +11,11 @@ Three solution strategies, tried in this order by solve_general:
      into a triangle, and the triangle's angles are the phases.
   2. any d: if the probabilities split into d subgroups of weight exactly
      1/d, a roots-of-unity ladder on the subgroup labels works.
-  3. otherwise: seeded multi-restart least squares, accepted only at
-     machine-precision residual, with honest failure as a real outcome.
+  3. otherwise: seeded multi-restart least squares (a numpy
+     Levenberg-Marquardt loop), accepted only at machine-precision
+     residual, with honest failure as a real outcome.  For d = 3, n = 4 a
+     certified decision runs first and can prove that no solution exists,
+     so the search is skipped.
 """
 
 import numpy as np

@@ -162,6 +162,8 @@ def parse_problem_doc(doc) -> Problem:
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ParseFailure("field 'seed' must be an integer")
+    if seed is not None and seed < 0:
+        raise InputFailure("field 'seed' must be non-negative")
     trials = doc.get("trials")
     if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int)):
         raise ParseFailure("field 'trials' must be an integer")
@@ -267,6 +269,8 @@ def cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else (problem.trials or DEFAULT_TRIALS)
     if trials < 1:
         raise InputFailure("--trials must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise InputFailure("--seed must be non-negative")
     seed = args.seed if args.seed is not None else (problem.seed or DEFAULT_SEED)
 
     theta, table = synthesize_auto(problem.spectrum, problem.d)
@@ -398,7 +402,7 @@ def _verify_report_doc(doc) -> list[str]:
     seed = sim_doc.get("seed", problem.seed or DEFAULT_SEED)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ParseFailure("report simulation section has an unusable 'trials' value")
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ParseFailure("report simulation section has an unusable 'seed' value")
     try:
         sweep = random_input_sweep(problem.spectrum, d, trials, seed, table=table)

@@ -26,10 +26,9 @@ spectrum, and a Lipschitz-bounded sampling of g, float rounding included,
 proves that no solution exists whenever g keeps one sign.  Only that proof
 skips the search; every other case runs it unchanged.
 
-The search is the only user of scipy (scipy.optimize.least_squares), which
-is imported on its first call rather than with this module: importing
-scipy.optimize costs more than most CLI runs, and the closed forms, the
-partition and the d = 3, n = 4 decision never need it.
+The search runs Levenberg-Marquardt (least_squares) on the d(d - 1) real
+constraints, with every row pair's residual and Jacobian computed in one
+array operation (phase_equations).
 """
 
 from __future__ import annotations
@@ -367,11 +366,99 @@ def phases_from_partition(partition: Partition, d: int, n: int) -> PhaseMatrix:
     return PhaseMatrix(canonicalize(theta))
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call (see the module docstring)."""
-    from scipy.optimize import least_squares as scipy_least_squares
+# Levenberg-Marquardt: stopping thresholds and the damping lam
+LM_FTOL = 3e-16        # relative cost decrease of an accepted step
+LM_XTOL = 3e-16        # step length relative to |x|
+LM_GTOL = 3e-16        # largest entry of the gradient J^T r
+LM_LAMBDA0 = 1e-3      # damping of the first step
+LM_LAMBDA_MIN = 1e-15  # floor, so J J^T + lam I stays invertible
 
-    return scipy_least_squares(*args, **kwargs)
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where least_squares stopped: x, cost = |r(x)|**2 / 2 and residual evaluations used."""
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+
+
+def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult:
+    """Minimize |fun(x)|**2 / 2 by Levenberg-Marquardt, from x0.
+
+    The step is -J^T (J J^T + lam I)^-1 r, solved on the residual side, the
+    smaller one: the search has d(d - 1) residuals against (d - 1)(n - 1)
+    unknowns with n > d, so at most a 20 x 20 system up to d = 5.  A step is
+    kept when it lowers the cost, and lam then shrinks tenfold; otherwise lam
+    grows tenfold and the step is retried.  The loop stops on a relative cost
+    decrease below LM_FTOL, a step below LM_XTOL * |x|, a gradient below
+    LM_GTOL or an overflowing lam, and never evaluates fun more than max_nfev
+    times.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = fun(x)
+    cost, nfev, lam = 0.5 * (r @ r), 1, LM_LAMBDA0
+    identity = np.eye(r.size)
+    while nfev < max_nfev:
+        j = jac(x)
+        if np.abs(j.T @ r).max() <= LM_GTOL:
+            break
+        gram, x_tol = j @ j.T, LM_XTOL * (LM_XTOL + np.linalg.norm(x))
+        while True:
+            step = -j.T @ np.linalg.solve(gram + lam * identity, r)
+            if np.linalg.norm(step) <= x_tol:
+                return LeastSquaresResult(x, float(cost), nfev)
+            x_new = x + step
+            r_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * (r_new @ r_new)
+            if cost_new < cost:
+                break
+            lam *= 10.0
+            if nfev == max_nfev or not math.isfinite(lam):
+                return LeastSquaresResult(x, float(cost), nfev)
+        stalled = cost - cost_new <= LM_FTOL * cost
+        x, r, cost, lam = x_new, r_new, cost_new, max(lam / 10.0, LM_LAMBDA_MIN)
+        if stalled:
+            break
+    return LeastSquaresResult(x, float(cost), nfev)
+
+
+def _unpack(x: np.ndarray, d: int, n: int) -> np.ndarray:
+    """theta with its first row and first column pinned to zero (the gauge)."""
+    theta = np.zeros((d, n))
+    theta[1:, 1:] = x.reshape(d - 1, n - 1)
+    return theta
+
+
+def phase_equations(probs: np.ndarray, d: int):
+    """The search's residual r(x) and Jacobian dr/dx, x the free angles theta[1:, 1:].
+
+    r holds the real and imaginary parts of every off-diagonal constraint
+    sum_k t[i, k], pair by pair, where t[i, k] = p_k exp(i(theta[m, k] -
+    theta[m', k])) for the i-th row pair m < m'; t[i, k] moves by +i t[i, k]
+    with theta[m, k] and by -i t[i, k] with theta[m', k].
+    """
+    n = probs.size
+    upper, lower = np.triu_indices(d, 1)
+    pairs = np.arange(upper.size)
+
+    def terms(x: np.ndarray) -> np.ndarray:
+        phases = np.exp(1j * _unpack(x, d, n))
+        return (probs * phases)[upper] * phases[lower].conj()
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        return terms(x).sum(axis=1).view(float)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        t = 1j * terms(x)[:, 1:]
+        grad = np.zeros((pairs.size, d, n - 1), dtype=complex)
+        grad[pairs, upper] = t
+        grad[pairs, lower] = -t
+        grad = grad[:, 1:].reshape(pairs.size, -1)
+        return np.stack((grad.real, grad.imag), axis=1).reshape(2 * pairs.size, -1)
+
+    return residual, jacobian
 
 
 def _search_phases(
@@ -390,44 +477,11 @@ def _search_phases(
     deterministic; otherwise the best R seen is reported.
     """
     n = probs.size
-    pairs = [(m, mm) for m in range(d) for mm in range(m + 1, d)]
     n_free = (d - 1) * (n - 1)
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        theta = np.zeros((d, n))
-        theta[1:, 1:] = x.reshape(d - 1, n - 1)
-        return theta
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        theta = unpack(x)
-        phases = np.exp(1j * theta)
-        out = np.empty(2 * len(pairs))
-        for i, (m, mm) in enumerate(pairs):
-            c = np.sum(probs * phases[m] * phases[mm].conj())
-            out[2 * i] = c.real
-            out[2 * i + 1] = c.imag
-        return out
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        theta = unpack(x)
-        phases = np.exp(1j * theta)
-        jac = np.zeros((2 * len(pairs), n_free))
-        for i, (m, mm) in enumerate(pairs):
-            ph = probs * phases[m] * phases[mm].conj()
-            for a, sign in ((m, 1.0), (mm, -1.0)):
-                if a == 0:
-                    continue
-                cols = slice((a - 1) * (n - 1), a * (n - 1))
-                grad = 1j * sign * ph[1:]
-                jac[2 * i, cols] += grad.real
-                jac[2 * i + 1, cols] += grad.imag
-        return jac
+    residual, jacobian = phase_equations(probs, d)
 
     def refine(x0: np.ndarray):
-        sol = least_squares(
-            residual, x0, jac=jacobian, method="trf",
-            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_nfev,
-        )
+        sol = least_squares(residual, x0, jac=jacobian, max_nfev=max_nfev)
         return 2.0 * sol.cost, sol.x
 
     rng = np.random.default_rng(seed)
@@ -442,7 +496,7 @@ def _search_phases(
         r, x = refine(best_x)  # one polish pass from the accepted solution
         if r < best_r:
             best_r, best_x = r, x
-        return best_r, unpack(best_x)
+        return best_r, _unpack(best_x, d, n)
     return best_r, None
 
 

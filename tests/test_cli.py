@@ -197,6 +197,17 @@ class TestSimulate:
         assert doc["simulation"]["trials"] == 5
         assert doc["simulation"]["seed"] == 99
 
+    def test_negative_seed_in_problem_is_invariant_violation(self, tmp_path, capsys):
+        # numpy's default_rng raised an uncaught ValueError on a negative seed
+        path = write_problem(tmp_path, dict(GOLDEN_PROBLEM, seed=-1))
+        assert run(["simulate", path]) == 3
+        assert "field 'seed'" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_invariant_violation(self, tmp_path, capsys):
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        assert run(["simulate", path, "--seed", "-5"]) == 3
+        assert "--seed" in capsys.readouterr().err
+
     def test_input_state_reference(self, tmp_path, capsys):
         problem = dict(GOLDEN_PROBLEM)
         problem["inputState"] = [[0.6, 0.0], [0.0, 0.8]]
@@ -276,6 +287,26 @@ class TestVerify:
         out = tmp_path / "synth.json"
         assert run(["synthesize", path, "--out", str(out)]) == 0
         assert run(["verify", str(out)]) == 0
+
+    def test_negative_simulation_seed_is_parse_failure(self, tmp_path, capsys):
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["simulation"]["seed"] = -2
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "unusable 'seed'" in capsys.readouterr().err
+
+    def test_negative_problem_seed_is_invariant_violation(self, tmp_path, capsys):
+        # a synthesize report has no simulation section, so verify would
+        # re-simulate with the echoed problem's seed
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "synth.json"
+        assert run(["synthesize", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["problem"]["seed"] = -2
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 3
+        assert "field 'seed'" in capsys.readouterr().err
 
     def test_perturbed_entry_fails_orthonormality(self, tmp_path, capsys):
         out = self.emit_report(tmp_path)
@@ -515,21 +546,21 @@ codes = [
     main(["simulate", readme, "--out", "report.json"]),
     main(["verify", "report.json"]),
 ]
-before = "scipy.optimize" in sys.modules
 search = main(["synthesize", problem("search.json", {"d": 3, "spectrum": [0.3, 0.25, 0.2, 0.15, 0.1]}),
                "--out", "search-report.json"])
-print(json.dumps({"codes": codes, "before": before, "search": search,
-                  "after": "scipy.optimize" in sys.modules}))
+print(json.dumps({"codes": codes, "search": search,
+                  "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
 """
 
 
-def test_cold_start_loads_scipy_only_for_the_search(tmp_path):
-    # a fresh interpreter, so nothing imported by other tests counts
+def test_cold_start_never_loads_scipy(tmp_path):
+    # a fresh interpreter, so nothing imported by other tests counts; every
+    # subcommand, the phase search included, runs on numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(qteleport.__file__)))
     child = subprocess.run([sys.executable, "-c", COLD_START, src], cwd=tmp_path,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 5, 0, 0]
-    assert result["before"] is False, "scipy.optimize loaded before any search ran"
-    assert result["search"] == 0 and result["after"] is True
+    assert result["search"] == 0
+    assert result["scipy"] == [], "scipy modules loaded by a CLI run"

@@ -456,6 +456,117 @@ class TestPhaseMatrix:
         assert canon.constraint_residual(s) < 1e-9
 
 
+def pair_loop(x: np.ndarray, probs: np.ndarray, d: int):
+    """The search's residual and Jacobian written as a loop over row pairs: the oracle."""
+    n = probs.size
+    theta = np.zeros((d, n))
+    theta[1:, 1:] = x.reshape(d - 1, n - 1)
+    rows = np.exp(1j * theta)
+    res = np.zeros(d * (d - 1))
+    jac = np.zeros((d * (d - 1), (d - 1) * (n - 1)))
+    for i, (m, mm) in enumerate(itertools.combinations(range(d), 2)):
+        ph = probs * rows[m] * rows[mm].conj()
+        c = np.sum(ph)
+        res[2 * i], res[2 * i + 1] = c.real, c.imag
+        for a, sign in ((m, 1.0), (mm, -1.0)):
+            if a == 0:
+                continue
+            cols = slice((a - 1) * (n - 1), a * (n - 1))
+            grad = 1j * sign * ph[1:]
+            jac[2 * i, cols] += grad.real
+            jac[2 * i + 1, cols] += grad.imag
+    return res, jac
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list:
+    """Every phases.least_squares result from here on, in call order."""
+    results = []
+    inner = phases.least_squares
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(phases, "least_squares", recorded)
+    return results
+
+
+def partitionless_spectrum(rng, n: int, d: int, alpha: float, lo: float) -> SchmidtSpectrum:
+    """Dirichlet(alpha) spectrum with d * p_max in [lo, 0.95] and no equal-weight split."""
+    while True:
+        p = rng.dirichlet([alpha] * n)
+        if lo <= d * p.max() <= 0.95:
+            s = SchmidtSpectrum.from_probs(p / p.sum())
+            with pytest.raises(NoPartition):
+                find_partition(s, d)
+            return s
+
+
+class TestSearch:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_residual_and_jacobian_match_the_pair_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        for n in (d + 1, d + 4):
+            probs = rng.dirichlet([2.0] * n)
+            x = rng.uniform(0, 2 * np.pi, (d - 1) * (n - 1))
+            residual, jacobian = phases.phase_equations(probs, d)
+            jac = jacobian(x)
+            loop_res, loop_jac = pair_loop(x, probs, d)
+            np.testing.assert_allclose(residual(x), loop_res, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(jac, loop_jac, rtol=0, atol=1e-15)
+            h = 1e-6
+            central = np.column_stack(
+                [(residual(x + h * e) - residual(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+            )
+            np.testing.assert_allclose(jac, central, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_least_squares_keeps_to_max_nfev(self, budget):
+        # a spectrum with no phase factors never converges, so only the budget stops it
+        residual, jacobian = phases.phase_equations(np.array(EXHAUSTED[0]), 3)
+        evaluated = []
+
+        def fun(x):
+            evaluated.append(x.copy())
+            return residual(x)
+
+        x0 = np.random.default_rng(3).uniform(0, 2 * np.pi, 6)
+        result = phases.least_squares(fun, x0, jac=jacobian, max_nfev=budget)
+        assert result.nfev == len(evaluated) == budget
+        r = residual(result.x)
+        assert result.cost == 0.5 * (r @ r)
+        assert any(np.array_equal(result.x, x) for x in evaluated)
+
+    def test_partitionless_grid_solved_on_the_first_start(self, searches):
+        rng = np.random.default_rng(2027)
+        for d, sizes, alpha, lo in ((3, (5, 6, 8, 10), 4.0, 0.0), (4, (6, 8, 10, 12), 4.0, 0.0),
+                                    (5, (6, 8, 10), 30.0, 0.9)):
+            for n in sizes:
+                for _ in range(3):
+                    s = partitionless_spectrum(rng, n, d, alpha, lo)
+                    searches.clear()
+                    best_r, theta = phases._search_phases(
+                        s.as_array(), d, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
+                    )
+                    assert theta is not None and len(searches) == 2  # first start, then the polish
+                    assert best_r < phases.SEARCH_R_TOL
+                    assert phases.constraint_residual(s.as_array(), theta) < phases.RESIDUAL_TOL
+
+    def test_exhausted_search_reports_its_best_residual(self, searches):
+        for p in EXHAUSTED:
+            probs = np.array(p)
+            residual, _ = phases.phase_equations(probs, 3)
+            searches.clear()
+            best_r, theta = phases._search_phases(probs, 3, 4, DEFAULT_MAX_NFEV, phases._SEARCH_SEED)
+            assert theta is None and len(searches) == 4
+            assert best_r == min(2 * result.cost for result in searches)
+            for result in searches:
+                r = residual(result.x)
+                assert 2 * result.cost == r @ r
+            assert 1e-3 < math.sqrt(best_r) < 1
+
+
 def search_outcome(spectrum: SchmidtSpectrum):
     """solve_general's own 64-restart search, run directly: (best R, theta or None)."""
     return phases._search_phases(
