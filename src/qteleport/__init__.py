@@ -58,6 +58,7 @@ from .protocol import (
     bob_unitaries,
     correction_columns,
     measurement_basis,
+    outcome_grams,
     synthesize_auto,
     synthesize_d2,
     synthesize_general,

@@ -21,6 +21,7 @@ invariant violation, 4 infeasible spectrum, 5 phase factors not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -33,8 +34,8 @@ from . import __version__, reportio
 from .bounds import build_bounds_report, concentration_bounds, entanglement_of_teleportation, schmidt_entanglement
 from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
 from .linalg import basis_state, is_normalized
-# solve_general, synthesize_d2, synthesize_general and bob_unitaries are unused
-# here but stay importable: bench/tracing.py wraps them by these names.
+# solve_general and bob_unitaries are unused here but stay importable:
+# bench/tracing.py wraps them by these names.
 from .phases import PhaseMatrix, solve_general  # noqa: F401
 from .protocol import (  # noqa: F401
     CONDITION_TOL,
@@ -294,8 +295,8 @@ def cmd_simulate(args) -> int:
             "maxProbabilityDeviation": sweep.max_probability_deviation,
             "totalProbabilityDeviation": sweep.total_probability_deviation,
             "maxResidualSchmidt": sweep.max_residual_schmidt,
-            "outcomeProbabilities": [r.probability for r in reference.outcomes],
-            "residualSchmidtNumbers": [r.residual_schmidt for r in reference.outcomes],
+            "outcomeProbabilities": reference.probabilities.tolist(),
+            "residualSchmidtNumbers": list(reference.residual_schmidts),
         },
         "tolerances": dict(TOLERANCES),
     }
@@ -337,6 +338,51 @@ def cmd_concentrate(args) -> int:
     return EXIT_OK
 
 
+def _finite_array(items, shape: tuple, what: str, entries: str) -> np.ndarray:
+    """A report's nested lists as a float array of the given shape; anything
+    ragged, non-numeric, boolean or non-finite is a parse failure."""
+    try:
+        array = np.asarray(items)  # a ragged list raises ValueError
+    except ValueError as err:
+        raise ParseFailure(f"{what} is malformed: {err}")
+    if array.shape != shape:
+        raise ParseFailure(f"{what} has shape {array.shape}, expected {shape}")
+    # strings, nulls and integers past int64 give a non-numeric dtype (dtype=float
+    # would accept "1.0"); numpy reads a boolean among numbers as 0.0 or 1.0
+    for _ in range(len(shape) - 1):
+        items = itertools.chain.from_iterable(items)
+    if array.dtype.kind not in "iuf" or bool in map(type, items):
+        raise ParseFailure(f"{what} is malformed: entries must be {entries}")
+    array = array.astype(float)
+    if not np.isfinite(array).all():
+        raise ParseFailure(f"{what} holds non-finite entries")
+    return array
+
+
+def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> ProtocolTable:
+    """Rebuild an elided table (V null) from the report's theta and construction."""
+    construction = doc["table"].get("construction")
+    phases_doc = doc.get("phases")
+    theta = phases_doc.get("theta") if isinstance(phases_doc, dict) else None
+    if theta is None:
+        raise ParseFailure(
+            "report table holds no coefficients (section 'table', field 'V') "
+            "and no phases to rebuild them from (section 'phases', field 'theta')"
+        )
+    if construction not in (Construction.GENERAL_FORMULA.value, Construction.D2_FORMULA.value):
+        raise ParseFailure(f"report table construction {construction!r} cannot be rebuilt from theta")
+    angles = _finite_array(theta, (d, spectrum.n), "report phases", "angles")
+    try:
+        phases = PhaseMatrix(angles)
+    except ValueError as err:
+        raise ParseFailure(f"report phases are malformed: {err}")
+    if construction == Construction.D2_FORMULA.value:
+        if d != 2:
+            raise ParseFailure("report table construction D2Formula requires d = 2")
+        return synthesize_d2(spectrum, phases)
+    return synthesize_general(spectrum, d, phases)
+
+
 def _verify_report_doc(doc) -> list[str]:
     """All violated invariants of a report document, empty when it verifies."""
     if not isinstance(doc, dict):
@@ -346,29 +392,23 @@ def _verify_report_doc(doc) -> list[str]:
             raise ParseFailure(f"report is missing section '{key}'")
     problem = parse_problem_doc(doc["problem"])
     table_doc = doc["table"]
-    if not isinstance(table_doc, dict) or table_doc.get("V") is None:
-        raise ParseFailure("report table holds no coefficients (section 'table', field 'V')")
+    if not isinstance(table_doc, dict):
+        raise ParseFailure("report section 'table' must be an object")
     try:
         d, n = int(table_doc["d"]), int(table_doc["n"])
-        pairs = np.asarray(table_doc["V"])  # a ragged table raises ValueError
     except (KeyError, TypeError, ValueError) as err:
         raise ParseFailure(f"report table is malformed: {err}")
-    if pairs.shape != (d * n, d, n, 2):
-        raise ParseFailure(
-            f"report table has shape {pairs.shape}, expected ({d * n}, {d}, {n}, 2)"
-        )
-    # strings, nulls and integers past int64 give a non-numeric dtype (dtype=float
-    # would accept "1.0"); numpy reads a boolean among numbers as 0.0 or 1.0
-    entries = table_doc["V"]
-    for _ in range(3):
-        entries = itertools.chain.from_iterable(entries)
-    if pairs.dtype.kind not in "iuf" or bool in map(type, entries):
-        raise ParseFailure("report table is malformed: entries must be [re, im] pairs of numbers")
-    coeffs = pairs.astype(float).view(complex)[..., 0]
-    if not np.isfinite(coeffs).all():
-        raise ParseFailure("report table holds non-finite coefficients")
     if problem.spectrum.n != n or problem.d != d:
         raise ParseFailure("report table dimensions disagree with the echoed problem")
+    if table_doc.get("V") is None:
+        table = _table_from_phases(doc, problem.spectrum, d)
+    else:
+        pairs = _finite_array(
+            table_doc["V"], (d * n, d, n, 2), "report table", "[re, im] pairs of numbers"
+        )
+        table = ProtocolTable(
+            d=d, n=n, V=pairs.view(complex)[..., 0], construction=Construction.EXPLICIT
+        )
 
     tolerances = dict(TOLERANCES)
     recorded = doc.get("tolerances")
@@ -383,7 +423,6 @@ def _verify_report_doc(doc) -> list[str]:
                     )
                 tolerances[key] = float(value)
 
-    table = ProtocolTable(d=d, n=n, V=coeffs, construction=Construction.EXPLICIT)
     conditions = verify_conditions(table, problem.spectrum)
     violations = []
     if conditions.orthonormality_residual > tolerances["orthonormality"]:
@@ -439,7 +478,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qteleport",
         description="Faithful qudit teleportation through partially entangled resources.",

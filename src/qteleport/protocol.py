@@ -108,6 +108,11 @@ class ConditionReport:
         return self.orthonormality_residual <= tol and self.unitarity_residual <= tol
 
 
+def _roots_of_unity(count: int) -> np.ndarray:
+    """exp(2 pi i r / count) for r = 0 .. count-1, every argument below 2 pi."""
+    return np.exp(1j * (TWO_PI / count) * np.arange(count))
+
+
 def synthesize_general(
     spectrum: SchmidtSpectrum, d: int, phases: PhaseMatrix
 ) -> ProtocolTable:
@@ -122,12 +127,13 @@ def synthesize_general(
     if phases.theta.shape != (d, n):
         raise ValueError(f"phase matrix shape {phases.theta.shape} does not match ({d}, {n})")
     s = n * d
-    j = np.arange(1, s + 1, dtype=float)[:, None, None]
-    m = np.arange(1, d + 1, dtype=float)[None, :, None]
-    k = np.arange(1, n + 1, dtype=float)[None, None, :]
+    # j (m/s + k/n) = (j m + j k d)/s: exact integer indices into the s-th roots of unity
+    j = np.arange(1, s + 1)[:, None, None]
+    m = np.arange(1, d + 1)[None, :, None]
+    k = np.arange(1, n + 1)[None, None, :]
     coeffs = (
         np.exp(1j * phases.theta)[None, :, :]
-        * np.exp(1j * j * (TWO_PI * m / s + TWO_PI * k / n))
+        * _roots_of_unity(s)[(j * m + j * k * d) % s]
         / np.sqrt(s)
     )
     return ProtocolTable(d=d, n=n, V=coeffs, construction=Construction.GENERAL_FORMULA)
@@ -148,9 +154,9 @@ def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTab
         raise ValueError(f"phase matrix shape {thetas.theta.shape} does not match (2, {n})")
     theta = thetas.row_differences()
     s = 2 * n
-    j = np.arange(1, s + 1, dtype=float)[:, None]
-    k = np.arange(1, n + 1, dtype=float)[None, :]
-    e = np.exp(2j * np.pi * j * k / n)  # (s, n)
+    j = np.arange(1, s + 1)[:, None]
+    k = np.arange(1, n + 1)[None, :]
+    e = _roots_of_unity(n)[(j * k) % n]  # (s, n)
     coeffs = np.empty((s, 2, n), dtype=complex)
     coeffs[:n, 0, :] = e[:n]
     coeffs[:n, 1, :] = e[:n] * np.exp(1j * theta)[None, :]
@@ -192,18 +198,25 @@ def measurement_basis(table: ProtocolTable) -> MeasurementBasis:
     return MeasurementBasis(states=table.V.reshape(table.s, table.d * table.n))
 
 
-def correction_columns(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
-    """Bob's d defined correction columns per outcome, shape (s, n, d): column m
-    of u_j is sqrt(s) * conj(V[j, m, :]) * sqrt(p).  Raises DegenerateColumns when
-    they deviate from orthonormality by more than COLUMN_TOL, as for a table that
-    violates the unitarity condition for this spectrum."""
+def outcome_grams(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
+    """Gram matrices G_j = D_j^dagger D_j of Bob's defined columns, shape (s, d, d).
+
+    G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p), one batched matmul.  The
+    unitarity condition says G_j = I; for an input psi the outcome probability
+    is psi^dagger G_j psi / s and the fidelity |M_j|^4 psi^dagger G_j psi.
+    """
     if spectrum.n != table.n:
         raise ValueError(f"spectrum length {spectrum.n} does not match table n={table.n}")
-    s, d = table.s, table.d
-    sqrt_p = np.sqrt(spectrum.as_array())
-    defined = np.sqrt(s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
-    gram = defined.conj().transpose(0, 2, 1) @ defined
-    defects = np.abs(gram - np.eye(d)).max(axis=(1, 2))
+    weighted = table.V * np.sqrt(table.s * spectrum.as_array())
+    return weighted @ weighted.conj().transpose(0, 2, 1)
+
+
+def checked_grams(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
+    """`outcome_grams`, raising DegenerateColumns when some G_j deviates from the
+    identity by more than COLUMN_TOL, as for a table that violates the unitarity
+    condition for this spectrum."""
+    grams = outcome_grams(table, spectrum)
+    defects = np.abs(grams - np.eye(table.d)).max(axis=(1, 2))
     failing = np.flatnonzero(defects > COLUMN_TOL)
     if failing.size:
         j = int(failing[0])
@@ -211,7 +224,16 @@ def correction_columns(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.nd
             f"outcome {j + 1}: defined correction columns deviate from "
             f"orthonormality by {defects[j]:.3e}"
         )
-    return defined
+    return grams
+
+
+def correction_columns(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
+    """Bob's d defined correction columns per outcome, shape (s, n, d): column m
+    of u_j is sqrt(s) * conj(V[j, m, :]) * sqrt(p).  Raises DegenerateColumns as
+    `checked_grams` does."""
+    checked_grams(table, spectrum)
+    sqrt_p = np.sqrt(spectrum.as_array())
+    return np.sqrt(table.s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
 
 
 def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitarySet:
@@ -226,9 +248,9 @@ def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitary
 def verify_conditions(table: ProtocolTable, spectrum: SchmidtSpectrum) -> ConditionReport:
     """Worst-case residuals of the two defining conditions; reports, never raises."""
     s, d, n = table.s, table.d, table.n
+    unit = float(np.abs(outcome_grams(table, spectrum) - np.eye(d)).max())
     flat = table.V.reshape(s, d * n)
     gram = flat.conj() @ flat.T
-    ortho = float(np.abs(gram - np.eye(s)).max())
-    weighted = np.einsum("jmk,jlk,k->jml", table.V, table.V.conj(), s * spectrum.as_array())
-    unit = float(np.abs(weighted - np.eye(d)[None, :, :]).max())
+    gram[np.diag_indices(s)] -= 1.0  # in place: no second s x s array
+    ortho = float(np.abs(gram).max())
     return ConditionReport(orthonormality_residual=ortho, unitarity_residual=unit)

@@ -10,13 +10,18 @@ For every outcome j the run follows the algebra of the protocol:
   4. Bob's correction gives |c_j> = u_j^dagger |o_j>, and the fidelity is the
      squared overlap of |M_j> (x) |c_j> / sqrt(p_j) with |M_j> (x) |psi>.
      As o_j = D_j psi / sqrt(s) for the d defined columns D_j of u_j, c_j is
-     D_j^dagger o_j followed by zeros: the rest of u_j is never built.
+     G_j psi / sqrt(s) followed by zeros, with G_j = D_j^dagger D_j
+     (`protocol.outcome_grams`): the rest of u_j is never built.
 
-One kernel computes all outcomes of T inputs from O(T*s*d*n) numbers; the full
-d*n^2 branch states are built only on demand (`OutcomeRecord.post_state`,
-`OutcomeRecord.corrected_state`).  Every outcome is enumerated (no sampling),
-so a fidelity-1 report is an exact certificate at machine precision rather
-than a statistical statement.
+The d x d Gram G_j is all a random input needs: p_j = psi^dagger G_j psi / s
+and the fidelity is |M_j|^4 psi^dagger G_j psi.  So `random_input_sweep`
+certifies T inputs as quadratic forms in O(T*s*d^2), one GEMM per block of
+trials.  `run_protocol` stays the full branch simulation of one input: the
+overlaps come from V in O(s*d*n), the `SimulationTrace` holds them as arrays,
+its `OutcomeRecord`s are built on first access, and the d*n^2 branch states
+only on demand (`OutcomeRecord.post_state`, `OutcomeRecord.corrected_state`).
+Every outcome is enumerated (no sampling), so a fidelity-1 report is an exact
+certificate at machine precision rather than a statistical statement.
 
 Residual entanglement is quantified by the Schmidt number n_s of the
 corrected state across the (1,2)|(3) cut; the amount left is log2(n_s) bits,
@@ -35,6 +40,7 @@ package reports n_s and +log2(n_s).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +53,8 @@ from .linalg import RANK_TOL, BipartiteShape, as_state, is_normalized, schmidt_n
 from .protocol import ProtocolTable
 from .spectrum import SchmidtSpectrum
 
-SWEEP_BLOCK_BYTES = 1 << 20  # overlaps one sweep block may hold, so memory stays flat in trials
+SWEEP_BLOCK_BYTES = 1 << 16  # quadratic forms per sweep block: memory stays flat in trials,
+# and each block array stays below malloc's default 128 KiB mmap threshold
 
 
 @dataclass(frozen=True)
@@ -77,18 +84,43 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """All outcome branches of one protocol run."""
+    """All outcome branches of one protocol run, held as arrays over outcomes j."""
 
     d: int
     n: int
-    outcomes: tuple[OutcomeRecord, ...]
-    total_probability: float
-    min_fidelity: float
+    probabilities: np.ndarray       # (s,) squared norms of the projected branches
+    fidelities: np.ndarray          # (s,)
+    measurement_states: np.ndarray  # (s, d*n) |M_j>, flat over (1, 2)
+    overlaps: np.ndarray            # (s, Bob's dim) projected branch factors, unnormalized
+    corrections: np.ndarray         # (s, Bob's dim) u_j^dagger applied to the overlaps
+    residual_schmidts: tuple[int, ...]
     classical_bits: float           # log2 of the number of outcomes
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([rec.probability for rec in self.outcomes])
+    def total_probability(self) -> float:
+        return float(self.probabilities.sum())
+
+    @property
+    def min_fidelity(self) -> float:
+        return float(self.fidelities.min())
+
+    @functools.cached_property
+    def outcomes(self) -> tuple[OutcomeRecord, ...]:
+        """One record per outcome, built on first access."""
+        return tuple(
+            OutcomeRecord(
+                j=j + 1,
+                probability=float(self.probabilities[j]),
+                measurement_state=self.measurement_states[j],
+                overlap=self.overlaps[j],
+                correction=self.corrections[j],
+                fidelity=float(self.fidelities[j]),
+                residual_schmidt=self.residual_schmidts[j],
+                d=self.d,
+                n=self.n,
+            )
+            for j in range(self.probabilities.size)
+        )
 
 
 def as_input_qudit(amps, d: int | None = None) -> np.ndarray:
@@ -119,27 +151,10 @@ def residual_schmidt(record: OutcomeRecord) -> int:
     return schmidt_number(record.corrected_state, shape, rank_tol=RANK_TOL)
 
 
-def _table_operands(spectrum: SchmidtSpectrum, table: ProtocolTable):
-    """What `_branches` reads of the table, built once per run or sweep:
-    sqrt(p) (n,), Bob's defined columns (s, n, d) and |M_j|^2 (s,)."""
+def _fidelity_weights(table: ProtocolTable) -> np.ndarray:
+    """|M_j|^4 (s,): the fidelity keeps it so off-normal tables are judged as such."""
     states = table.V.reshape(table.s, -1)
-    state_norms = np.einsum("jx,jx->j", states.conj(), states).real
-    columns = _protocol.correction_columns(table, spectrum)
-    return np.sqrt(spectrum.as_array()), columns, state_norms
-
-
-def _branches(psis: np.ndarray, table: ProtocolTable, operands):
-    """Overlaps (T, s, n), probabilities (T, s), the first d entries of each
-    correction (T, s, d) and fidelities (T, s) of T inputs psis (T, d)."""
-    sqrt_p, columns, state_norms = operands
-    # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
-    overlaps = np.einsum("jml,tm->tjl", table.V, psis.conj()).conj() * sqrt_p
-    probabilities = np.einsum("tjl,tjl->tj", overlaps.conj(), overlaps).real
-    corrections = np.einsum("jlm,tjl->tjm", columns, overlaps.conj()).conj()
-    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
-    overlap_with_input = np.einsum("tjm,tm->tj", corrections, psis.conj())
-    fidelities = state_norms**2 * np.abs(overlap_with_input) ** 2 / probabilities
-    return overlaps, probabilities, corrections, fidelities
+    return np.einsum("jx,jx->j", states.conj(), states).real ** 2
 
 
 def run_protocol(psi, spectrum: SchmidtSpectrum, table: ProtocolTable) -> SimulationTrace:
@@ -148,33 +163,26 @@ def run_protocol(psi, spectrum: SchmidtSpectrum, table: ProtocolTable) -> Simula
     psi = as_input_qudit(psi, d)
     if spectrum.n != n:
         raise DimensionMismatch(f"spectrum length {spectrum.n} != table n = {n}")
-    branches = _branches(psi[None, :], table, _table_operands(spectrum, table))
-    overlaps, probabilities, defined, fidelities = (out[0] for out in branches)
-    # o_j lies in the span of the defined columns and the QR completion of u_j
-    # is orthogonal to that span, so u_j^dagger o_j is zero past entry d
-    corrections = np.pad(defined, ((0, 0), (0, n - d)))
-    states = _protocol.measurement_basis(table).states
-
-    records = tuple(
-        OutcomeRecord(
-            j=j + 1,
-            probability=float(probabilities[j]),
-            measurement_state=states[j],
-            overlap=overlaps[j],
-            correction=corrections[j],
-            fidelity=float(fidelities[j]),
-            residual_schmidt=1,  # |M_j> (x) |c_j> is a product state
-            d=d,
-            n=n,
-        )
-        for j in range(s)
-    )
+    grams = _protocol.checked_grams(table, spectrum)
+    # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
+    overlaps = np.einsum("jml,m->jl", table.V, psi.conj()).conj() * np.sqrt(spectrum.as_array())
+    probabilities = np.einsum("jl,jl->j", overlaps.conj(), overlaps).real
+    # u_j^dagger o_j = D_j^dagger D_j psi / sqrt(s): o_j lies in the span of the
+    # defined columns D_j and the QR completion of u_j is orthogonal to that span,
+    # so the correction is zero past entry d
+    corrections = np.zeros((s, n), dtype=complex)
+    corrections[:, :d] = grams @ psi / math.sqrt(s)
+    overlap_with_input = corrections[:, :d] @ psi.conj()
+    fidelities = _fidelity_weights(table) * np.abs(overlap_with_input) ** 2 / probabilities
     return SimulationTrace(
         d=d,
         n=n,
-        outcomes=records,
-        total_probability=float(sum(rec.probability for rec in records)),
-        min_fidelity=float(min(rec.fidelity for rec in records)),
+        probabilities=probabilities,
+        fidelities=fidelities,
+        measurement_states=table.V.reshape(s, d * n),  # a view: the layout of `measurement_basis`
+        overlaps=overlaps,
+        corrections=corrections,
+        residual_schmidts=(1,) * s,  # |M_j> (x) |c_j> is a product state
         classical_bits=math.log2(s),
     )
 
@@ -213,14 +221,20 @@ def random_input_sweep(
         raise ValueError("trials must be at least 1")
     if table is None:
         _, table = _protocol.synthesize_auto(spectrum, d)
-    operands = _table_operands(spectrum, table)
-    block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s * table.n))  # complex128 overlaps
+    grams = _protocol.checked_grams(table, spectrum)
+    weights = _fidelity_weights(table)
+    block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s))  # complex128 quadratic forms
 
     rng = np.random.default_rng(seed)
     min_fid, max_fid_dev, max_prob_dev, max_total_dev = 1.0, 0.0, 0.0, 0.0
     for start in range(0, trials, block):
         psis = np.array([haar_random_state(d, rng) for _ in range(min(block, trials - start))])
-        _, probabilities, _, fidelities = _branches(psis, table, operands)
+        # q[t, j] = psi_t^dagger G_j psi_t, one GEMM of the (T, d^2) outer products
+        # against the (s, d^2) Grams; then p = q / s and fidelity = |M_j|^4 q
+        outer = (psis.conj()[:, :, None] * psis[:, None, :]).reshape(len(psis), -1)
+        quadratic = (outer @ grams.reshape(table.s, -1).T).real
+        probabilities = quadratic / table.s
+        fidelities = weights * quadratic
         min_fid = min(min_fid, float(fidelities.min()))
         max_fid_dev = max(max_fid_dev, float(np.abs(fidelities - 1.0).max()))
         max_prob_dev = max(max_prob_dev, float(np.abs(probabilities - 1.0 / table.s).max()))
@@ -259,13 +273,11 @@ def one_pair_double_bell_trace(psi) -> SimulationTrace:
 
     idle = resource_state(pair).reshape(2, 2)  # (a2, b2)
 
-    def with_idle(bob: np.ndarray) -> np.ndarray:  # flat over (a2, b1, b2)
-        return np.einsum("ac,b->abc", idle, bob).reshape(-1)
+    def with_idle(bob: np.ndarray) -> np.ndarray:  # (s, b1) -> (s, a2 b1 b2)
+        return np.einsum("ac,jb->jabc", idle, bob).reshape(len(bob), -1)
 
-    records = []
-    for rec in single.outcomes:
-        rec = dataclasses.replace(
-            rec, overlap=with_idle(rec.overlap), correction=with_idle(rec.correction), n=4
-        )
-        records.append(dataclasses.replace(rec, residual_schmidt=residual_schmidt(rec)))
-    return dataclasses.replace(single, n=4, outcomes=tuple(records))
+    trace = dataclasses.replace(
+        single, n=4, overlaps=with_idle(single.overlaps), corrections=with_idle(single.corrections)
+    )
+    measured = tuple(residual_schmidt(rec) for rec in trace.outcomes)
+    return dataclasses.replace(trace, residual_schmidts=measured)

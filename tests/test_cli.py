@@ -271,6 +271,57 @@ class TestTableElision:
         assert len(doc["table"]["V"]) == 66
 
 
+    ELIDED_CASES = [  # s = 66 > 64 outcomes
+        ({"d": 2, "spectrum": ["1/33"] * 33, "trials": 4}, "simulate", "D2Formula"),
+        ({"d": 3, "spectrum": ["1/22"] * 22}, "synthesize", "GeneralFormula"),
+    ]
+
+    @pytest.mark.parametrize("problem,command,construction", ELIDED_CASES)
+    def test_elided_reports_reverify_from_theta(self, tmp_path, problem, command, construction):
+        path = write_problem(tmp_path, problem)
+        out = tmp_path / "report.json"
+        assert run([command, path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        assert doc["table"]["V"] is None
+        assert doc["table"]["construction"] == construction
+        assert run(["verify", str(out)]) == 0
+
+        full = tmp_path / "full.json"
+        assert run([command, path, "--emit-table", "--out", str(full)]) == 0
+        emitted = np.array(reportio.loads(full.read_text(encoding="utf-8"))["table"]["V"])
+        spectrum = cli.parse_problem_doc(doc["problem"]).spectrum
+        rebuilt = cli._table_from_phases(doc, spectrum, doc["table"]["d"])
+        np.testing.assert_array_equal(rebuilt.V, emitted[..., 0] + 1j * emitted[..., 1])
+
+    def elided_report(self, tmp_path):
+        path = write_problem(tmp_path, self.ELIDED_CASES[0][0])
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        return out, reportio.loads(out.read_text(encoding="utf-8"))
+
+    def test_tampered_theta_fails_verification(self, tmp_path, capsys):
+        out, doc = self.elided_report(tmp_path)
+        doc["phases"]["theta"][1][0] = (doc["phases"]["theta"][1][0] + 0.5) % (2 * math.pi)
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        assert "violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["phases"].update(theta=doc["phases"]["theta"][:1]),
+        lambda doc: doc["phases"]["theta"][0].__setitem__(0, "0.1"),
+        lambda doc: doc["phases"]["theta"][0].__setitem__(0, True),
+        lambda doc: doc["phases"]["theta"][0].__setitem__(0, 7.0),
+        lambda doc: doc["table"].update(construction="Explicit"),
+        lambda doc: doc.update(phases=None),
+    ], ids=["short", "string", "boolean", "out-of-range", "explicit", "no-phases"])
+    def test_unusable_phases_are_parse_failures(self, tmp_path, capsys, edit):
+        out, doc = self.elided_report(tmp_path)
+        edit(doc)
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestVerify:
     def emit_report(self, tmp_path):
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
@@ -398,9 +449,11 @@ class TestVerify:
         assert "malformed" in capsys.readouterr().err
 
     def test_elided_table_is_parse_failure(self, tmp_path, capsys):
+        # with no phases to rebuild it from, a null table cannot be checked
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
         doc["table"]["V"] = None
+        del doc["phases"]
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 2
         assert "table" in capsys.readouterr().err
@@ -519,6 +572,14 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        argv = ["simulate", path, "--trials", "3"]
+        first = cli.build_parser().parse_args(argv)
+        assert run(["bounds", path]) == 0
+        assert vars(cli.build_parser().parse_args(argv)) == vars(first)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

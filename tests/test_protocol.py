@@ -9,7 +9,9 @@ from qteleport.protocol import (
     Construction,
     ProtocolTable,
     bob_unitaries,
+    correction_columns,
     measurement_basis,
+    outcome_grams,
     synthesize_auto,
     synthesize_d2,
     synthesize_general,
@@ -197,6 +199,97 @@ class TestSynthesis:
             theta, table = synthesize_auto(spectrum, d, method=method)
             np.testing.assert_array_equal(theta.theta, solve_general(spectrum, d).theta)
             np.testing.assert_array_equal(table.V, build(theta).V)
+
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 32), (3, 7), (4, 32)])
+    def test_root_of_unity_indices_match_the_exponential_formula(self, d, n):
+        # the tables read exact indices into the roots of unity; the textbook
+        # formulas take exp of arguments up to ~4 pi s and agree to their rounding
+        rng = np.random.default_rng(n)
+        theta = PhaseMatrix(rng.uniform(0, 2 * np.pi, (d, n)))
+        spectrum = SchmidtSpectrum.from_rationals([f"1/{n}"] * n)
+        s = d * n
+        j = np.arange(1, s + 1, dtype=float)[:, None, None]
+        m = np.arange(1, d + 1, dtype=float)[None, :, None]
+        k = np.arange(1, n + 1, dtype=float)[None, None, :]
+        general = np.exp(1j * theta.theta) * np.exp(2j * np.pi * j * (m / s + k / n)) / np.sqrt(s)
+        got = synthesize_general(spectrum, d, theta).V
+        assert np.abs(got - general).max() < 1e-12
+        if d == 2:
+            e = np.exp(2j * np.pi * j[:, :, 0] * k[:, 0, :] / n)
+            phasor = np.exp(1j * theta.row_differences())
+            qubit = np.stack([
+                np.concatenate([e[:n], -e[n:] / phasor]),
+                np.concatenate([e[:n] * phasor, e[n:]]),
+            ], axis=1) / np.sqrt(s)
+            assert np.abs(synthesize_d2(spectrum, theta).V - qubit).max() < 1e-12
+
+    @pytest.mark.parametrize("d,n", [(2, 64), (3, 24), (4, 32)])
+    def test_uniform_tables_hold_to_a_few_ulps(self, d, n):
+        # exp of the large textbook arguments left 7e-15 .. 5e-14 here
+        spectrum = SchmidtSpectrum.from_rationals([f"1/{n}"] * n)
+        report = verify_conditions(synthesize_auto(spectrum, d)[1], spectrum)
+        assert report.orthonormality_residual < 4e-15
+        assert report.unitarity_residual < 4e-15
+
+
+def defined_columns(table, spectrum):
+    """sqrt(s) conj(V[j])^T sqrt(p), without correction_columns' check."""
+    sqrt_p = np.sqrt(spectrum.as_array())
+    return np.sqrt(table.s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
+
+
+class TestOutcomeGrams:
+    @staticmethod
+    def cases():
+        quarters = SchmidtSpectrum.from_rationals(
+            ["1/5", "1/8", "1/6", "3/16", "1/8", "1/12", "1/20", "1/16"]
+        )
+        search = SchmidtSpectrum.from_probs([0.3, 0.25, 0.2, 0.15, 0.1])
+        return [
+            (PAIR, bennett_table()),
+            (GOLDEN, golden_table()),
+            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2)[1]),
+            (quarters, synthesize_auto(quarters, 4)[1]),
+            (search, synthesize_auto(search, 3)[1]),
+        ]
+
+    @staticmethod
+    def broken(table):
+        scaled = np.array(table.V)
+        scaled[0] *= 1 + 1e-6
+        zeroed = np.array(table.V)
+        zeroed[-1, 0, 0] = 0.0
+        return [
+            ProtocolTable(d=table.d, n=table.n, V=V, construction=Construction.EXPLICIT)
+            for V in (scaled, zeroed)
+        ]
+
+    def test_equals_the_columns_gram_and_the_weighted_sum(self):
+        for spectrum, table in self.cases():
+            columns = correction_columns(table, spectrum)
+            np.testing.assert_array_equal(columns, defined_columns(table, spectrum))
+            for candidate in [table, *self.broken(table)]:
+                grams = outcome_grams(candidate, spectrum)
+                assert grams.shape == (table.s, table.d, table.d)
+                columns = defined_columns(candidate, spectrum)
+                np.testing.assert_allclose(
+                    grams, columns.conj().transpose(0, 2, 1) @ columns, rtol=0, atol=1e-15
+                )
+                weighted = np.einsum(
+                    "jmk,jlk,k->jml", candidate.V, candidate.V.conj(),
+                    table.s * spectrum.as_array(),
+                )
+                np.testing.assert_allclose(grams, weighted, rtol=0, atol=1e-15)
+
+    def test_broken_tables_raise_and_report(self):
+        for spectrum, table in self.cases():
+            for candidate in self.broken(table):
+                with pytest.raises(DegenerateColumns):
+                    correction_columns(candidate, spectrum)
+                defect = np.abs(outcome_grams(candidate, spectrum) - np.eye(table.d)).max()
+                assert verify_conditions(candidate, spectrum).unitarity_residual == defect
+                assert defect > 1e-8
 
 
 class TestMeasurementBasis:

@@ -44,9 +44,54 @@ PROTOCOL_CASES = [
     (SEARCH, 3),
 ]
 
+# uniform small shapes and the shapes of the benchmark's certify workload
+UNIFORM_SHAPES = [
+    (SchmidtSpectrum.from_rationals([f"1/{n}"] * n), d)
+    for d, n in [(2, 3), (2, 32), (3, 6), (3, 24), (4, 8), (4, 32)]
+]
+
 
 def protocol_table(spectrum, d):
     return synthesize_auto(spectrum, d)[1]
+
+
+def branches_oracle(psis, spectrum, table):
+    """Overlaps (T, s, n), probabilities (T, s), the first d entries of each
+    correction (T, s, d) and fidelities (T, s) of T inputs psis (T, d), from the
+    full overlaps and Bob's defined columns: O(T*s*d*n), no Gram matrices."""
+    sqrt_p = np.sqrt(spectrum.as_array())
+    columns = correction_columns(table, spectrum)
+    states = table.V.reshape(table.s, -1)
+    state_norms = np.einsum("jx,jx->j", states.conj(), states).real
+    overlaps = np.einsum("jml,tm->tjl", table.V, psis.conj()).conj() * sqrt_p
+    probabilities = np.einsum("tjl,tjl->tj", overlaps.conj(), overlaps).real
+    corrections = np.einsum("jlm,tjl->tjm", columns, overlaps.conj()).conj()
+    # |<M_j psi | M_j c_j>|^2 / p_j, keeping |M_j|^4 so off-normal tables are judged as such
+    overlap_with_input = np.einsum("tjm,tm->tj", corrections, psis.conj())
+    fidelities = state_norms**2 * np.abs(overlap_with_input) ** 2 / probabilities
+    return overlaps, probabilities, corrections, fidelities
+
+
+def oracle_sweep(spectrum, d, table, trials, seed):
+    """The four sweep deviations from the oracle on the sweep's seeded inputs."""
+    rng = np.random.default_rng(seed)
+    psis = np.array([haar_random_state(d, rng) for _ in range(trials)])
+    _, probs, _, fids = branches_oracle(psis, spectrum, table)
+    return (
+        min(1.0, fids.min()),
+        np.abs(fids - 1).max(),
+        np.abs(probs - 1 / table.s).max(),
+        np.abs(probs.sum(axis=1) - 1).max(),
+    )
+
+
+def sweep_fields(report):
+    return (
+        report.min_fidelity,
+        report.max_fidelity_deviation,
+        report.max_probability_deviation,
+        report.total_probability_deviation,
+    )
 
 
 def amplitude_oracle_probability(psi, spectrum, table, j):
@@ -142,17 +187,31 @@ class TestBranchAlgebra:
                 assert abs(rec.fidelity - fidelity) < 1e-12
 
     def test_conjugating_the_inputs_matches_conjugating_the_table(self, rng):
-        # conj(A) B == conj(A conj(B)) bit for bit, so the kernel conjugates the small operand
+        # conj(A) B == conj(A conj(B)) bit for bit, so the overlaps conjugate the
+        # small operand; the Gram corrections G psi / sqrt(s) match the oracle's D^H o
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
-            psis = np.array([random_state(rng, d) for _ in range(3)])
-            operands = sim._table_operands(spectrum, table)
-            overlaps, _, corrections, _ = sim._branches(psis, table, operands)
-            want = np.einsum("jml,tm->tjl", table.V.conj(), psis) * np.sqrt(spectrum.as_array())
-            columns = correction_columns(table, spectrum)
-            np.testing.assert_array_equal(overlaps, want)
-            want_corrections = np.einsum("jlm,tjl->tjm", columns.conj(), want)
-            np.testing.assert_array_equal(corrections, want_corrections)
+            psi = random_state(rng, d)
+            trace = run_protocol(psi, spectrum, table)
+            want = np.einsum("jml,m->jl", table.V.conj(), psi) * np.sqrt(spectrum.as_array())
+            np.testing.assert_array_equal(trace.overlaps, want)
+            overlaps, probs, corrections, fids = (
+                out[0] for out in branches_oracle(psi[None, :], spectrum, table)
+            )
+            np.testing.assert_allclose(trace.overlaps, overlaps, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(trace.probabilities, probs, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(trace.corrections[:, :d], corrections, rtol=0, atol=1e-14)
+            assert not trace.corrections[:, d:].any()
+            np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
+
+    def test_records_are_built_on_first_access(self, rng):
+        table = protocol_table(GOLDEN, 2)
+        trace = run_protocol(random_state(rng, 2), GOLDEN, table)
+        assert "outcomes" not in vars(trace)
+        records = trace.outcomes
+        assert trace.outcomes is records
+        assert [rec.probability for rec in records] == trace.probabilities.tolist()
+        assert trace.min_fidelity == min(rec.fidelity for rec in records)
 
 
 class TestLinearity:
@@ -196,13 +255,13 @@ class TestSweep:
     def test_blocks_agree_with_per_trial_runs(self, monkeypatch, spectrum, d):
         table = protocol_table(spectrum, d)
         # three trials per block, so 10 trials span four blocks, the last one short
-        monkeypatch.setattr(sim, "SWEEP_BLOCK_BYTES", 3 * 16 * table.s * table.n)
+        monkeypatch.setattr(sim, "SWEEP_BLOCK_BYTES", 3 * 16 * table.s)
         report = random_input_sweep(spectrum, d, trials=10, seed=5, table=table)
         rng = np.random.default_rng(5)
         traces = [
             run_protocol(haar_random_state(d, rng), spectrum, table) for _ in range(10)
         ]
-        fids = np.array([[r.fidelity for r in t.outcomes] for t in traces])
+        fids = np.array([t.fidelities for t in traces])
         probs = np.array([t.probabilities for t in traces])
         totals = np.array([t.total_probability for t in traces])
         assert abs(report.min_fidelity - min(1.0, fids.min())) < 1e-14
@@ -210,6 +269,13 @@ class TestSweep:
         assert abs(report.max_probability_deviation - np.abs(probs - 1 / table.s).max()) < 1e-14
         assert abs(report.total_probability_deviation - np.abs(totals - 1).max()) < 1e-14
         assert report.max_residual_schmidt == 1
+
+    @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES + UNIFORM_SHAPES)
+    def test_quadratic_forms_agree_with_the_oracle(self, spectrum, d):
+        table = protocol_table(spectrum, d)
+        report = random_input_sweep(spectrum, d, trials=12, seed=11, table=table)
+        want = oracle_sweep(spectrum, d, table, 12, 11)
+        np.testing.assert_allclose(sweep_fields(report), want, rtol=0, atol=1e-14)
 
     def test_memory_does_not_grow_with_trials(self):
         spectrum = SchmidtSpectrum.from_rationals(["1/32"] * 32)
