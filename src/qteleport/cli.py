@@ -216,7 +216,7 @@ def _phases_doc(theta: PhaseMatrix, spectrum: SchmidtSpectrum) -> dict:
     return {
         "d": theta.d,
         "n": theta.n,
-        "theta": theta.theta.tolist(),
+        "theta": theta.theta,
         "constraintResidual": theta.constraint_residual(spectrum),
     }
 
@@ -233,7 +233,7 @@ def _table_doc(table: ProtocolTable, spectrum: SchmidtSpectrum, emit_table: bool
         "V": None,
     }
     if emit_table or table.s <= TABLE_ELISION_THRESHOLD:
-        doc["V"] = np.stack([table.V.real, table.V.imag], axis=-1).tolist()
+        doc["V"] = table.V.view(np.float64).reshape(table.s, table.d, table.n, 2)  # [re, im] pairs
     return doc
 
 
@@ -295,7 +295,7 @@ def cmd_simulate(args) -> int:
             "maxProbabilityDeviation": sweep.max_probability_deviation,
             "totalProbabilityDeviation": sweep.total_probability_deviation,
             "maxResidualSchmidt": sweep.max_residual_schmidt,
-            "outcomeProbabilities": reference.probabilities.tolist(),
+            "outcomeProbabilities": reference.probabilities,
             "residualSchmidtNumbers": list(reference.residual_schmidts),
         },
         "tolerances": dict(TOLERANCES),
@@ -359,17 +359,24 @@ def _finite_array(items, shape: tuple, what: str, entries: str) -> np.ndarray:
     return array
 
 
-def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> ProtocolTable:
-    """Rebuild an elided table (V null) from the report's theta and construction."""
-    construction = doc["table"].get("construction")
+FORMULA_CONSTRUCTIONS = (Construction.GENERAL_FORMULA.value, Construction.D2_FORMULA.value)
+
+
+def _report_theta(doc: dict):
     phases_doc = doc.get("phases")
-    theta = phases_doc.get("theta") if isinstance(phases_doc, dict) else None
+    return phases_doc.get("theta") if isinstance(phases_doc, dict) else None
+
+
+def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> ProtocolTable:
+    """Rebuild the table from the report's theta and construction."""
+    construction = doc["table"].get("construction")
+    theta = _report_theta(doc)
     if theta is None:
         raise ParseFailure(
             "report table holds no coefficients (section 'table', field 'V') "
             "and no phases to rebuild them from (section 'phases', field 'theta')"
         )
-    if construction not in (Construction.GENERAL_FORMULA.value, Construction.D2_FORMULA.value):
+    if construction not in FORMULA_CONSTRUCTIONS:
         raise ParseFailure(f"report table construction {construction!r} cannot be rebuilt from theta")
     angles = _finite_array(theta, (d, spectrum.n), "report phases", "angles")
     try:
@@ -400,6 +407,7 @@ def _verify_report_doc(doc) -> list[str]:
         raise ParseFailure(f"report table is malformed: {err}")
     if problem.spectrum.n != n or problem.d != d:
         raise ParseFailure("report table dimensions disagree with the echoed problem")
+    violations = []
     if table_doc.get("V") is None:
         table = _table_from_phases(doc, problem.spectrum, d)
     else:
@@ -409,6 +417,15 @@ def _verify_report_doc(doc) -> list[str]:
         table = ProtocolTable(
             d=d, n=n, V=pairs.view(complex)[..., 0], construction=Construction.EXPLICIT
         )
+        if table_doc.get("construction") in FORMULA_CONSTRUCTIONS and _report_theta(doc) is not None:
+            # a formula table is its theta: the emitted V must be the one theta builds
+            rebuilt = _table_from_phases(doc, problem.spectrum, d)
+            deviation = float(np.abs(rebuilt.V - table.V).max())
+            if deviation > CONDITION_TOL:
+                violations.append(
+                    f"table V deviates from the table rebuilt from theta by {deviation:.6e} "
+                    f"(tolerance {CONDITION_TOL:.1e})"
+                )
 
     tolerances = dict(TOLERANCES)
     recorded = doc.get("tolerances")
@@ -424,7 +441,6 @@ def _verify_report_doc(doc) -> list[str]:
                 tolerances[key] = float(value)
 
     conditions = verify_conditions(table, problem.spectrum)
-    violations = []
     if conditions.orthonormality_residual > tolerances["orthonormality"]:
         violations.append(
             f"orthonormality residual {conditions.orthonormality_residual:.6e} "

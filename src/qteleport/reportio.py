@@ -3,17 +3,25 @@
 Reports are plain JSON objects with sorted keys.  Objects are laid out one
 key per line with two-space indent; a list of numbers (or of short lists of
 numbers, such as the [re, im] pairs of a table row) sits on one line, and any
-other list has one element per line.  Every scalar is written by the standard
-library's C encoder, so floats print in Python's shortest round-trip form,
-identical inputs produce byte-identical documents and
-parse(serialize(x)) == x.  Apart from whitespace, the text equals
+other list has one element per line.  Every scalar in a list or object is
+written by the standard library's C encoder, so floats print in Python's
+shortest round-trip form, identical inputs produce byte-identical documents
+and parse(serialize(x)) == x.  Apart from whitespace, the text equals
 json.dumps(x, sort_keys=True).  NaN and infinities are refused in both
 directions.
+
+An object's value may also be a float64 numpy array, such as a report's
+coefficient table.  It is written exactly as its .tolist() would be, but
+each distinct innermost element (a float of a 1-D array, a last-axis row
+such as an [re, im] pair of a deeper one) is formatted once, by
+float.__repr__, the function the C encoder calls for a float.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 from .bounds import Bits, BoundsReport, CccBound, ConcentrationBounds
 
@@ -44,6 +52,8 @@ def _key(key) -> str:
 
 
 def _encode(obj, pad: str) -> str:
+    if isinstance(obj, np.ndarray):
+        return _encode_array(obj, pad)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         body = ",".join(f"{inner}{_key(k)}: {_encode(obj[k], inner)}" for k in sorted(obj))
@@ -51,6 +61,41 @@ def _encode(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)) and obj and not _is_row(obj):
         return "[" + ",".join(inner + _encode(item, inner) for item in obj) + pad + "]"
     return _INLINE(obj)
+
+
+def _encode_array(array: np.ndarray, pad: str) -> str:
+    """The text of _encode(array.tolist(), pad), formatting each distinct
+    innermost element once; identical elements are found by their bytes, so
+    -0.0 stays apart from 0.0."""
+    if array.dtype != np.float64 or array.ndim == 0:
+        raise TypeError(f"only float64 arrays of one or more dimensions encode, not {array.dtype} "
+                        f"of shape {array.shape}")
+    if array.size == 0:  # no floats; the list path lays out the empty nests
+        return _encode(array.tolist(), pad)
+    if not np.isfinite(array).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    width = array.shape[-1] if array.ndim > 1 else 1
+    keys = np.ascontiguousarray(array).reshape(-1, width).view(f"V{8 * width}").ravel().tolist()
+    distinct = dict.fromkeys(keys)
+    values = np.frombuffer(b"".join(distinct), dtype=np.float64).tolist()
+    if array.ndim == 1:
+        texts, shape = map(float.__repr__, values), array.shape
+    else:  # one "[x, y, ...]" token per last-axis row
+        columns = [iter(values)] * width
+        texts = ("[" + ", ".join(map(float.__repr__, row)) + "]" for row in zip(*columns))
+        shape = array.shape[:-1]
+    formatted = dict(zip(distinct, texts))
+    tokens = list(map(formatted.__getitem__, keys))
+    # the tokens of the last axis of `shape` share a line (as _is_row decides);
+    # each outer axis puts one element per line, innermost first
+    size = shape[-1]
+    items = ["[" + ", ".join(tokens[i:i + size]) + "]" for i in range(0, len(tokens), size)]
+    for axis in range(len(shape) - 2, -1, -1):
+        inner, size = pad + "  " * (axis + 1), shape[axis]
+        close = pad + "  " * axis + "]"
+        items = ["[" + inner + ("," + inner).join(items[i:i + size]) + close
+                 for i in range(0, len(items), size)]
+    return items[0]
 
 
 def _reject_constant(token: str):

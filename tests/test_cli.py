@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qteleport
 from qteleport import cli, protocol, reportio
@@ -25,6 +26,18 @@ JSON_DOCS = st.recursive(
     ),
     max_leaves=40,
 )
+REPEATED_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e16, -1e16, 1e308, 0.1, 1 / 3, -0.5]
+FLOAT64_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5),
+    elements=st.sampled_from(REPEATED_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+)
+ARRAY_VIEWS = {  # non-contiguous views of the same data
+    "as-is": lambda a: a,
+    "transposed": lambda a: a.T,
+    "reversed": lambda a: a[::-1],
+    "strided": lambda a: a[..., ::2],
+}
 OUTSIDE_STRINGS_WHITESPACE = re.compile(r'("(?:[^"\\]|\\.)*")|\s+')
 
 
@@ -238,12 +251,21 @@ class TestSimulate:
         assert run(["simulate", str(path)]) == 3
 
     def test_round_trip_parse_serialize(self, tmp_path):
-        path = write_problem(tmp_path, GOLDEN_PROBLEM)
-        out = tmp_path / "report.json"
-        assert run(["simulate", path, "--out", str(out)]) == 0
-        text = out.read_text(encoding="utf-8")
-        doc = reportio.loads(text)
-        assert reportio.dumps(doc) == text
+        # reports are written from arrays; their parsed lists re-encode through
+        # the C encoder to the same bytes
+        cases = [
+            (GOLDEN_PROBLEM, ["simulate"]),
+            ({"d": 2, "spectrum": [k / 528 for k in range(1, 33)], "trials": 3},  # s = 64
+             ["simulate", "--emit-table"]),
+            ({"d": 3, "spectrum": [0.3, 0.25, 0.2, 0.15, 0.1]}, ["synthesize", "--emit-table"]),
+        ]
+        for problem, argv in cases:
+            path = write_problem(tmp_path, problem)
+            out = tmp_path / "report.json"
+            assert run([argv[0], path, *argv[1:], "--out", str(out)]) == 0
+            text = out.read_text(encoding="utf-8")
+            doc = reportio.loads(text)
+            assert reportio.dumps(doc) == text, problem
 
     def test_uniform_pair_hundred_trials(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"d": 2, "spectrum": ["1/2", "1/2"]})
@@ -431,6 +453,27 @@ class TestVerify:
         assert run(["verify", str(out)]) == 2
         assert "pairs of numbers" in capsys.readouterr().err
 
+    def test_table_disagreeing_with_theta_is_a_violation(self, tmp_path, capsys):
+        # a V that theta does not build verified as long as V alone passed
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["phases"]["theta"][1][0] = (doc["phases"]["theta"][1][0] + 0.5) % (2 * math.pi)
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        assert "rebuilt from theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["table"].update(construction="Explicit"),
+        lambda doc: doc.pop("phases"),
+    ], ids=["explicit", "no-phases"])
+    def test_table_without_formula_theta_is_checked_alone(self, tmp_path, capsys, edit):
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["phases"]["theta"][1][0] = (doc["phases"]["theta"][1][0] + 0.5) % (2 * math.pi)
+        edit(doc)
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 0
+
     def test_simulate_and_verify_build_no_full_unitaries(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("full correction unitaries built")
@@ -565,6 +608,33 @@ class TestReportEncoding:
     def test_non_finite_float_inside_a_row_raises_value_error(self, value):
         with pytest.raises(ValueError):
             reportio.dumps({"x": [[1.0, value]]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(FLOAT64_ARRAYS, st.sampled_from(sorted(ARRAY_VIEWS)))
+    def test_array_encodes_as_its_list(self, array, view):
+        array = ARRAY_VIEWS[view](array)
+        assert reportio.dumps({"x": array}) == reportio.dumps({"x": array.tolist()})
+
+    def test_repeated_array_rows_encode_as_their_list(self):
+        pairs = np.array([[0.5, -0.0], [0.0, 0.5], [0.5, 0.0], [-0.0, 0.5]])
+        table = pairs[np.arange(6 * 2 * 3 * 3) % 4].reshape(6, 2, 3, 3, 2)[:, :, ::2]
+        assert reportio.dumps({"V": table}) == reportio.dumps({"V": table.tolist()})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1, 1, 2)])
+    def test_non_finite_float_inside_an_array_raises_value_error(self, value, shape):
+        array = np.ones(shape)
+        array.flat[-1] = value
+        with pytest.raises(ValueError):
+            reportio.dumps({"x": array})
+
+    @pytest.mark.parametrize("array", [
+        np.arange(4), np.array([True, False]), np.array([1j, 2.0]),
+        np.ones(3, dtype=np.float32), np.array(1.5),
+    ], ids=["int", "bool", "complex", "float32", "zero-dim"])
+    def test_unsupported_array_raises_type_error(self, array):
+        with pytest.raises(TypeError):
+            reportio.dumps({"x": array})
 
 
 class TestParser:
