@@ -56,7 +56,7 @@ print("=" * 60)
 s = SchmidtSpectrum.from_rationals(["1/3", "1/3", "1/6", "1/6"])
 part = find_partition(s, 3)
 print("  p = (1/3, 1/3, 1/6, 1/6), d = 3  ->  labels", part.assignment)
-theta = phases_from_partition(part, 3, 4)
+theta = phases_from_partition(part)
 print("  phase rows (degrees):")
 for row in np.degrees(theta.theta):
     print("   ", np.round(row, 3))

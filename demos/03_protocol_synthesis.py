@@ -34,18 +34,18 @@ table = synthesize_d2(pair, solve_d2(pair))
 print("coefficients x 2 (rows j, columns (m,k)):")
 print(np.round(table.V.reshape(4, 4).real * 2, 3))
 
-report = verify_conditions(table, pair)
+report = verify_conditions(table)
 print(f"orthonormality residual: {report.orthonormality_residual:.2e}")
 print(f"unitarity residual:      {report.unitarity_residual:.2e}")
 
 change = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 print("\nmeasurement states after rotating system 1 (rows; , = basis 11,12,21,22):")
-for j, state in enumerate(measurement_basis(table).states, start=1):
+for j, state in enumerate(measurement_basis(table), start=1):
     rotated = np.kron(change.conj().T, np.eye(2)) @ state
     print(f"  j={j}:", np.round(rotated.real * np.sqrt(2), 3))
 print("-> the Bell basis, up to signs")
 
-columns = correction_columns(table, pair)  # n = d: the columns are the whole 2x2 correction
+columns = correction_columns(table)  # n = d: the columns are the whole 2x2 correction
 print("\ncorrections are sqrt(2) * V:",
       all(np.abs(columns[j].conj().T - np.sqrt(2) * table.V[j]).max() < 1e-12
           for j in range(4)))
@@ -57,17 +57,14 @@ print("\nThree-term resource: six outcomes, corrections completed to 3x3")
 print("=" * 60)
 golden = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
 table6 = synthesize_d2(golden, solve_d2(golden))
-report6 = verify_conditions(table6, golden)
+report6 = verify_conditions(table6)
 print(f"s = {table6.s} outcomes; residuals "
       f"({report6.orthonormality_residual:.2e}, {report6.unitarity_residual:.2e})")
 
-columns6 = correction_columns(table6, golden)
+columns6 = correction_columns(table6)
 pinned = max(np.abs(c.conj().T @ c - np.eye(2)).max() for c in columns6)
 print(f"the table pins 2 orthonormal columns of each 3x3 correction, to {pinned:.2e}")
-ubob6 = bob_unitaries(table6, golden)
-worst = max(
-    np.abs(u.conj().T @ u - np.eye(3)).max() for u in ubob6.unitaries
-)
+worst = max(np.abs(u.conj().T @ u - np.eye(3)).max() for u in bob_unitaries(table6))
 print(f"the reference completion makes all 6 corrections unitary to {worst:.2e}")
 print("(the third column is completed deterministically against the first two;")
 print(" it never touches the teleported state, so the simulator skips it)")
@@ -80,8 +77,8 @@ print("=" * 60)
 from qteleport import solve_general
 
 qutrit = SchmidtSpectrum.from_rationals(["1/3", "1/3", "1/3"])
-table9 = synthesize_general(qutrit, 3, solve_general(qutrit, 3))
-report9 = verify_conditions(table9, qutrit)
+table9 = synthesize_general(qutrit, solve_general(qutrit, 3))
+report9 = verify_conditions(table9)
 print(f"s = {table9.s}; residuals "
       f"({report9.orthonormality_residual:.2e}, {report9.unitarity_residual:.2e})")
 print(f"|V| flat at 1/3: max deviation "

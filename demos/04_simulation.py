@@ -37,7 +37,7 @@ golden = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
 table = synthesize_d2(golden, solve_d2(golden))
 
 psi = haar_random_state(2, rng)
-trace = run_protocol(psi, golden, table)
+trace = run_protocol(psi, table)
 print(f"input amplitudes: {np.round(psi, 4)}")
 print(f"{'j':>3} {'probability':>14} {'fidelity':>20} {'residual rank':>14}")
 for rec in trace.outcomes:
@@ -50,7 +50,7 @@ print(f"classical bits sent: log2({table.s}) = {trace.classical_bits:.6f}")
 # ---------------------------------------------------------------------------
 print("\nCertifying 200 Haar-random inputs")
 print("=" * 70)
-sweep = random_input_sweep(golden, 2, trials=200, seed=424242)
+sweep = random_input_sweep(table, trials=200, seed=424242)
 print(f"min fidelity:              {sweep.min_fidelity!r}")
 print(f"max |fidelity - 1|:        {sweep.max_fidelity_deviation:.2e}")
 print(f"max |probability - 1/6|:   {sweep.max_probability_deviation:.2e}")

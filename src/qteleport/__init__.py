@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .errors import (
     DegenerateColumns,
-    DimensionMismatch,
     InfeasibleSpectrum,
     NoPartition,
     PhaseFactorsNotFound,
@@ -50,15 +49,12 @@ from .phases import (
     solve_general,
 )
 from .protocol import (
-    BobUnitarySet,
     ConditionReport,
     Construction,
-    MeasurementBasis,
     ProtocolTable,
     bob_unitaries,
     correction_columns,
     measurement_basis,
-    outcome_grams,
     synthesize_auto,
     synthesize_d2,
     synthesize_general,

@@ -221,8 +221,8 @@ def _phases_doc(theta: PhaseMatrix, spectrum: SchmidtSpectrum) -> dict:
     }
 
 
-def _table_doc(table: ProtocolTable, spectrum: SchmidtSpectrum, emit_table: bool) -> dict:
-    report = verify_conditions(table, spectrum)
+def _table_doc(table: ProtocolTable, emit_table: bool) -> dict:
+    report = verify_conditions(table)
     doc = {
         "d": table.d,
         "n": table.n,
@@ -258,7 +258,7 @@ def cmd_synthesize(args) -> int:
         "toolVersion": __version__,
         "problem": problem.raw,
         "phases": _phases_doc(theta, problem.spectrum),
-        "table": _table_doc(table, problem.spectrum, args.emit_table),
+        "table": _table_doc(table, args.emit_table),
         "tolerances": dict(TOLERANCES),
     }
     _write_report(doc, args.out)
@@ -275,17 +275,17 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else (problem.seed or DEFAULT_SEED)
 
     theta, table = synthesize_auto(problem.spectrum, problem.d)
-    sweep = random_input_sweep(problem.spectrum, problem.d, trials, seed, table=table)
+    sweep = random_input_sweep(table, trials, seed)
     reference_input = (
         problem.input_state if problem.input_state is not None else basis_state(problem.d, 0)
     )
-    reference = run_protocol(reference_input, problem.spectrum, table)
+    reference = run_protocol(reference_input, table)
 
     doc = {
         "toolVersion": __version__,
         "problem": problem.raw,
         "phases": _phases_doc(theta, problem.spectrum),
-        "table": _table_doc(table, problem.spectrum, args.emit_table),
+        "table": _table_doc(table, args.emit_table),
         "simulation": {
             "trials": trials,
             "seed": seed,
@@ -387,7 +387,7 @@ def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> Protocol
         if d != 2:
             raise ParseFailure("report table construction D2Formula requires d = 2")
         return synthesize_d2(spectrum, phases)
-    return synthesize_general(spectrum, d, phases)
+    return synthesize_general(spectrum, phases)
 
 
 def _verify_report_doc(doc) -> list[str]:
@@ -401,10 +401,11 @@ def _verify_report_doc(doc) -> list[str]:
     table_doc = doc["table"]
     if not isinstance(table_doc, dict):
         raise ParseFailure("report section 'table' must be an object")
-    try:
-        d, n = int(table_doc["d"]), int(table_doc["n"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseFailure(f"report table is malformed: {err}")
+    for key in ("d", "n"):
+        value = table_doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseFailure(f"report table field {key!r} must be an integer")
+    d, n = table_doc["d"], table_doc["n"]
     if problem.spectrum.n != n or problem.d != d:
         raise ParseFailure("report table dimensions disagree with the echoed problem")
     violations = []
@@ -415,7 +416,7 @@ def _verify_report_doc(doc) -> list[str]:
             table_doc["V"], (d * n, d, n, 2), "report table", "[re, im] pairs of numbers"
         )
         table = ProtocolTable(
-            d=d, n=n, V=pairs.view(complex)[..., 0], construction=Construction.EXPLICIT
+            problem.spectrum, d, pairs.view(complex)[..., 0], Construction.EXPLICIT
         )
         if table_doc.get("construction") in FORMULA_CONSTRUCTIONS and _report_theta(doc) is not None:
             # a formula table is its theta: the emitted V must be the one theta builds
@@ -440,7 +441,7 @@ def _verify_report_doc(doc) -> list[str]:
                     )
                 tolerances[key] = float(value)
 
-    conditions = verify_conditions(table, problem.spectrum)
+    conditions = verify_conditions(table)
     if conditions.orthonormality_residual > tolerances["orthonormality"]:
         violations.append(
             f"orthonormality residual {conditions.orthonormality_residual:.6e} "
@@ -460,7 +461,7 @@ def _verify_report_doc(doc) -> list[str]:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ParseFailure("report simulation section has an unusable 'seed' value")
     try:
-        sweep = random_input_sweep(problem.spectrum, d, trials, seed, table=table)
+        sweep = random_input_sweep(table, trials, seed)
     except DegenerateColumns as err:
         violations.append(f"Bob's corrections cannot be built: {err}")
         return violations

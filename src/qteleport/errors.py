@@ -9,10 +9,6 @@ class ShapeMismatch(QTeleportError):
     """Vector length does not factor as the requested bipartite shape."""
 
 
-class DimensionMismatch(QTeleportError):
-    """Simulation inputs disagree on d, n or outcome count."""
-
-
 class InfeasibleSpectrum(QTeleportError):
     """Some Schmidt probability exceeds 1/d, so faithful teleportation is impossible."""
 

@@ -350,7 +350,7 @@ def _some_subset_reaches(vals: list, target, tol) -> bool:
     return bool(np.any(first < last))
 
 
-def phases_from_partition(partition: Partition, d: int, n: int) -> PhaseMatrix:
+def phases_from_partition(partition: Partition) -> PhaseMatrix:
     """Phase table theta[m, k] = (2*pi/d) * m * l(k) for subgroup labels l(k).
 
     Valid whenever the partition's subgroups each carry weight 1/d: the inner
@@ -358,8 +358,7 @@ def phases_from_partition(partition: Partition, d: int, n: int) -> PhaseMatrix:
     the d subgroup phasors cancel for m != m'.  Returned in canonical form
     (first row zeroed by a column shift).
     """
-    if partition.d != d or partition.n != n:
-        raise ValueError("partition does not match the requested (d, n)")
+    d = partition.d
     labels = np.asarray(partition.assignment, dtype=float)
     rows = np.arange(d, dtype=float)[:, None]  # canonical: row m holds (2*pi/d)*m*l(k)
     theta = np.mod(TWO_PI / d * rows * labels[None, :], TWO_PI)
@@ -652,7 +651,7 @@ def solve_general(
     except NoPartition:
         pass
     else:
-        return phases_from_partition(partition, d, spectrum.n)
+        return phases_from_partition(partition)
 
     if d == 3 and spectrum.n == 4:
         verdict = decide_three_by_four(spectrum)

@@ -13,6 +13,13 @@ correction, defined column-wise by u_j|m> = sqrt(s) sum_k conj(V[j,m,k])
 sqrt(p_k)|k>, an isometry that extends to a full unitary on his n-level
 system.
 
+The unitarity condition is stated against the resource, so a table is a
+protocol only for the spectrum it was built from: `ProtocolTable` holds that
+spectrum, and every stage after synthesis takes the table alone.  The d x d
+Grams G_j = D_j^dagger D_j of Bob's defined columns are built once per table
+(`ProtocolTable.grams`); the unitarity residual, the DegenerateColumns check
+and the simulator all read them.
+
 Two constructions are provided: the closed-form qubit table built from the
 roots-of-unity matrix and the single-phasor angles, and the general-d table
 built from a full phase matrix.  Both keep |V[j, m, k]| = 1/sqrt(s) exactly,
@@ -22,6 +29,7 @@ which forces every measurement outcome to occur with probability 1/s.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,46 +63,46 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProtocolTable:
-    """Coefficients V with shape (s, d, n), one d x n block per outcome."""
+    """Coefficients V with shape (s, d, n), one d x n block per outcome, for the
+    spectrum whose unitarity condition they are meant to satisfy."""
 
+    spectrum: SchmidtSpectrum
     d: int
-    n: int
     V: np.ndarray
     construction: Construction
 
     def __post_init__(self):
         coeffs = np.asarray(self.V, dtype=complex)
-        if coeffs.shape != (self.d * self.n, self.d, self.n):
+        if coeffs.shape != (self.s, self.d, self.n):
             raise ValueError(
                 f"coefficient array of shape {coeffs.shape} does not match "
-                f"(s, d, n) = ({self.d * self.n}, {self.d}, {self.n})"
+                f"(s, d, n) = ({self.s}, {self.d}, {self.n}) for a {self.n}-term spectrum"
             )
         object.__setattr__(self, "V", _freeze(coeffs))
+
+    @property
+    def n(self) -> int:
+        """Number of Schmidt terms of the resource."""
+        return self.spectrum.n
 
     @property
     def s(self) -> int:
         """Number of measurement outcomes (= classical messages)."""
         return self.d * self.n
 
+    @functools.cached_property
+    def grams(self) -> np.ndarray:
+        """Gram matrices G_j = D_j^dagger D_j of Bob's defined columns, shape (s, d, d),
+        built on first access and read-only.
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """The s orthonormal measurement states, one row per outcome."""
-
-    states: np.ndarray  # (s, d*n)
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _freeze(np.asarray(self.states, dtype=complex)))
-
-
-@dataclass(frozen=True)
-class BobUnitarySet:
-    """Bob's correction unitaries, one n x n matrix per outcome."""
-
-    unitaries: np.ndarray  # (s, n, n)
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitaries", _freeze(np.asarray(self.unitaries, dtype=complex)))
+        G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p), one batched matmul.  The
+        unitarity condition says G_j = I; for an input psi the outcome probability
+        is psi^dagger G_j psi / s and the fidelity |M_j|^4 psi^dagger G_j psi.
+        """
+        weighted = self.V * np.sqrt(self.s * self.spectrum.as_array())
+        grams = weighted @ weighted.conj().transpose(0, 2, 1)
+        grams.setflags(write=False)
+        return grams
 
 
 @dataclass(frozen=True)
@@ -113,19 +121,16 @@ def _roots_of_unity(count: int) -> np.ndarray:
     return np.exp(1j * (TWO_PI / count) * np.arange(count))
 
 
-def synthesize_general(
-    spectrum: SchmidtSpectrum, d: int, phases: PhaseMatrix
-) -> ProtocolTable:
+def synthesize_general(spectrum: SchmidtSpectrum, phases: PhaseMatrix) -> ProtocolTable:
     """General-d table: V[j,m,k] = exp(i theta[m,k]) exp(i j (2pi m/s + 2pi k/n)) / sqrt(s).
 
-    Indices j, m, k are 1-based in the formula.  Orthonormality holds for any
-    angles (double geometric series); unitarity holds exactly when the phase
-    matrix satisfies its constraint for the given spectrum.
+    Indices j, m, k are 1-based in the formula, and d is the phase matrix's row
+    count.  Orthonormality holds for any angles (double geometric series);
+    unitarity holds exactly when the phase matrix satisfies its constraint for
+    the given spectrum.
     """
+    d, n = phases.d, phases.n
     _feasibility_gate(spectrum, d)
-    n = spectrum.n
-    if phases.theta.shape != (d, n):
-        raise ValueError(f"phase matrix shape {phases.theta.shape} does not match ({d}, {n})")
     s = n * d
     # j (m/s + k/n) = (j m + j k d)/s: exact integer indices into the s-th roots of unity
     j = np.arange(1, s + 1)[:, None, None]
@@ -136,7 +141,7 @@ def synthesize_general(
         * _roots_of_unity(s)[(j * m + j * k * d) % s]
         / np.sqrt(s)
     )
-    return ProtocolTable(d=d, n=n, V=coeffs, construction=Construction.GENERAL_FORMULA)
+    return ProtocolTable(spectrum, d, coeffs, Construction.GENERAL_FORMULA)
 
 
 def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTable:
@@ -163,7 +168,7 @@ def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTab
     coeffs[n:, 0, :] = -e[n:] * np.exp(-1j * theta)[None, :]
     coeffs[n:, 1, :] = e[n:]
     coeffs /= np.sqrt(s)
-    return ProtocolTable(d=2, n=n, V=coeffs, construction=Construction.D2_FORMULA)
+    return ProtocolTable(spectrum, 2, coeffs, Construction.D2_FORMULA)
 
 
 def synthesize_auto(
@@ -186,36 +191,24 @@ def synthesize_auto(
     theta = solve_general(spectrum, d, restarts=restarts, max_nfev=max_nfev)
     if d == 2 and method in ("auto", "d2"):
         return theta, synthesize_d2(spectrum, theta)
-    return theta, synthesize_general(spectrum, d, theta)
+    return theta, synthesize_general(spectrum, theta)
 
 
-def measurement_basis(table: ProtocolTable) -> MeasurementBasis:
-    """Flatten each coefficient block into the measurement state |M_j>.
+def measurement_basis(table: ProtocolTable) -> np.ndarray:
+    """The s orthonormal measurement states |M_j>, one read-only row per outcome:
+    a (s, d*n) view of the coefficient blocks.
 
     Amplitude of |m>|k> is V[j, m, k]; the big-endian layout puts m in the
     most significant position, so the flat index is m*n + k.
     """
-    return MeasurementBasis(states=table.V.reshape(table.s, table.d * table.n))
+    return table.V.reshape(table.s, table.d * table.n)
 
 
-def outcome_grams(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
-    """Gram matrices G_j = D_j^dagger D_j of Bob's defined columns, shape (s, d, d).
-
-    G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p), one batched matmul.  The
-    unitarity condition says G_j = I; for an input psi the outcome probability
-    is psi^dagger G_j psi / s and the fidelity |M_j|^4 psi^dagger G_j psi.
-    """
-    if spectrum.n != table.n:
-        raise ValueError(f"spectrum length {spectrum.n} does not match table n={table.n}")
-    weighted = table.V * np.sqrt(table.s * spectrum.as_array())
-    return weighted @ weighted.conj().transpose(0, 2, 1)
-
-
-def checked_grams(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
-    """`outcome_grams`, raising DegenerateColumns when some G_j deviates from the
-    identity by more than COLUMN_TOL, as for a table that violates the unitarity
-    condition for this spectrum."""
-    grams = outcome_grams(table, spectrum)
+def checked_grams(table: ProtocolTable) -> np.ndarray:
+    """`ProtocolTable.grams`, raising DegenerateColumns when some G_j deviates from
+    the identity by more than COLUMN_TOL, as for a table that violates the
+    unitarity condition for its spectrum."""
+    grams = table.grams
     defects = np.abs(grams - np.eye(table.d)).max(axis=(1, 2))
     failing = np.flatnonzero(defects > COLUMN_TOL)
     if failing.size:
@@ -227,30 +220,30 @@ def checked_grams(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray
     return grams
 
 
-def correction_columns(table: ProtocolTable, spectrum: SchmidtSpectrum) -> np.ndarray:
+def correction_columns(table: ProtocolTable) -> np.ndarray:
     """Bob's d defined correction columns per outcome, shape (s, n, d): column m
     of u_j is sqrt(s) * conj(V[j, m, :]) * sqrt(p).  Raises DegenerateColumns as
     `checked_grams` does."""
-    checked_grams(table, spectrum)
-    sqrt_p = np.sqrt(spectrum.as_array())
+    checked_grams(table)
+    sqrt_p = np.sqrt(table.spectrum.as_array())
     return np.sqrt(table.s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
 
 
-def bob_unitaries(table: ProtocolTable, spectrum: SchmidtSpectrum) -> BobUnitarySet:
-    """Reference completion of `correction_columns` to full n x n unitaries by one
-    batched complete QR; the simulator never builds the completed columns."""
-    defined = correction_columns(table, spectrum)
+def bob_unitaries(table: ProtocolTable) -> np.ndarray:
+    """Reference completion of `correction_columns` to full n x n unitaries, shape
+    (s, n, n), by one batched complete QR; the simulator never builds the
+    completed columns."""
+    defined = correction_columns(table)
     unitaries, _ = np.linalg.qr(defined, mode="complete")
     unitaries[:, :, :table.d] = defined
-    return BobUnitarySet(unitaries=unitaries)
+    return unitaries
 
 
-def verify_conditions(table: ProtocolTable, spectrum: SchmidtSpectrum) -> ConditionReport:
+def verify_conditions(table: ProtocolTable) -> ConditionReport:
     """Worst-case residuals of the two defining conditions; reports, never raises."""
-    s, d, n = table.s, table.d, table.n
-    unit = float(np.abs(outcome_grams(table, spectrum) - np.eye(d)).max())
-    flat = table.V.reshape(s, d * n)
+    unit = float(np.abs(table.grams - np.eye(table.d)).max())
+    flat = measurement_basis(table)
     gram = flat.conj() @ flat.T
-    gram[np.diag_indices(s)] -= 1.0  # in place: no second s x s array
+    gram[np.diag_indices(table.s)] -= 1.0  # in place: no second s x s array
     ortho = float(np.abs(gram).max())
     return ConditionReport(orthonormality_residual=ortho, unitarity_residual=unit)

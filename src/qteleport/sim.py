@@ -11,15 +11,18 @@ For every outcome j the run follows the algebra of the protocol:
      squared overlap of |M_j> (x) |c_j> / sqrt(p_j) with |M_j> (x) |psi>.
      As o_j = D_j psi / sqrt(s) for the d defined columns D_j of u_j, c_j is
      G_j psi / sqrt(s) followed by zeros, with G_j = D_j^dagger D_j
-     (`protocol.outcome_grams`): the rest of u_j is never built.
+     (`ProtocolTable.grams`): the rest of u_j is never built, and the trace
+     holds only the d leading entries.
 
 The d x d Gram G_j is all a random input needs: p_j = psi^dagger G_j psi / s
 and the fidelity is |M_j|^4 psi^dagger G_j psi.  So `random_input_sweep`
 certifies T inputs as quadratic forms in O(T*s*d^2), one GEMM per block of
-trials.  `run_protocol` stays the full branch simulation of one input: the
-overlaps come from V in O(s*d*n), the `SimulationTrace` holds them as arrays,
-its `OutcomeRecord`s are built on first access, and the d*n^2 branch states
-only on demand (`OutcomeRecord.post_state`, `OutcomeRecord.corrected_state`).
+trials.  Every function takes the table alone: it carries its spectrum and
+builds its Grams once.  `run_protocol` stays the full branch simulation of
+one input: the overlaps come from V in O(s*d*n), the `SimulationTrace` holds
+them as arrays, its `OutcomeRecord`s are built on first access, and the
+d*n^2 branch states only on demand (`OutcomeRecord.post_state`,
+`OutcomeRecord.corrected_state`).
 Every outcome is enumerated (no sampling), so a fidelity-1 report is an exact
 certificate at machine precision rather than a statistical statement.
 
@@ -48,7 +51,6 @@ import numpy as np
 
 from . import phases as _phases
 from . import protocol as _protocol
-from .errors import DimensionMismatch
 from .linalg import RANK_TOL, BipartiteShape, as_state, is_normalized, schmidt_number
 from .protocol import ProtocolTable
 from .spectrum import SchmidtSpectrum
@@ -92,7 +94,7 @@ class SimulationTrace:
     fidelities: np.ndarray          # (s,)
     measurement_states: np.ndarray  # (s, d*n) |M_j>, flat over (1, 2)
     overlaps: np.ndarray            # (s, Bob's dim) projected branch factors, unnormalized
-    corrections: np.ndarray         # (s, Bob's dim) u_j^dagger applied to the overlaps
+    corrections: np.ndarray         # (s, <= Bob's dim) u_j^dagger o_j, trailing zeros dropped
     residual_schmidts: tuple[int, ...]
     classical_bits: float           # log2 of the number of outcomes
 
@@ -106,14 +108,16 @@ class SimulationTrace:
 
     @functools.cached_property
     def outcomes(self) -> tuple[OutcomeRecord, ...]:
-        """One record per outcome, built on first access."""
+        """One record per outcome, built on first access; each correction is
+        zero-padded to the overlap's length."""
+        pad = (0, self.overlaps.shape[1] - self.corrections.shape[1])
         return tuple(
             OutcomeRecord(
                 j=j + 1,
                 probability=float(self.probabilities[j]),
                 measurement_state=self.measurement_states[j],
                 overlap=self.overlaps[j],
-                correction=self.corrections[j],
+                correction=np.pad(self.corrections[j], pad),
                 fidelity=float(self.fidelities[j]),
                 residual_schmidt=self.residual_schmidts[j],
                 d=self.d,
@@ -153,33 +157,31 @@ def residual_schmidt(record: OutcomeRecord) -> int:
 
 def _fidelity_weights(table: ProtocolTable) -> np.ndarray:
     """|M_j|^4 (s,): the fidelity keeps it so off-normal tables are judged as such."""
-    states = table.V.reshape(table.s, -1)
+    states = _protocol.measurement_basis(table)
     return np.einsum("jx,jx->j", states.conj(), states).real ** 2
 
 
-def run_protocol(psi, spectrum: SchmidtSpectrum, table: ProtocolTable) -> SimulationTrace:
+def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
     """Simulate all s outcomes of the protocol for one input state."""
     d, n, s = table.d, table.n, table.s
     psi = as_input_qudit(psi, d)
-    if spectrum.n != n:
-        raise DimensionMismatch(f"spectrum length {spectrum.n} != table n = {n}")
-    grams = _protocol.checked_grams(table, spectrum)
+    grams = _protocol.checked_grams(table)
     # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
-    overlaps = np.einsum("jml,m->jl", table.V, psi.conj()).conj() * np.sqrt(spectrum.as_array())
+    sqrt_p = np.sqrt(table.spectrum.as_array())
+    overlaps = np.einsum("jml,m->jl", table.V, psi.conj()).conj() * sqrt_p
     probabilities = np.einsum("jl,jl->j", overlaps.conj(), overlaps).real
     # u_j^dagger o_j = D_j^dagger D_j psi / sqrt(s): o_j lies in the span of the
     # defined columns D_j and the QR completion of u_j is orthogonal to that span,
-    # so the correction is zero past entry d
-    corrections = np.zeros((s, n), dtype=complex)
-    corrections[:, :d] = grams @ psi / math.sqrt(s)
-    overlap_with_input = corrections[:, :d] @ psi.conj()
+    # so the correction is zero past entry d and only its first d entries are kept
+    corrections = grams @ psi / math.sqrt(s)
+    overlap_with_input = corrections @ psi.conj()
     fidelities = _fidelity_weights(table) * np.abs(overlap_with_input) ** 2 / probabilities
     return SimulationTrace(
         d=d,
         n=n,
         probabilities=probabilities,
         fidelities=fidelities,
-        measurement_states=table.V.reshape(s, d * n),  # a view: the layout of `measurement_basis`
+        measurement_states=_protocol.measurement_basis(table),
         overlaps=overlaps,
         corrections=corrections,
         residual_schmidts=(1,) * s,  # |M_j> (x) |c_j> is a product state
@@ -203,25 +205,15 @@ class SweepReport:
     total_probability_deviation: float  # worst |sum_j probability - 1|
 
 
-def random_input_sweep(
-    spectrum: SchmidtSpectrum,
-    d: int,
-    trials: int,
-    seed: int,
-    *,
-    table: ProtocolTable | None = None,
-) -> SweepReport:
-    """Synthesize the protocol and certify it on Haar-random inputs.
+def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepReport:
+    """Certify the protocol on Haar-random inputs.
 
-    The table is synthesized from the spectrum unless one is supplied (the
-    qubit construction at d = 2, the general formula otherwise).  The seeded
-    generator makes the report bit-for-bit reproducible.
+    The seeded generator makes the report bit-for-bit reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if table is None:
-        _, table = _protocol.synthesize_auto(spectrum, d)
-    grams = _protocol.checked_grams(table, spectrum)
+    d = table.d
+    grams = _protocol.checked_grams(table)
     weights = _fidelity_weights(table)
     block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s))  # complex128 quadratic forms
 
@@ -241,7 +233,7 @@ def random_input_sweep(
         max_total_dev = max(max_total_dev, float(np.abs(probabilities.sum(axis=1) - 1.0).max()))
     return SweepReport(
         d=d,
-        n=spectrum.n,
+        n=table.n,
         trials=trials,
         seed=seed,
         classical_bits=math.log2(table.s),
@@ -269,7 +261,7 @@ def one_pair_double_bell_trace(psi) -> SimulationTrace:
     """
     pair = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
     table = _protocol.synthesize_d2(pair, _phases.solve_d2(pair))
-    single = run_protocol(psi, pair, table)
+    single = run_protocol(psi, table)
 
     idle = resource_state(pair).reshape(2, 2)  # (a2, b2)
 

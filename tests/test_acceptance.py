@@ -51,14 +51,14 @@ def test_criterion_1_golden_six_outcome_protocol():
 
     table = synthesize_d2(GOLDEN, theta)
     assert table.s == 6
-    conditions = verify_conditions(table, GOLDEN)
+    conditions = verify_conditions(table)
     assert conditions.orthonormality_residual < 1e-10
     assert conditions.unitarity_residual < 1e-10
 
     rng = np.random.default_rng(1)
     worst_fid, worst_prob = 1.0, 0.0
     for _ in range(100):
-        trace = run_protocol(haar_random_state(2, rng), GOLDEN, table)
+        trace = run_protocol(haar_random_state(2, rng), table)
         worst_fid = min(worst_fid, trace.min_fidelity)
         worst_prob = max(worst_prob, float(np.abs(trace.probabilities - 1 / 6).max()))
     assert worst_fid >= 1 - 1e-10
@@ -90,14 +90,14 @@ def test_criterion_2_bennett_recovery():
                 want = 0.5 if (j, m, k) in positive else -0.5
                 assert abs(table.V[j - 1, m - 1, k - 1] - want) < 1e-12
 
-    ubob = bob_unitaries(table, PAIR)
+    unitaries = bob_unitaries(table)
     for j in range(4):
-        assert np.abs(ubob.unitaries[j].conj().T - np.sqrt(2) * table.V[j]).max() < 1e-12
+        assert np.abs(unitaries[j].conj().T - np.sqrt(2) * table.V[j]).max() < 1e-12
 
     rng = np.random.default_rng(2)
     worst = 1.0
     for _ in range(25):
-        trace = run_protocol(haar_random_state(2, rng), PAIR, table)
+        trace = run_protocol(haar_random_state(2, rng), table)
         worst = min(worst, trace.min_fidelity)
     assert worst >= 1 - 1e-10
     report(
@@ -127,8 +127,8 @@ def test_criterion_3_feasibility_gate_both_directions():
                 unfound += 1
                 continue
             assert feasible, "synthesis succeeded on an infeasible spectrum"
-            assert verify_conditions(table, s).ok(1e-10)
-            sweep = random_input_sweep(s, d, trials=1, seed=i, table=table)
+            assert verify_conditions(table).ok(1e-10)
+            sweep = random_input_sweep(table, trials=1, seed=i)
             assert sweep.min_fidelity >= 1 - 1e-10
             synthesized += 1
     elapsed = time.time() - start
@@ -144,7 +144,7 @@ def test_criterion_4_classical_cost_accounting():
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/3"] * 3), 3)]:
         _, table = synthesize_auto(spectrum, d)
         assert table.s == spectrum.n * d
-        trace = run_protocol(basis_state(d, 0), spectrum, table)
+        trace = run_protocol(basis_state(d, 0), table)
         assert trace.classical_bits == math.log2(spectrum.n * d)
 
     zero_residual = teleport_ccc_bound(4, 2, assume_zero_residual=True)
@@ -164,7 +164,7 @@ def test_criterion_5_residual_entanglement():
     rng = np.random.default_rng(5)
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/4"] * 4), 2)]:
         _, table = synthesize_auto(spectrum, d)
-        trace = run_protocol(haar_random_state(d, rng), spectrum, table)
+        trace = run_protocol(haar_random_state(d, rng), table)
         assert all(rec.residual_schmidt == 1 for rec in trace.outcomes)
 
     trace = one_pair_double_bell_trace(haar_random_state(2, rng))
@@ -239,19 +239,18 @@ def test_criterion_7_property_suite():
         except PhaseFactorsNotFound:
             continue
         done += 1
-        states = measurement_basis(table).states
+        states = measurement_basis(table)
         total = np.einsum("ji,jk->ik", states.conj(), states)
         assert np.abs(total - np.eye(d * n)).max() < 1e-10
 
-        ubob = bob_unitaries(table, s)
-        for u in ubob.unitaries:
+        for u in bob_unitaries(table):
             assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
 
         amps = haar_random_state(d, rng)
         parts = [
-            run_protocol(basis_state(d, m), s, table) for m in range(d)
+            run_protocol(basis_state(d, m), table) for m in range(d)
         ]
-        whole = run_protocol(amps, s, table)
+        whole = run_protocol(amps, table)
         for j in range(table.s):
             superposed = sum(
                 amps[m] * parts[m].outcomes[j].post_state for m in range(d)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -473,6 +474,36 @@ class TestVerify:
         edit(doc)
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", 2.9), ("d", "2"), ("d", 2.0), ("d", True), ("n", 3.5), ("n", "3"), ("n", 3.0),
+    ])
+    def test_non_integer_table_dimension_is_parse_failure(self, tmp_path, capsys, key, value):
+        # int() once read 2.9 and "2" as 2, so the report verified
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"][key] = value
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert f"report table field '{key}' must be an integer" in capsys.readouterr().err
+
+    def test_grams_are_built_once_per_table(self, tmp_path, monkeypatch):
+        build = protocol.ProtocolTable.grams.func
+        built = []
+
+        def counted(table):
+            built.append(table.construction)
+            return build(table)
+
+        grams = functools.cached_property(counted)
+        grams.__set_name__(protocol.ProtocolTable, "grams")
+        monkeypatch.setattr(protocol.ProtocolTable, "grams", grams)
+        out = self.emit_report(tmp_path)  # the sweep, the reference run and the table doc
+        assert built == [protocol.Construction.D2_FORMULA]
+        built.clear()
+        # the table rebuilt from theta is compared entry by entry; only V's Grams are built
+        assert run(["verify", str(out)]) == 0
+        assert built == [protocol.Construction.EXPLICIT]
 
     def test_simulate_and_verify_build_no_full_unitaries(self, tmp_path, monkeypatch):
         def refuse(*args):

@@ -360,7 +360,7 @@ class TestPhasesFromPartition:
         s = SchmidtSpectrum.from_rationals([Fraction(1, d)] * d)
         part = find_partition(s, d)
         assert part.assignment == (1, 2, 3)
-        theta = phases_from_partition(part, d, d)
+        theta = phases_from_partition(part)
         np.testing.assert_array_equal(theta.theta[0], np.zeros(d))
         expected_row = np.mod(2 * np.pi / d * np.arange(1, d + 1), 2 * np.pi)
         np.testing.assert_allclose(theta.theta[1], expected_row, atol=1e-12)
@@ -368,13 +368,13 @@ class TestPhasesFromPartition:
 
     def test_worked_example_row(self):
         part = find_partition(GOLDEN, 2)
-        theta = phases_from_partition(part, 2, 3)
+        theta = phases_from_partition(part)
         np.testing.assert_allclose(theta.theta[1], [np.pi, 0.0, 0.0], atol=1e-12)
         assert phasor_sum(GOLDEN.probs, theta.theta[1]) < 1e-12
 
     def test_quarter_spectrum(self):
         s = SchmidtSpectrum.from_rationals(["1/4"] * 4)
-        theta = phases_from_partition(find_partition(s, 2), 2, 4)
+        theta = phases_from_partition(find_partition(s, 2))
         assert theta.constraint_residual(s) < 1e-12
 
 

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qteleport.errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
 from qteleport.phases import PhaseMatrix, solve_d2, solve_general
@@ -11,7 +14,6 @@ from qteleport.protocol import (
     bob_unitaries,
     correction_columns,
     measurement_basis,
-    outcome_grams,
     synthesize_auto,
     synthesize_d2,
     synthesize_general,
@@ -56,16 +58,16 @@ class TestBennettRecovery:
 
     def test_corrections_are_rescaled_coefficients(self):
         table = bennett_table()
-        ubob = bob_unitaries(table, PAIR)
+        unitaries = bob_unitaries(table)
         for j in range(4):
-            u_dag = ubob.unitaries[j].conj().T
+            u_dag = unitaries[j].conj().T
             assert np.abs(u_dag - np.sqrt(2) * table.V[j]).max() < 1e-12
 
     def test_rotated_bell_identification(self):
         # with the first system read in the (|1>+|2>)/sqrt(2), (|1>-|2>)/sqrt(2)
         # basis, the four measurement states are exactly the Bell basis
         table = bennett_table()
-        states = measurement_basis(table).states
+        states = measurement_basis(table)
         change = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         transformed = [
             (np.kron(change.conj().T, np.eye(2)) @ state) for state in states
@@ -108,18 +110,14 @@ class TestWorkedExampleTable:
                 assert abs(table.V[j - 1, m - 1, k - 1] - value) < 1e-12
 
     def test_conditions(self):
-        report = verify_conditions(golden_table(), GOLDEN)
+        report = verify_conditions(golden_table())
         assert report.orthonormality_residual < 1e-10
         assert report.unitarity_residual < 1e-10
 
 
 class TestSynthesis:
     def test_flat_modulus(self):
-        for table, spectrum in [
-            (bennett_table(), PAIR),
-            (golden_table(), GOLDEN),
-            (synthesize_general(GOLDEN, 2, solve_d2(GOLDEN)), GOLDEN),
-        ]:
+        for table in [bennett_table(), golden_table(), synthesize_general(GOLDEN, solve_d2(GOLDEN))]:
             assert np.abs(np.abs(table.V) - 1 / np.sqrt(table.s)).max() < 1e-15
 
     def test_both_constructions_valid_for_same_phases(self):
@@ -127,20 +125,20 @@ class TestSynthesis:
         for n in range(2, 7):
             s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 0.5))
             theta = solve_d2(s)
-            for table in (synthesize_d2(s, theta), synthesize_general(s, 2, theta)):
-                assert verify_conditions(table, s).ok(1e-10)
+            for table in (synthesize_d2(s, theta), synthesize_general(s, theta)):
+                assert verify_conditions(table).ok(1e-10)
 
     def test_qutrit_uniform(self):
         s = SchmidtSpectrum.from_rationals(["1/3"] * 3)
-        table = synthesize_general(s, 3, solve_general(s, 3))
+        table = synthesize_general(s, solve_general(s, 3))
         assert table.s == 9
-        assert verify_conditions(table, s).ok(1e-10)
+        assert verify_conditions(table).ok(1e-10)
 
     def test_eight_outcome_qubit_protocol(self):
         s = SchmidtSpectrum.from_probs([0.3, 0.3, 0.2, 0.2])
         table = synthesize_d2(s, solve_d2(s))
         assert table.s == 8
-        assert verify_conditions(table, s).ok(1e-10)
+        assert verify_conditions(table).ok(1e-10)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_feasible_spectra(self, d):
@@ -153,7 +151,7 @@ class TestSynthesis:
                     _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
                 except PhaseFactorsNotFound:
                     continue
-                assert verify_conditions(table, s).ok(1e-10)
+                assert verify_conditions(table).ok(1e-10)
                 checked += 1
         assert checked > 0
 
@@ -166,9 +164,9 @@ class TestSynthesis:
             s = SchmidtSpectrum.from_probs(p)
             if s.p_max > 1 / 3 + 1e-12:
                 with pytest.raises(InfeasibleSpectrum):
-                    synthesize_general(s, 3, theta_dummy)
+                    synthesize_general(s, theta_dummy)
             else:
-                synthesize_general(s, 3, theta_dummy)  # must not raise the gate
+                synthesize_general(s, theta_dummy)  # must not raise the gate
 
     def test_exact_spectrum_just_above_half_is_infeasible(self):
         # float slack once let this exact spectrum through the gate at d = 2
@@ -193,8 +191,8 @@ class TestSynthesis:
         thirds = SchmidtSpectrum.from_rationals(["1/3"] * 3)
         for spectrum, d, method, build in [
             (GOLDEN, 2, "auto", lambda th: synthesize_d2(GOLDEN, th)),
-            (GOLDEN, 2, "general", lambda th: synthesize_general(GOLDEN, 2, th)),
-            (thirds, 3, "auto", lambda th: synthesize_general(thirds, 3, th)),
+            (GOLDEN, 2, "general", lambda th: synthesize_general(GOLDEN, th)),
+            (thirds, 3, "auto", lambda th: synthesize_general(thirds, th)),
         ]:
             theta, table = synthesize_auto(spectrum, d, method=method)
             np.testing.assert_array_equal(theta.theta, solve_general(spectrum, d).theta)
@@ -213,7 +211,7 @@ class TestSynthesis:
         m = np.arange(1, d + 1, dtype=float)[None, :, None]
         k = np.arange(1, n + 1, dtype=float)[None, None, :]
         general = np.exp(1j * theta.theta) * np.exp(2j * np.pi * j * (m / s + k / n)) / np.sqrt(s)
-        got = synthesize_general(spectrum, d, theta).V
+        got = synthesize_general(spectrum, theta).V
         assert np.abs(got - general).max() < 1e-12
         if d == 2:
             e = np.exp(2j * np.pi * j[:, :, 0] * k[:, 0, :] / n)
@@ -228,14 +226,14 @@ class TestSynthesis:
     def test_uniform_tables_hold_to_a_few_ulps(self, d, n):
         # exp of the large textbook arguments left 7e-15 .. 5e-14 here
         spectrum = SchmidtSpectrum.from_rationals([f"1/{n}"] * n)
-        report = verify_conditions(synthesize_auto(spectrum, d)[1], spectrum)
+        report = verify_conditions(synthesize_auto(spectrum, d)[1])
         assert report.orthonormality_residual < 4e-15
         assert report.unitarity_residual < 4e-15
 
 
-def defined_columns(table, spectrum):
+def defined_columns(table):
     """sqrt(s) conj(V[j])^T sqrt(p), without correction_columns' check."""
-    sqrt_p = np.sqrt(spectrum.as_array())
+    sqrt_p = np.sqrt(table.spectrum.as_array())
     return np.sqrt(table.s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
 
 
@@ -247,11 +245,11 @@ class TestOutcomeGrams:
         )
         search = SchmidtSpectrum.from_probs([0.3, 0.25, 0.2, 0.15, 0.1])
         return [
-            (PAIR, bennett_table()),
-            (GOLDEN, golden_table()),
-            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2)[1]),
-            (quarters, synthesize_auto(quarters, 4)[1]),
-            (search, synthesize_auto(search, 3)[1]),
+            bennett_table(),
+            golden_table(),
+            synthesize_auto(UNIFORM_32, 2)[1],
+            synthesize_auto(quarters, 4)[1],
+            synthesize_auto(search, 3)[1],
         ]
 
     @staticmethod
@@ -261,47 +259,83 @@ class TestOutcomeGrams:
         zeroed = np.array(table.V)
         zeroed[-1, 0, 0] = 0.0
         return [
-            ProtocolTable(d=table.d, n=table.n, V=V, construction=Construction.EXPLICIT)
+            ProtocolTable(table.spectrum, table.d, V, Construction.EXPLICIT)
             for V in (scaled, zeroed)
         ]
 
     def test_equals_the_columns_gram_and_the_weighted_sum(self):
-        for spectrum, table in self.cases():
-            columns = correction_columns(table, spectrum)
-            np.testing.assert_array_equal(columns, defined_columns(table, spectrum))
+        for table in self.cases():
+            columns = correction_columns(table)
+            np.testing.assert_array_equal(columns, defined_columns(table))
             for candidate in [table, *self.broken(table)]:
-                grams = outcome_grams(candidate, spectrum)
+                grams = candidate.grams
                 assert grams.shape == (table.s, table.d, table.d)
-                columns = defined_columns(candidate, spectrum)
+                columns = defined_columns(candidate)
                 np.testing.assert_allclose(
                     grams, columns.conj().transpose(0, 2, 1) @ columns, rtol=0, atol=1e-15
                 )
                 weighted = np.einsum(
                     "jmk,jlk,k->jml", candidate.V, candidate.V.conj(),
-                    table.s * spectrum.as_array(),
+                    table.s * table.spectrum.as_array(),
                 )
                 np.testing.assert_allclose(grams, weighted, rtol=0, atol=1e-15)
 
+    def test_built_once_and_read_only(self):
+        table = golden_table()
+        assert table.grams is table.grams
+        with pytest.raises(ValueError):
+            table.grams[0, 0, 0] = 0.0
+
     def test_broken_tables_raise_and_report(self):
-        for spectrum, table in self.cases():
+        for table in self.cases():
             for candidate in self.broken(table):
                 with pytest.raises(DegenerateColumns):
-                    correction_columns(candidate, spectrum)
-                defect = np.abs(outcome_grams(candidate, spectrum) - np.eye(table.d)).max()
-                assert verify_conditions(candidate, spectrum).unitarity_residual == defect
+                    correction_columns(candidate)
+                defect = np.abs(candidate.grams - np.eye(table.d)).max()
+                assert verify_conditions(candidate).unitarity_residual == defect
                 assert defect > 1e-8
+
+
+@st.composite
+def unsolved_phases(draw):
+    """(spectrum, theta) at d = 2 or d = 3..4: a feasible spectrum and angles that,
+    almost surely, do not solve its phase constraints."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(d, 3 * d + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectrum = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
+    angles = hnp.arrays(float, (d, n), elements=st.floats(0, 2 * np.pi, exclude_max=True))
+    return spectrum, PhaseMatrix(draw(angles))
+
+
+class TestFormulaStructure:
+    @settings(max_examples=60, deadline=None)
+    @given(unsolved_phases())
+    def test_orthonormality_and_gram_spectra_do_not_need_a_solution(self, case):
+        # the s x s Gram is I for any angles, and every G_j = D C D^dagger for a
+        # diagonal unitary D, with C = A A^dagger and A[m, k] = sqrt(p_k) e^{i theta[m, k]}
+        spectrum, theta = case
+        a = np.sqrt(spectrum.as_array()) * np.exp(1j * theta.theta)
+        want = np.linalg.eigvalsh(a @ a.conj().T)
+        tables = [synthesize_general(spectrum, theta)]
+        if theta.d == 2:
+            tables.append(synthesize_d2(spectrum, theta))
+        for table in tables:
+            assert verify_conditions(table).orthonormality_residual <= 1e-13
+            got = np.linalg.eigvalsh(table.grams)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestMeasurementBasis:
     def test_gram_identity(self):
-        for table, _ in [(bennett_table(), PAIR), (golden_table(), GOLDEN)]:
-            states = measurement_basis(table).states
+        for table in [bennett_table(), golden_table()]:
+            states = measurement_basis(table)
             gram = states.conj() @ states.T
             assert np.abs(gram - np.eye(table.s)).max() < 1e-10
 
     def test_completeness(self):
         table = golden_table()
-        states = measurement_basis(table).states
+        states = measurement_basis(table)
         total = sum(np.outer(state, state.conj()) for state in states)
         assert np.abs(total - np.eye(table.d * table.n)).max() < 1e-10
 
@@ -316,23 +350,21 @@ class TestBobUnitaries:
         rng = np.random.default_rng(37)
         wide = SchmidtSpectrum.from_probs(feasible_spectrum(rng, 32, 1 / 2))
         cases = [
-            (GOLDEN, golden_table()),
-            (thirds, synthesize_auto(thirds, 3)[1]),
-            (UNIFORM_12, synthesize_auto(UNIFORM_12, 3)[1]),
-            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2)[1]),
-            (UNIFORM_32, synthesize_auto(UNIFORM_32, 2, method="general")[1]),
-            (wide, synthesize_auto(wide, 2)[1]),
+            golden_table(),
+            synthesize_auto(thirds, 3)[1],
+            synthesize_auto(UNIFORM_12, 3)[1],
+            synthesize_auto(UNIFORM_32, 2)[1],
+            synthesize_auto(UNIFORM_32, 2, method="general")[1],
+            synthesize_auto(wide, 2)[1],
         ]
-        for spectrum, table in cases:
-            ubob = bob_unitaries(table, spectrum)
-            for u in ubob.unitaries:
+        for table in cases:
+            for u in bob_unitaries(table):
                 assert np.abs(u.conj().T @ u - np.eye(table.n)).max() < 1e-10
 
     def test_square_case_needs_no_completion(self):
         s = SchmidtSpectrum.from_rationals(["1/3"] * 3)
-        table = synthesize_general(s, 3, solve_general(s, 3))
-        ubob = bob_unitaries(table, s)
-        for j, u in enumerate(ubob.unitaries):
+        table = synthesize_general(s, solve_general(s, 3))
+        for j, u in enumerate(bob_unitaries(table)):
             assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-10
             # in the square case the correction is the whole rescaled block
             assert np.abs(u.conj().T - np.sqrt(3) * table.V[j]).max() < 1e-10
@@ -342,15 +374,12 @@ class TestBobUnitaries:
         broken = np.array(table.V)
         broken[0, 0, 0] = 0.0
         with pytest.raises(DegenerateColumns):
-            bob_unitaries(
-                ProtocolTable(d=2, n=3, V=broken, construction=Construction.EXPLICIT),
-                GOLDEN,
-            )
+            bob_unitaries(ProtocolTable(GOLDEN, 2, broken, Construction.EXPLICIT))
 
     def test_completion_is_deterministic(self):
         table = golden_table()
-        a = bob_unitaries(table, GOLDEN).unitaries
-        b = bob_unitaries(table, GOLDEN).unitaries
+        a = bob_unitaries(table)
+        b = bob_unitaries(table)
         np.testing.assert_array_equal(a, b)
 
 
@@ -359,21 +388,17 @@ class TestVerifyConditions:
         table = golden_table()
         broken = np.array(table.V)
         broken[2, 1, 1] = 0.0
-        report = verify_conditions(
-            ProtocolTable(d=2, n=3, V=broken, construction=Construction.EXPLICIT), GOLDEN
-        )
+        report = verify_conditions(ProtocolTable(GOLDEN, 2, broken, Construction.EXPLICIT))
         assert report.orthonormality_residual >= 1 / table.s - 1e-12
 
     def test_wrong_spectrum_breaks_unitarity(self):
         table = golden_table()
         other = SchmidtSpectrum.from_probs([0.4, 0.35, 0.25])
-        report = verify_conditions(table, other)
+        report = verify_conditions(ProtocolTable(other, table.d, table.V, table.construction))
         assert report.orthonormality_residual < 1e-10  # spectrum-independent
         assert report.unitarity_residual > 1e-6
 
     def test_reports_do_not_raise(self):
-        junk = ProtocolTable(
-            d=2, n=2, V=np.zeros((4, 2, 2)), construction=Construction.EXPLICIT
-        )
-        report = verify_conditions(junk, PAIR)
+        junk = ProtocolTable(PAIR, 2, np.zeros((4, 2, 2)), Construction.EXPLICIT)
+        report = verify_conditions(junk)
         assert report.orthonormality_residual == 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qteleport import sim
-from qteleport.errors import DegenerateColumns, DimensionMismatch
+from qteleport.errors import DegenerateColumns
 from qteleport.phases import solve_general
 from qteleport.protocol import (
     Construction,
@@ -55,12 +55,12 @@ def protocol_table(spectrum, d):
     return synthesize_auto(spectrum, d)[1]
 
 
-def branches_oracle(psis, spectrum, table):
+def branches_oracle(psis, table):
     """Overlaps (T, s, n), probabilities (T, s), the first d entries of each
     correction (T, s, d) and fidelities (T, s) of T inputs psis (T, d), from the
     full overlaps and Bob's defined columns: O(T*s*d*n), no Gram matrices."""
-    sqrt_p = np.sqrt(spectrum.as_array())
-    columns = correction_columns(table, spectrum)
+    sqrt_p = np.sqrt(table.spectrum.as_array())
+    columns = correction_columns(table)
     states = table.V.reshape(table.s, -1)
     state_norms = np.einsum("jx,jx->j", states.conj(), states).real
     overlaps = np.einsum("jml,tm->tjl", table.V, psis.conj()).conj() * sqrt_p
@@ -72,11 +72,11 @@ def branches_oracle(psis, spectrum, table):
     return overlaps, probabilities, corrections, fidelities
 
 
-def oracle_sweep(spectrum, d, table, trials, seed):
+def oracle_sweep(table, trials, seed):
     """The four sweep deviations from the oracle on the sweep's seeded inputs."""
     rng = np.random.default_rng(seed)
-    psis = np.array([haar_random_state(d, rng) for _ in range(trials)])
-    _, probs, _, fids = branches_oracle(psis, spectrum, table)
+    psis = np.array([haar_random_state(table.d, rng) for _ in range(trials)])
+    _, probs, _, fids = branches_oracle(psis, table)
     return (
         min(1.0, fids.min()),
         np.abs(fids - 1).max(),
@@ -94,13 +94,13 @@ def sweep_fields(report):
     )
 
 
-def amplitude_oracle_probability(psi, spectrum, table, j):
+def amplitude_oracle_probability(psi, table, j):
     """Outcome probability from the raw coefficient sums, no projectors."""
     total = 0.0
     for k in range(table.n):
         amp = 0.0 + 0.0j
         for m in range(table.d):
-            amp += psi[m] * math.sqrt(spectrum.probs[k]) * np.conj(table.V[j, m, k])
+            amp += psi[m] * math.sqrt(table.spectrum.probs[k]) * np.conj(table.V[j, m, k])
         total += abs(amp) ** 2
     return total
 
@@ -109,7 +109,7 @@ class TestBennettSetup:
     def test_four_uniform_faithful_outcomes(self, rng):
         table = protocol_table(PAIR, 2)
         for _ in range(10):
-            trace = run_protocol(random_state(rng, 2), PAIR, table)
+            trace = run_protocol(random_state(rng, 2), table)
             assert np.abs(trace.probabilities - 0.25).max() < 1e-10
             assert trace.min_fidelity >= 1 - 1e-10
             assert trace.classical_bits == 2.0
@@ -119,7 +119,7 @@ class TestWorkedExample:
     def test_all_six_outcomes_faithful(self, rng):
         table = protocol_table(GOLDEN, 2)
         for _ in range(10):
-            trace = run_protocol(random_state(rng, 2), GOLDEN, table)
+            trace = run_protocol(random_state(rng, 2), table)
             assert trace.min_fidelity >= 1 - 1e-10
             assert np.abs(trace.probabilities - 1 / 6).max() < 1e-10
             assert trace.classical_bits == math.log2(6)
@@ -131,21 +131,21 @@ class TestProbabilities:
         spectrum = SchmidtSpectrum.from_rationals(probs)
         table = protocol_table(spectrum, d)
         psi = random_state(rng, d)
-        trace = run_protocol(psi, spectrum, table)
+        trace = run_protocol(psi, table)
         for rec in trace.outcomes:
-            oracle = amplitude_oracle_probability(psi, spectrum, table, rec.j - 1)
+            oracle = amplitude_oracle_probability(psi, table, rec.j - 1)
             assert abs(rec.probability - oracle) < 1e-12
             assert abs(rec.probability - 1 / table.s) < 1e-10
 
     def test_completeness(self, rng):
         table = protocol_table(GOLDEN, 2)
         for _ in range(20):
-            trace = run_protocol(random_state(rng, 2), GOLDEN, table)
+            trace = run_protocol(random_state(rng, 2), table)
             assert abs(trace.total_probability - 1.0) < 1e-10
 
     def test_normalization_equals_probability(self, rng):
         table = protocol_table(GOLDEN, 2)
-        trace = run_protocol(random_state(rng, 2), GOLDEN, table)
+        trace = run_protocol(random_state(rng, 2), table)
         for rec in trace.outcomes:
             assert abs(np.vdot(rec.post_state, rec.post_state).real - rec.probability) < 1e-12
 
@@ -154,7 +154,7 @@ class TestResidualEntanglement:
     def test_full_protocol_leaves_nothing(self, rng):
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
-            trace = run_protocol(random_state(rng, d), spectrum, table)
+            trace = run_protocol(random_state(rng, d), table)
             for rec in trace.outcomes:
                 assert rec.residual_schmidt == 1
                 assert residual_schmidt(rec) == 1
@@ -176,10 +176,10 @@ class TestBranchAlgebra:
         # completion must give the same vector, zeros past entry d included
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
-            unitaries = bob_unitaries(table, spectrum).unitaries
+            unitaries = bob_unitaries(table)
             psi = random_state(rng, d)
             padded = np.concatenate([psi, np.zeros(table.n - d)])
-            for rec in run_protocol(psi, spectrum, table).outcomes:
+            for rec in run_protocol(psi, table).outcomes:
                 reference = unitaries[rec.j - 1].conj().T @ rec.overlap
                 assert np.abs(rec.correction - reference).max() < 1e-12
                 target = np.kron(rec.measurement_state, padded)
@@ -192,21 +192,24 @@ class TestBranchAlgebra:
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
             psi = random_state(rng, d)
-            trace = run_protocol(psi, spectrum, table)
+            trace = run_protocol(psi, table)
             want = np.einsum("jml,m->jl", table.V.conj(), psi) * np.sqrt(spectrum.as_array())
             np.testing.assert_array_equal(trace.overlaps, want)
             overlaps, probs, corrections, fids = (
-                out[0] for out in branches_oracle(psi[None, :], spectrum, table)
+                out[0] for out in branches_oracle(psi[None, :], table)
             )
             np.testing.assert_allclose(trace.overlaps, overlaps, rtol=0, atol=1e-15)
             np.testing.assert_allclose(trace.probabilities, probs, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(trace.corrections[:, :d], corrections, rtol=0, atol=1e-14)
-            assert not trace.corrections[:, d:].any()
+            np.testing.assert_allclose(trace.corrections, corrections, rtol=0, atol=1e-14)
+            for rec in trace.outcomes:
+                np.testing.assert_array_equal(rec.correction[:d], trace.corrections[rec.j - 1])
+                assert rec.correction.shape == (table.n,)
+                assert not rec.correction[d:].any()
             np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
 
     def test_records_are_built_on_first_access(self, rng):
         table = protocol_table(GOLDEN, 2)
-        trace = run_protocol(random_state(rng, 2), GOLDEN, table)
+        trace = run_protocol(random_state(rng, 2), table)
         assert "outcomes" not in vars(trace)
         records = trace.outcomes
         assert trace.outcomes is records
@@ -219,10 +222,10 @@ class TestLinearity:
         table = protocol_table(GOLDEN, 2)
         amps = random_state(rng, 2)
         traces = [
-            run_protocol(e, GOLDEN, table)
+            run_protocol(e, table)
             for e in (np.array([1, 0], complex), np.array([0, 1], complex))
         ]
-        combined = run_protocol(amps, GOLDEN, table)
+        combined = run_protocol(amps, table)
         for j in range(table.s):
             superposed = (
                 amps[0] * traces[0].outcomes[j].post_state
@@ -233,33 +236,33 @@ class TestLinearity:
 
 class TestSweep:
     def test_bennett_sweep(self):
-        report = random_input_sweep(PAIR, 2, trials=100, seed=7)
+        report = random_input_sweep(protocol_table(PAIR, 2), trials=100, seed=7)
         assert report.min_fidelity >= 1 - 1e-10
         assert report.max_probability_deviation < 1e-10
         assert report.max_residual_schmidt == 1
 
     def test_worked_example_sweep(self):
-        report = random_input_sweep(GOLDEN, 2, trials=100, seed=7)
+        report = random_input_sweep(protocol_table(GOLDEN, 2), trials=100, seed=7)
         assert report.min_fidelity >= 1 - 1e-10
 
     def test_determinism(self):
-        a = random_input_sweep(GOLDEN, 2, trials=25, seed=123)
-        b = random_input_sweep(GOLDEN, 2, trials=25, seed=123)
+        a = random_input_sweep(protocol_table(GOLDEN, 2), trials=25, seed=123)
+        b = random_input_sweep(protocol_table(GOLDEN, 2), trials=25, seed=123)
         assert a == b
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            random_input_sweep(PAIR, 2, trials=0, seed=1)
+            random_input_sweep(protocol_table(PAIR, 2), trials=0, seed=1)
 
     @pytest.mark.parametrize("spectrum,d", [(GOLDEN, 2), (QUARTERS, 4), (SEARCH, 3)])
     def test_blocks_agree_with_per_trial_runs(self, monkeypatch, spectrum, d):
         table = protocol_table(spectrum, d)
         # three trials per block, so 10 trials span four blocks, the last one short
         monkeypatch.setattr(sim, "SWEEP_BLOCK_BYTES", 3 * 16 * table.s)
-        report = random_input_sweep(spectrum, d, trials=10, seed=5, table=table)
+        report = random_input_sweep(table, trials=10, seed=5)
         rng = np.random.default_rng(5)
         traces = [
-            run_protocol(haar_random_state(d, rng), spectrum, table) for _ in range(10)
+            run_protocol(haar_random_state(d, rng), table) for _ in range(10)
         ]
         fids = np.array([t.fidelities for t in traces])
         probs = np.array([t.probabilities for t in traces])
@@ -273,18 +276,20 @@ class TestSweep:
     @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES + UNIFORM_SHAPES)
     def test_quadratic_forms_agree_with_the_oracle(self, spectrum, d):
         table = protocol_table(spectrum, d)
-        report = random_input_sweep(spectrum, d, trials=12, seed=11, table=table)
-        want = oracle_sweep(spectrum, d, table, 12, 11)
+        report = random_input_sweep(table, trials=12, seed=11)
+        want = oracle_sweep(table, 12, 11)
         np.testing.assert_allclose(sweep_fields(report), want, rtol=0, atol=1e-14)
 
     def test_memory_does_not_grow_with_trials(self):
         spectrum = SchmidtSpectrum.from_rationals(["1/32"] * 32)
-        table = protocol_table(spectrum, 2)
 
         def peak(trials):
+            # a fresh table each time: the Grams are built once per table, on its
+            # first use, so both sweeps pay for them
+            table = protocol_table(spectrum, 2)
             tracemalloc.start()
             try:
-                random_input_sweep(spectrum, 2, trials=trials, seed=3, table=table)
+                random_input_sweep(table, trials=trials, seed=3)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -295,18 +300,19 @@ class TestSweep:
         table = protocol_table(GOLDEN, 2)
         scaled = np.array(table.V)
         scaled[0] *= 1 + 1e-6
-        broken = ProtocolTable(d=2, n=3, V=scaled, construction=Construction.EXPLICIT)
+        broken = ProtocolTable(GOLDEN, 2, scaled, Construction.EXPLICIT)
         with pytest.raises(DegenerateColumns):
-            run_protocol(random_state(rng, 2), GOLDEN, broken)
+            run_protocol(random_state(rng, 2), broken)
         with pytest.raises(DegenerateColumns):
-            random_input_sweep(GOLDEN, 2, trials=5, seed=1, table=broken)
+            random_input_sweep(broken, trials=5, seed=1)
 
 
 class TestValidation:
-    def test_dimension_mismatch(self, rng):
+    def test_dimension_mismatch(self):
+        # a table is a protocol only for a spectrum of its own length
         table = protocol_table(GOLDEN, 2)
-        with pytest.raises(DimensionMismatch):
-            run_protocol(random_state(rng, 2), PAIR, table)
+        with pytest.raises(ValueError, match="2-term"):
+            ProtocolTable(PAIR, table.d, table.V, table.construction)
 
     def test_input_must_be_normalized(self):
         with pytest.raises(ValueError):
@@ -336,8 +342,8 @@ class TestGeneralFormulaSimulation:
                 theta = solve_general(s, d, restarts=6, max_nfev=1500)
             except PhaseFactorsNotFound:
                 continue
-            table = synthesize_general(s, d, theta)
-            trace = run_protocol(random_state(rng, d), s, table)
+            table = synthesize_general(s, theta)
+            trace = run_protocol(random_state(rng, d), table)
             assert trace.min_fidelity >= 1 - 1e-10
             assert trace.classical_bits == math.log2(n * d)
             done += 1
