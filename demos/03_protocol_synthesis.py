@@ -35,7 +35,10 @@ print("coefficients x 2 (rows j, columns (m,k)):")
 print(np.round(table.V.reshape(4, 4).real * 2, 3))
 
 report = verify_conditions(table)
-print(f"orthonormality residual: {report.orthonormality_residual:.2e}")
+print(f"orthonormality residual: {report.orthonormality_residual:.2e}"
+      "  (0 for every theta: the basis is a double geometric series)")
+states = measurement_basis(table)
+print(f"  measured on the floats: {np.abs(states.conj() @ states.T - np.eye(4)).max():.2e}")
 print(f"unitarity residual:      {report.unitarity_residual:.2e}")
 
 change = np.array([[1, 1], [1, -1]]) / np.sqrt(2)

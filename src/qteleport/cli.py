@@ -39,6 +39,7 @@ from .linalg import basis_state, is_normalized
 from .phases import PhaseMatrix, solve_general  # noqa: F401
 from .protocol import (  # noqa: F401
     CONDITION_TOL,
+    FORMULAS,
     Construction,
     ProtocolTable,
     bob_unitaries,
@@ -48,7 +49,7 @@ from .protocol import (  # noqa: F401
     verify_conditions,
 )
 from .sim import random_input_sweep, run_protocol
-from .spectrum import SUM_TOL, SchmidtSpectrum
+from .spectrum import SUM_TOL, SchmidtSpectrum, parse_rational
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -96,15 +97,14 @@ def parse_spectrum_items(items) -> SchmidtSpectrum:
         raise ParseFailure("field 'spectrum' must be a non-empty list")
     rational = all(isinstance(it, str) and "/" in it for it in items)
     if rational:
-        try:
-            exact = [Fraction(it) for it in items]
+        try:  # each distinct literal once, in order of first appearance
+            parsed = {it: parse_rational(it) for it in dict.fromkeys(items)}
         except (ValueError, ZeroDivisionError) as err:
             raise ParseFailure(f"field 'spectrum': bad rational entry ({err})")
-        if any(f <= 0 for f in exact):
-            raise InputFailure("field 'spectrum': entries must be positive")
-        if sum(exact) != 1:
-            raise InputFailure(f"field 'spectrum': entries sum to {sum(exact)}, not 1")
-        return SchmidtSpectrum.from_rationals(exact)
+        try:
+            return SchmidtSpectrum.from_rationals([parsed[it] for it in items])
+        except ValueError as err:
+            raise InputFailure(f"field 'spectrum': {err}")
     values = []
     for it in items:
         if isinstance(it, bool):
@@ -359,7 +359,7 @@ def _finite_array(items, shape: tuple, what: str, entries: str) -> np.ndarray:
     return array
 
 
-FORMULA_CONSTRUCTIONS = (Construction.GENERAL_FORMULA.value, Construction.D2_FORMULA.value)
+FORMULA_CONSTRUCTIONS = tuple(construction.value for construction in FORMULAS)
 
 
 def _report_theta(doc: dict):

@@ -135,9 +135,15 @@ class PhaseMatrix:
         return constraint_residual(spectrum.as_array(), self.theta)
 
 
-def constraint_residual(probs: np.ndarray, theta: np.ndarray) -> float:
+def phase_gram(probs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """C[m, m'] = sum_k p_k exp(i(theta[m,k] - theta[m',k])), shape (d, d): the
+    constraint holds exactly when C is the identity (its diagonal is sum p = 1)."""
     phases = np.exp(1j * theta)  # (d, n)
-    gram = (phases * probs) @ phases.conj().T  # (d, d); diagonal = sum p = 1
+    return (phases * probs) @ phases.conj().T
+
+
+def constraint_residual(probs: np.ndarray, theta: np.ndarray) -> float:
+    gram = phase_gram(probs, theta)
     off = gram - np.diag(np.diag(gram))
     return float(np.abs(off).max()) if theta.shape[0] > 1 else 0.0
 

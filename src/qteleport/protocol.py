@@ -22,14 +22,23 @@ and the simulator all read them.
 
 Two constructions are provided: the closed-form qubit table built from the
 roots-of-unity matrix and the single-phasor angles, and the general-d table
-built from a full phase matrix.  Both keep |V[j, m, k]| = 1/sqrt(s) exactly,
-which forces every measurement outcome to occur with probability 1/s.
+built from a full phase matrix.  A formula table is its phase matrix: it
+holds theta and builds the dense V only when something reads it (emission,
+the correction columns, the measurement basis).  Both constructions keep
+|V[j, m, k]| = 1/sqrt(s) exactly, so every outcome occurs with probability
+1/s and |M_j| = 1; their measurement basis is orthonormal for every theta (a
+double geometric series); and G_j = L_j C L_j^dagger for the d x d phase
+Gram C = `phases.phase_gram` and a diagonal unitary L_j of roots of unity
+(signs at d = 2).  So a formula table is certified from C in O(s*d^2), and
+its orthonormality residual is 0.  An explicit table (a V given to
+`verify`) holds V and is measured densely: the s x s Gram and W_j W_j^dagger.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +50,7 @@ from .phases import (
     TWO_PI,
     PhaseMatrix,
     _feasibility_gate,
+    phase_gram,
     solve_general,
 )
 from .spectrum import SchmidtSpectrum
@@ -55,30 +65,60 @@ class Construction(enum.Enum):
     EXPLICIT = "Explicit"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
+FORMULAS = (Construction.GENERAL_FORMULA, Construction.D2_FORMULA)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ProtocolTable:
     """Coefficients V with shape (s, d, n), one d x n block per outcome, for the
-    spectrum whose unitarity condition they are meant to satisfy."""
+    spectrum whose unitarity condition they are meant to satisfy.
+
+    `ProtocolTable(spectrum, d, V, construction)` holds V as given.  A formula
+    table (`from_phases`) holds its phase matrix instead, and builds V on first
+    access, read-only; `phases` is None for a table that holds V.
+    """
 
     spectrum: SchmidtSpectrum
     d: int
-    V: np.ndarray
     construction: Construction
+    phases: PhaseMatrix | None
 
-    def __post_init__(self):
-        coeffs = np.asarray(self.V, dtype=complex)
-        if coeffs.shape != (self.s, self.d, self.n):
+    def __init__(self, spectrum: SchmidtSpectrum, d: int, V, construction: Construction):
+        coeffs = _read_only(np.array(V, dtype=complex))  # a copy: the caller's array may change
+        if coeffs.shape != (d * spectrum.n, d, spectrum.n):
             raise ValueError(
                 f"coefficient array of shape {coeffs.shape} does not match "
-                f"(s, d, n) = ({self.s}, {self.d}, {self.n}) for a {self.n}-term spectrum"
+                f"(s, d, n) = ({d * spectrum.n}, {d}, {spectrum.n}) "
+                f"for a {spectrum.n}-term spectrum"
             )
-        object.__setattr__(self, "V", _freeze(coeffs))
+        self._hold(spectrum=spectrum, d=d, construction=construction, phases=None)
+        self.__dict__["V"] = coeffs
+
+    @classmethod
+    def from_phases(
+        cls, spectrum: SchmidtSpectrum, phases: PhaseMatrix, construction: Construction
+    ) -> "ProtocolTable":
+        """The formula table of `construction` for these angles, V not yet built."""
+        if construction not in FORMULAS:
+            raise ValueError(f"{construction.value} tables are not built from phases")
+        d = 2 if construction is Construction.D2_FORMULA else phases.d
+        if phases.theta.shape != (d, spectrum.n):
+            raise ValueError(
+                f"phase matrix shape {phases.theta.shape} does not match "
+                f"(d, n) = ({d}, {spectrum.n}) for a {spectrum.n}-term spectrum"
+            )
+        table = cls.__new__(cls)
+        table._hold(spectrum=spectrum, d=d, construction=construction, phases=phases)
+        return table
+
+    def _hold(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -91,18 +131,57 @@ class ProtocolTable:
         return self.d * self.n
 
     @functools.cached_property
+    def V(self) -> np.ndarray:
+        """The formula table's coefficients, built on first access and read-only
+        (a table built from V holds it from the start)."""
+        if self.construction is Construction.D2_FORMULA:
+            return _read_only(_d2_coefficients(self.phases))
+        return _read_only(_general_coefficients(self.phases))
+
+    @functools.cached_property
+    def outcome_phases(self) -> np.ndarray:
+        """Diagonals of the unitaries L_j with G_j = L_j C L_j^dagger for a formula
+        table, shape (s, d): exp(2 pi i j m / s) for the general formula (exact
+        indices into the s-th roots of unity), (1, 1) for the first n qubit
+        outcomes and (1, -1) for the last n."""
+        s, d = self.s, self.d
+        if self.construction is Construction.D2_FORMULA:
+            lam = np.ones((s, 2), dtype=complex)
+            lam[self.n:, 1] = -1.0
+        else:
+            j = np.arange(1, s + 1)[:, None]
+            lam = _roots_of_unity(s)[(j * np.arange(1, d + 1)) % s]
+        return _read_only(lam)
+
+    @functools.cached_property
     def grams(self) -> np.ndarray:
         """Gram matrices G_j = D_j^dagger D_j of Bob's defined columns, shape (s, d, d),
         built on first access and read-only.
 
-        G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p), one batched matmul.  The
-        unitarity condition says G_j = I; for an input psi the outcome probability
-        is psi^dagger G_j psi / s and the fidelity |M_j|^4 psi^dagger G_j psi.
+        G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p).  For a formula table that
+        is L_j C L_j^dagger, with C the d x d phase Gram, in O(s d^2) and without V;
+        for a table that holds V, one batched matmul.  The unitarity condition
+        says G_j = I; for an input psi the outcome probability is
+        psi^dagger G_j psi / s and the fidelity |M_j|^4 psi^dagger G_j psi.
         """
-        weighted = self.V * np.sqrt(self.s * self.spectrum.as_array())
-        grams = weighted @ weighted.conj().transpose(0, 2, 1)
-        grams.setflags(write=False)
-        return grams
+        probs = self.spectrum.as_array()
+        if self.phases is not None:
+            lam = self.outcome_phases
+            gram = phase_gram(probs, self.phases.theta)
+            return _read_only(lam[:, :, None] * gram * lam.conj()[:, None, :])
+        weighted = self.V * np.sqrt(self.s * probs)
+        return _read_only(weighted @ weighted.conj().transpose(0, 2, 1))
+
+    @functools.cached_property
+    def fidelity_weights(self) -> np.ndarray:
+        """|M_j|^4, shape (s,), read-only: the fidelity keeps it so off-normal
+        tables are judged as such.  1 for a formula table, whose |V| = 1/sqrt(s)
+        exactly; for a table that holds V, read from its [re, im] pairs without
+        a conjugate copy."""
+        if self.phases is not None:
+            return _read_only(np.ones(self.s))
+        pairs = self.V.reshape(self.s, -1).view(np.float64)
+        return _read_only(np.einsum("jx,jx->j", pairs, pairs) ** 2)
 
 
 @dataclass(frozen=True)
@@ -121,42 +200,25 @@ def _roots_of_unity(count: int) -> np.ndarray:
     return np.exp(1j * (TWO_PI / count) * np.arange(count))
 
 
-def synthesize_general(spectrum: SchmidtSpectrum, phases: PhaseMatrix) -> ProtocolTable:
-    """General-d table: V[j,m,k] = exp(i theta[m,k]) exp(i j (2pi m/s + 2pi k/n)) / sqrt(s).
-
-    Indices j, m, k are 1-based in the formula, and d is the phase matrix's row
-    count.  Orthonormality holds for any angles (double geometric series);
-    unitarity holds exactly when the phase matrix satisfies its constraint for
-    the given spectrum.
-    """
+def _general_coefficients(phases: PhaseMatrix) -> np.ndarray:
+    """V[j,m,k] = exp(i theta[m,k]) exp(i j (2pi m/s + 2pi k/n)) / sqrt(s), 1-based."""
     d, n = phases.d, phases.n
-    _feasibility_gate(spectrum, d)
     s = n * d
     # j (m/s + k/n) = (j m + j k d)/s: exact integer indices into the s-th roots of unity
     j = np.arange(1, s + 1)[:, None, None]
     m = np.arange(1, d + 1)[None, :, None]
     k = np.arange(1, n + 1)[None, None, :]
-    coeffs = (
+    return (
         np.exp(1j * phases.theta)[None, :, :]
         * _roots_of_unity(s)[(j * m + j * k * d) % s]
         / np.sqrt(s)
     )
-    return ProtocolTable(spectrum, d, coeffs, Construction.GENERAL_FORMULA)
 
 
-def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTable:
-    """Qubit table from the roots-of-unity matrix e[j,k] = exp(2 pi i j k / n).
-
-    With theta_k the single-phasor angles (row difference of the 2 x n phase
-    matrix), the first n outcomes use rows (e[j,k], e[j,k] e^{i theta_k}) and
-    the last n use rows (-e[j,k] e^{-i theta_k}, e[j,k]), all divided by
-    sqrt(s).  Reproduces the displayed qubit tables verbatim, including the
-    four-outcome sign pattern at n = 2.
-    """
-    _feasibility_gate(spectrum, 2)
-    n = spectrum.n
-    if thetas.theta.shape != (2, n):
-        raise ValueError(f"phase matrix shape {thetas.theta.shape} does not match (2, {n})")
+def _d2_coefficients(thetas: PhaseMatrix) -> np.ndarray:
+    """Qubit rows (e, e e^{i theta}) for the first n outcomes and
+    (-e e^{-i theta}, e) for the last n, over sqrt(s)."""
+    n = thetas.n
     theta = thetas.row_differences()
     s = 2 * n
     j = np.arange(1, s + 1)[:, None]
@@ -168,7 +230,33 @@ def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTab
     coeffs[n:, 0, :] = -e[n:] * np.exp(-1j * theta)[None, :]
     coeffs[n:, 1, :] = e[n:]
     coeffs /= np.sqrt(s)
-    return ProtocolTable(spectrum, 2, coeffs, Construction.D2_FORMULA)
+    return coeffs
+
+
+def synthesize_general(spectrum: SchmidtSpectrum, phases: PhaseMatrix) -> ProtocolTable:
+    """General-d table: V[j,m,k] = exp(i theta[m,k]) exp(i j (2pi m/s + 2pi k/n)) / sqrt(s).
+
+    Indices j, m, k are 1-based in the formula, and d is the phase matrix's row
+    count.  Orthonormality holds for any angles (double geometric series);
+    unitarity holds exactly when the phase matrix satisfies its constraint for
+    the given spectrum.  The table holds the angles; V is built on first access.
+    """
+    _feasibility_gate(spectrum, phases.d)
+    return ProtocolTable.from_phases(spectrum, phases, Construction.GENERAL_FORMULA)
+
+
+def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTable:
+    """Qubit table from the roots-of-unity matrix e[j,k] = exp(2 pi i j k / n).
+
+    With theta_k the single-phasor angles (row difference of the 2 x n phase
+    matrix), the first n outcomes use rows (e[j,k], e[j,k] e^{i theta_k}) and
+    the last n use rows (-e[j,k] e^{-i theta_k}, e[j,k]), all divided by
+    sqrt(s).  Reproduces the displayed qubit tables verbatim, including the
+    four-outcome sign pattern at n = 2.  The table holds the angles; V is
+    built on first access.
+    """
+    _feasibility_gate(spectrum, 2)
+    return ProtocolTable.from_phases(spectrum, thetas, Construction.D2_FORMULA)
 
 
 def synthesize_auto(
@@ -239,9 +327,51 @@ def bob_unitaries(table: ProtocolTable) -> np.ndarray:
     return unitaries
 
 
+def branch_overlaps(table: ProtocolTable, psi: np.ndarray) -> np.ndarray:
+    """Bob's factors of the s projected branches for the input psi, shape (s, n):
+    o[j, l] = sqrt(p_l) sum_m conj(V[j, m, l]) psi_m.
+
+    A formula table reads them from its angles without building V.  Its
+    coefficients factor as V[j, m, l] = e[j, l] F[j, m, l] / sqrt(s), where
+    e[j, l] = exp(2 pi i j l / n) repeats every n outcomes, and F[j, m, l] is
+    L[j, m] exp(i theta[m, l]) for the general formula or the phasor rows of
+    the qubit one (which depend on j only through its half).  So
+    o = conj(e * sum_m conj(psi_m) F) sqrt(p / s), one (s, n) array.
+    """
+    d, n, s = table.d, table.n, table.s
+    scale = np.sqrt(table.spectrum.as_array())
+    if table.phases is None:
+        # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
+        overlaps = np.einsum("jml,m->jl", table.V, psi.conj())
+    else:
+        bar = psi.conj()
+        r = np.arange(1, n + 1)
+        e = _roots_of_unity(n)[np.multiply.outer(r, r) % n]  # (n, n)
+        if table.construction is Construction.D2_FORMULA:
+            phasor = np.exp(1j * table.phases.row_differences())
+            mixed = np.stack([bar[0] + bar[1] * phasor, bar[1] - bar[0] * phasor.conj()])
+            overlaps = (mixed[:, None, :] * e).reshape(s, n)
+        else:
+            overlaps = (table.outcome_phases * bar) @ np.exp(1j * table.phases.theta)
+            blocks = overlaps.reshape(d, n, n)  # a view: row t*n + r - 1 holds outcome j = t*n + r
+            blocks *= e
+        scale = scale / math.sqrt(s)
+    np.conjugate(overlaps, out=overlaps)
+    overlaps *= scale
+    return overlaps
+
+
 def verify_conditions(table: ProtocolTable) -> ConditionReport:
-    """Worst-case residuals of the two defining conditions; reports, never raises."""
+    """Worst-case residuals of the two defining conditions; reports, never raises.
+
+    The unitarity residual is max |G_j - I| over `ProtocolTable.grams`.  A
+    formula table's measurement basis is orthonormal for every theta, so its
+    orthonormality residual is 0; a table that holds V is measured on the
+    dense s x s Gram of its rows.
+    """
     unit = float(np.abs(table.grams - np.eye(table.d)).max())
+    if table.phases is not None:
+        return ConditionReport(orthonormality_residual=0.0, unitarity_residual=unit)
     flat = measurement_basis(table)
     gram = flat.conj() @ flat.T
     gram[np.diag_indices(table.s)] -= 1.0  # in place: no second s x s array

@@ -18,10 +18,15 @@ The d x d Gram G_j is all a random input needs: p_j = psi^dagger G_j psi / s
 and the fidelity is |M_j|^4 psi^dagger G_j psi.  So `random_input_sweep`
 certifies T inputs as quadratic forms in O(T*s*d^2), one GEMM per block of
 trials.  Every function takes the table alone: it carries its spectrum and
-builds its Grams once.  `run_protocol` stays the full branch simulation of
-one input: the overlaps come from V in O(s*d*n), the `SimulationTrace` holds
-them as arrays, its `OutcomeRecord`s are built on first access, and the
-d*n^2 branch states only on demand (`OutcomeRecord.post_state`,
+builds its Grams and weights once (`ProtocolTable.grams`,
+`ProtocolTable.fidelity_weights`); a formula table builds both from its
+phase matrix, so a sweep never builds V.  `run_protocol` stays the full
+branch simulation of one input: the overlaps come from
+`protocol.branch_overlaps` in O(s*d*n) time and (s, n) memory (from theta for
+a formula table), the `SimulationTrace` holds them as arrays, and its
+measurement states (a view of V), its `OutcomeRecord`s and the d*n^2 branch
+states are built only on demand (`SimulationTrace.measurement_states`,
+`SimulationTrace.outcomes`, `OutcomeRecord.post_state`,
 `OutcomeRecord.corrected_state`).
 Every outcome is enumerated (no sampling), so a fidelity-1 report is an exact
 certificate at machine precision rather than a statistical statement.
@@ -92,11 +97,17 @@ class SimulationTrace:
     n: int
     probabilities: np.ndarray       # (s,) squared norms of the projected branches
     fidelities: np.ndarray          # (s,)
-    measurement_states: np.ndarray  # (s, d*n) |M_j>, flat over (1, 2)
     overlaps: np.ndarray            # (s, Bob's dim) projected branch factors, unnormalized
     corrections: np.ndarray         # (s, <= Bob's dim) u_j^dagger o_j, trailing zeros dropped
     residual_schmidts: tuple[int, ...]
     classical_bits: float           # log2 of the number of outcomes
+    table: ProtocolTable = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def measurement_states(self) -> np.ndarray:
+        """(s, d*n) |M_j>, flat over (1, 2): a view of the table's V, built on
+        first access (a formula table builds V then)."""
+        return _protocol.measurement_basis(self.table)
 
     @property
     def total_probability(self) -> float:
@@ -155,37 +166,30 @@ def residual_schmidt(record: OutcomeRecord) -> int:
     return schmidt_number(record.corrected_state, shape, rank_tol=RANK_TOL)
 
 
-def _fidelity_weights(table: ProtocolTable) -> np.ndarray:
-    """|M_j|^4 (s,): the fidelity keeps it so off-normal tables are judged as such."""
-    states = _protocol.measurement_basis(table)
-    return np.einsum("jx,jx->j", states.conj(), states).real ** 2
-
-
 def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
     """Simulate all s outcomes of the protocol for one input state."""
     d, n, s = table.d, table.n, table.s
     psi = as_input_qudit(psi, d)
     grams = _protocol.checked_grams(table)
-    # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
-    sqrt_p = np.sqrt(table.spectrum.as_array())
-    overlaps = np.einsum("jml,m->jl", table.V, psi.conj()).conj() * sqrt_p
-    probabilities = np.einsum("jl,jl->j", overlaps.conj(), overlaps).real
+    overlaps = _protocol.branch_overlaps(table, psi)
+    pairs = overlaps.view(np.float64)  # [re, im] pairs: |o_j|^2 without a conjugate copy
+    probabilities = np.einsum("jx,jx->j", pairs, pairs)
     # u_j^dagger o_j = D_j^dagger D_j psi / sqrt(s): o_j lies in the span of the
     # defined columns D_j and the QR completion of u_j is orthogonal to that span,
     # so the correction is zero past entry d and only its first d entries are kept
     corrections = grams @ psi / math.sqrt(s)
     overlap_with_input = corrections @ psi.conj()
-    fidelities = _fidelity_weights(table) * np.abs(overlap_with_input) ** 2 / probabilities
+    fidelities = table.fidelity_weights * np.abs(overlap_with_input) ** 2 / probabilities
     return SimulationTrace(
         d=d,
         n=n,
         probabilities=probabilities,
         fidelities=fidelities,
-        measurement_states=_protocol.measurement_basis(table),
         overlaps=overlaps,
         corrections=corrections,
         residual_schmidts=(1,) * s,  # |M_j> (x) |c_j> is a product state
         classical_bits=math.log2(s),
+        table=table,
     )
 
 
@@ -214,7 +218,7 @@ def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepRep
         raise ValueError("trials must be at least 1")
     d = table.d
     grams = _protocol.checked_grams(table)
-    weights = _fidelity_weights(table)
+    weights = table.fidelity_weights
     block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s))  # complex128 quadratic forms
 
     rng = np.random.default_rng(seed)

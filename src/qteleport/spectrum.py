@@ -8,6 +8,8 @@ tolerance ambiguity.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,13 +20,33 @@ SUM_TOL = 1e-12
 FEASIBILITY_SLACK = 1e-12  # float spectra only: p_max <= 1/d + slack admits d
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational literal such as "3/16".  "num/den" in plain decimal digits is
+    read as two integers; any other form goes to Fraction(text), which reads it
+    or raises its usual ValueError or ZeroDivisionError."""
+    num, slash, den = text.partition("/")
+    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit() and den.strip("0"):
+        return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
+def _check_exact(exact: tuple[Fraction, ...]) -> None:
+    """Raise ValueError unless the exact values are positive and sum to 1; the
+    sum is tested in integers over the least common denominator."""
+    if any(f.numerator <= 0 for f in exact):
+        raise ValueError("entries must be positive")
+    common = math.lcm(*(f.denominator for f in exact))
+    if sum(f.numerator * (common // f.denominator) for f in exact) != common:
+        raise ValueError(f"entries sum to {sum(exact)}, not 1")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     if isinstance(value, tuple) and len(value) == 2:
         return Fraction(value[0], value[1])
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -40,18 +62,15 @@ class SchmidtSpectrum:
     def __post_init__(self):
         if len(self.probs) == 0:
             raise ValueError("spectrum must contain at least one probability")
-        if any(not p > 0.0 for p in self.probs):  # NaN fails too
-            raise ValueError("all probabilities must be strictly positive")
         if self.exact is not None:
+            _check_exact(self.exact)
             if len(self.exact) != len(self.probs):
                 raise ValueError("exact values must match probs in length")
-            if any(f <= 0 for f in self.exact):
-                raise ValueError("all exact probabilities must be strictly positive")
-            if sum(self.exact) != 1:
-                raise ValueError(f"exact probabilities sum to {sum(self.exact)}, not 1")
-            if any(float(f) != p for f, p in zip(self.exact, self.probs)):
+            if any(f.numerator / f.denominator != p for f, p in zip(self.exact, self.probs)):
                 raise ValueError("probs must be the floating images of the exact values")
-        elif abs(sum(self.probs) - 1.0) > SUM_TOL:
+        if any(not p > 0.0 for p in self.probs):  # NaN fails too, and exact values that underflow
+            raise ValueError("all probabilities must be strictly positive")
+        if self.exact is None and abs(sum(self.probs) - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 
     @classmethod
@@ -60,8 +79,17 @@ class SchmidtSpectrum:
 
     @classmethod
     def from_rationals(cls, values: Sequence) -> "SchmidtSpectrum":
+        """Exact spectrum from Fractions, ints, (num, den) pairs or "num/den"
+        strings.  Raises ValueError for entries that are not positive or do not
+        sum to 1 (or a bad literal's ValueError or ZeroDivisionError)."""
         exact = tuple(_as_fraction(v) for v in values)
-        return cls(tuple(float(f) for f in exact), exact)
+        # |f| > 1 fails the positivity or sum check in __post_init__ before its
+        # float image, which could overflow, is compared
+        probs = tuple(
+            f.numerator / f.denominator if abs(f.numerator) <= f.denominator else math.inf
+            for f in exact
+        )
+        return cls(probs, exact)
 
     @property
     def n(self) -> int:
@@ -72,7 +100,7 @@ class SchmidtSpectrum:
     def p_max(self) -> float:
         return max(self.probs)
 
-    @property
+    @functools.cached_property
     def p_max_exact(self) -> Fraction | None:
         return max(self.exact) if self.exact is not None else None
 

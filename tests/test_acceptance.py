@@ -52,7 +52,9 @@ def test_criterion_1_golden_six_outcome_protocol():
     table = synthesize_d2(GOLDEN, theta)
     assert table.s == 6
     conditions = verify_conditions(table)
-    assert conditions.orthonormality_residual < 1e-10
+    states = measurement_basis(table)
+    orthonormality = np.abs(states.conj() @ states.T - np.eye(table.s)).max()
+    assert orthonormality < 1e-10
     assert conditions.unitarity_residual < 1e-10
 
     rng = np.random.default_rng(1)
@@ -67,7 +69,7 @@ def test_criterion_1_golden_six_outcome_protocol():
     assert elapsed < 1.0
     report(
         "criterion 1 (six-outcome qubit protocol)",
-        f"phasor sum {phasor:.2e}, residuals ({conditions.orthonormality_residual:.2e}, "
+        f"phasor sum {phasor:.2e}, residuals ({orthonormality:.2e}, "
         f"{conditions.unitarity_residual:.2e}), 100 inputs: min fidelity {worst_fid!r}, "
         f"max prob dev {worst_prob:.2e}, {elapsed:.2f}s",
     )

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import qteleport
 from qteleport import cli, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
+from qteleport.spectrum import parse_rational
 
 GOLDEN_PROBLEM = {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 11, "trials": 20}
 
@@ -322,6 +324,23 @@ class TestTableElision:
         assert run(["simulate", path, "--out", str(out)]) == 0
         return out, reportio.loads(out.read_text(encoding="utf-8"))
 
+    def test_elided_simulate_and_verify_never_build_the_table(self, tmp_path, monkeypatch):
+        # a formula table is certified from theta: V is built only to be written
+        tables = []
+
+        def keep(func):
+            def wrapped(table, *args):
+                tables.append(table)
+                return func(table, *args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "random_input_sweep", keep(cli.random_input_sweep))
+        monkeypatch.setattr(cli, "verify_conditions", keep(cli.verify_conditions))
+        out, doc = self.elided_report(tmp_path)
+        assert run(["verify", str(out)]) == 0
+        assert len(tables) == 4  # simulate's sweep and table doc, verify's conditions and sweep
+        assert all("V" not in vars(table) for table in tables)
+
     def test_tampered_theta_fails_verification(self, tmp_path, capsys):
         out, doc = self.elided_report(tmp_path)
         doc["phases"]["theta"][1][0] = (doc["phases"]["theta"][1][0] + 0.5) % (2 * math.pi)
@@ -453,6 +472,16 @@ class TestVerify:
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 2
         assert "pairs of numbers" in capsys.readouterr().err
+
+    def test_scaled_entry_of_an_explicit_table_fails(self, tmp_path, capsys):
+        # an explicit V is measured densely: one entry off by 1e-8 relative is seen
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["construction"] = "Explicit"
+        doc["table"]["V"][0][0][0] = [x * (1 + 1e-8) for x in doc["table"]["V"][0][0][0]]
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        assert "violated: orthonormality" in capsys.readouterr().err
 
     def test_table_disagreeing_with_theta_is_a_violation(self, tmp_path, capsys):
         # a V that theta does not build verified as long as V alone passed
@@ -666,6 +695,41 @@ class TestReportEncoding:
     def test_unsupported_array_raises_type_error(self, array):
         with pytest.raises(TypeError):
             reportio.dumps({"x": array})
+
+
+class TestRationalSpectra:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/+-_. e\u0663\uff11", max_size=8))
+    def test_literals_parse_as_fraction_does(self, text):
+        # plain "num/den" takes the integer path; every other form must read, or
+        # fail, exactly as Fraction(text) does
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as err:
+            with pytest.raises(type(err)) as got:
+                parse_rational(text)
+            assert str(got.value) == str(err)
+        else:
+            assert parse_rational(text) == want
+
+    @pytest.mark.parametrize("items, code, message", [
+        (["1/2", "1/2"], 0, ""),
+        (["-1/2", "3/2"], 3, "field 'spectrum': entries must be positive"),
+        (["0/1", "1/1"], 3, "field 'spectrum': entries must be positive"),
+        (["1/2", "1/3"], 3, "field 'spectrum': entries sum to 5/6, not 1"),
+        (["1" + "0" * 400 + "/1", "1/2"], 3, "entries sum to 2" + "0" * 399 + "1/2, not 1"),
+        (["1/0", "1/2"], 2, "field 'spectrum': bad rational entry (Fraction(1, 0))"),
+        (["1/2", "x/y", "1/0"], 2, "bad rational entry (Invalid literal for Fraction: 'x/y')"),
+    ])
+    def test_exit_codes_and_messages(self, tmp_path, capsys, items, code, message):
+        assert run(["bounds", write_problem(tmp_path, {"d": 2, "spectrum": items})]) == code
+        assert message in capsys.readouterr().err
+
+    def test_exact_values_and_the_cached_p_max(self):
+        spectrum = cli.parse_spectrum_items(["1/6", "1/2", "1/3"])
+        assert spectrum.exact == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+        assert spectrum.probs == (1 / 6, 1 / 2, 1 / 3)
+        assert spectrum.p_max_exact is spectrum.p_max_exact == Fraction(1, 2)
 
 
 class TestParser:

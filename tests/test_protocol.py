@@ -37,6 +37,13 @@ def golden_table() -> ProtocolTable:
     return synthesize_d2(GOLDEN, solve_d2(GOLDEN))
 
 
+def orthonormality_defect(table: ProtocolTable) -> float:
+    """max |<M_j|M_j'> - delta(j, j')| over the dense measurement basis: a formula
+    table reports 0 for every theta, and this measures that theorem on the floats."""
+    states = measurement_basis(table)
+    return float(np.abs(states.conj() @ states.T - np.eye(table.s)).max())
+
+
 class TestBennettRecovery:
     # the four-outcome table has entries +1/2 exactly at these (j, m, k)
     # positions (1-based) and -1/2 everywhere else
@@ -110,9 +117,9 @@ class TestWorkedExampleTable:
                 assert abs(table.V[j - 1, m - 1, k - 1] - value) < 1e-12
 
     def test_conditions(self):
-        report = verify_conditions(golden_table())
-        assert report.orthonormality_residual < 1e-10
-        assert report.unitarity_residual < 1e-10
+        table = golden_table()
+        assert orthonormality_defect(table) < 1e-10
+        assert verify_conditions(table).unitarity_residual < 1e-10
 
 
 class TestSynthesis:
@@ -226,9 +233,9 @@ class TestSynthesis:
     def test_uniform_tables_hold_to_a_few_ulps(self, d, n):
         # exp of the large textbook arguments left 7e-15 .. 5e-14 here
         spectrum = SchmidtSpectrum.from_rationals([f"1/{n}"] * n)
-        report = verify_conditions(synthesize_auto(spectrum, d)[1])
-        assert report.orthonormality_residual < 4e-15
-        assert report.unitarity_residual < 4e-15
+        table = synthesize_auto(spectrum, d)[1]
+        assert orthonormality_defect(table) < 4e-15
+        assert verify_conditions(table).unitarity_residual < 4e-15
 
 
 def defined_columns(table):
@@ -297,10 +304,10 @@ class TestOutcomeGrams:
 
 
 @st.composite
-def unsolved_phases(draw):
-    """(spectrum, theta) at d = 2 or d = 3..4: a feasible spectrum and angles that,
-    almost surely, do not solve its phase constraints."""
-    d = draw(st.sampled_from([2, 3, 4]))
+def unsolved_phases(draw, dims=(2, 3, 4)):
+    """(spectrum, theta) at d in dims: a feasible spectrum and angles that, almost
+    surely, do not solve its phase constraints."""
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(d, 3 * d + 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spectrum = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
@@ -321,9 +328,28 @@ class TestFormulaStructure:
         if theta.d == 2:
             tables.append(synthesize_d2(spectrum, theta))
         for table in tables:
-            assert verify_conditions(table).orthonormality_residual <= 1e-13
+            assert orthonormality_defect(table) <= 1e-13
             got = np.linalg.eigvalsh(table.grams)
             assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(unsolved_phases(dims=(2, 3, 4, 5)))
+    def test_structured_grams_equal_the_dense_ones(self, case):
+        # G_j = L_j C L_j^dagger from theta alone, against W_j W_j^dagger from the
+        # dense V, W = V sqrt(s p); and |M_j|^4 = 1 against the rows of V
+        spectrum, theta = case
+        tables = [synthesize_general(spectrum, theta)]
+        if theta.d == 2:
+            tables.append(synthesize_d2(spectrum, theta))
+        for table in tables:
+            grams = table.grams
+            assert "V" not in vars(table)
+            weighted = table.V * np.sqrt(table.s * spectrum.as_array())
+            dense = weighted @ weighted.conj().transpose(0, 2, 1)
+            np.testing.assert_allclose(grams, dense, rtol=0, atol=1e-14)
+            norms = np.linalg.norm(measurement_basis(table), axis=1)
+            np.testing.assert_allclose(table.fidelity_weights, norms**4, rtol=0, atol=1e-14)
+            assert verify_conditions(table).orthonormality_residual == 0.0
 
 
 class TestMeasurementBasis:

@@ -187,14 +187,17 @@ class TestBranchAlgebra:
                 assert abs(rec.fidelity - fidelity) < 1e-12
 
     def test_conjugating_the_inputs_matches_conjugating_the_table(self, rng):
-        # conj(A) B == conj(A conj(B)) bit for bit, so the overlaps conjugate the
-        # small operand; the Gram corrections G psi / sqrt(s) match the oracle's D^H o
+        # conj(A) B == conj(A conj(B)) bit for bit, so the overlaps of a table that
+        # holds V conjugate the small operand; a formula table reads them from theta;
+        # the Gram corrections G psi / sqrt(s) match the oracle's D^H o
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
             psi = random_state(rng, d)
             trace = run_protocol(psi, table)
             want = np.einsum("jml,m->jl", table.V.conj(), psi) * np.sqrt(spectrum.as_array())
-            np.testing.assert_array_equal(trace.overlaps, want)
+            explicit = ProtocolTable(spectrum, d, table.V, Construction.EXPLICIT)
+            np.testing.assert_array_equal(run_protocol(psi, explicit).overlaps, want)
+            np.testing.assert_allclose(trace.overlaps, want, rtol=0, atol=1e-15)
             overlaps, probs, corrections, fids = (
                 out[0] for out in branches_oracle(psi[None, :], table)
             )
@@ -206,6 +209,30 @@ class TestBranchAlgebra:
                 assert rec.correction.shape == (table.n,)
                 assert not rec.correction[d:].any()
             np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spectrum,d,method", [
+        *((spectrum, d, "auto") for spectrum, d in PROTOCOL_CASES + UNIFORM_SHAPES),
+        (GOLDEN, 2, "general"),
+        (SchmidtSpectrum.from_rationals(["1/32"] * 32), 2, "general"),
+    ])
+    def test_formula_overlaps_from_theta_match_the_table(self, rng, spectrum, d, method):
+        table = synthesize_auto(spectrum, d, method=method)[1]
+        # the same formula table, built apart so that V is built on it alone
+        coeffs = ProtocolTable.from_phases(spectrum, table.phases, table.construction).V
+        sqrt_p = np.sqrt(spectrum.as_array())
+        for _ in range(3):
+            psi = random_state(rng, d)
+            trace = run_protocol(psi, table)
+            want = np.einsum("jml,m->jl", coeffs.conj(), psi) * sqrt_p
+            np.testing.assert_allclose(trace.overlaps, want, rtol=0, atol=1e-15)
+        assert "V" not in vars(table)
+
+    def test_measurement_states_are_built_on_demand(self, rng):
+        table = protocol_table(GOLDEN, 2)
+        trace = run_protocol(random_state(rng, 2), table)
+        assert "V" not in vars(table) and "measurement_states" not in vars(trace)
+        np.testing.assert_array_equal(trace.measurement_states, table.V.reshape(table.s, -1))
+        np.testing.assert_array_equal(trace.outcomes[1].measurement_state, table.V[1].ravel())
 
     def test_records_are_built_on_first_access(self, rng):
         table = protocol_table(GOLDEN, 2)
@@ -280,8 +307,26 @@ class TestSweep:
         want = oracle_sweep(table, 12, 11)
         np.testing.assert_allclose(sweep_fields(report), want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES)
+    def test_off_normal_explicit_tables_agree_with_the_oracle(self, rng, spectrum, d):
+        # |M_j| = 1 + 1e-9 passes the column check; the fidelity keeps |M_j|^4
+        # from the table's rows, as the oracle does
+        coeffs = protocol_table(spectrum, d).V * (1 + 1e-9)
+        table = ProtocolTable(spectrum, d, coeffs, Construction.EXPLICIT)
+        report = random_input_sweep(table, trials=12, seed=11)
+        np.testing.assert_allclose(sweep_fields(report), oracle_sweep(table, 12, 11), rtol=0, atol=1e-14)
+        psi = random_state(rng, d)
+        fids = branches_oracle(psi[None, :], table)[3][0]
+        np.testing.assert_allclose(run_protocol(psi, table).fidelities, fids, rtol=0, atol=1e-14)
+        assert abs(report.max_fidelity_deviation - 6e-9) < 1e-10  # |M_j|^4 (1 + 1e-9)^2
+
     def test_memory_does_not_grow_with_trials(self):
+        # a formula table's Grams take a few KiB, so a sweep's peak is its own block
+        # arrays: two trial counts that both span many blocks peak alike, and below
+        # a small multiple of the block budget
         spectrum = SchmidtSpectrum.from_rationals(["1/32"] * 32)
+        random_input_sweep(protocol_table(spectrum, 2), trials=1, seed=3)  # first-use imports
+        block = sim.SWEEP_BLOCK_BYTES // (16 * 2 * 32)
 
         def peak(trials):
             # a fresh table each time: the Grams are built once per table, on its
@@ -294,7 +339,9 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
 
-        assert peak(2000) <= 2 * peak(20)
+        many = peak(100 * block)
+        assert many <= 2 * peak(10 * block)
+        assert many <= 4 * sim.SWEEP_BLOCK_BYTES
 
     def test_degenerate_columns_raise(self, rng):
         table = protocol_table(GOLDEN, 2)
