@@ -14,10 +14,13 @@ honestly when nothing reaches the acceptance threshold.
 The split is found by first-fit backtracking (find_partition), kept bounded
 without changing which split it returns: a dead-gap prune drops placements
 that leave a subgroup impossible to complete, a meet-in-the-middle subset-sum
-test run only once the search has stalled (and only for n <= SUBSET_SUM_MAX_N)
-proves most hopeless spectra hopeless at once, and PARTITION_NODE_BUDGET caps
-the placements.  When no split is found, for whichever reason, solve_general
-falls through to the numerical search.
+test proves most hopeless spectra hopeless at once, and PARTITION_NODE_BUDGET
+caps the placements.  The subset-sum test runs once, for n <=
+SUBSET_SUM_MAX_N, when the placements spent reach its own cost of about
+2 * 2**ceil(n/2) sums (SUBSET_SUM_AFTER at most), so a split first fit finds
+quickly never pays for it and a hopeless one never backtracks far past it.
+When no split is found, for whichever reason, solve_general falls through to
+the numerical search.
 
 For d = 3, n = 4 the question is decided before the search runs
 (decide_three_by_four): existence reduces to whether a real function g has a
@@ -28,7 +31,11 @@ skips the search; every other case runs it unchanged.
 
 The search runs Levenberg-Marquardt (least_squares) on the d(d - 1) real
 constraints, with every row pair's residual and Jacobian computed in one
-array operation (phase_equations).
+array operation (phase_equations); the Jacobian reuses the terms of the
+residual just evaluated at the same point.  The damping follows the gain
+ratio of each step, actual over predicted decrease (Nielsen 1999; Madsen,
+Nielsen & Tingleff 2004): a kept step shrinks lam by at most tenfold, a
+rejected one grows it by a factor that doubles with each rejection in a row.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ SEARCH_R_TOL = 1e-18        # sum-of-squares acceptance for the numerical search
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_NFEV = 100_000
 PARTITION_NODE_BUDGET = 1_000_000  # first-fit placements before find_partition gives up
-SUBSET_SUM_AFTER = 4096     # placements before the lazy subset-sum test runs
+SUBSET_SUM_AFTER = 4096     # most placements before the lazy subset-sum test runs
 SUBSET_SUM_MAX_N = 40       # largest n given the subset-sum test (2 * 2**(n/2) sums)
 # Float rounding allowance of the subset-sum test.  A k-term sum of positive
 # values, added in any order, is off its exact value by at most (k-1)*u*S
@@ -237,9 +244,11 @@ def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
     * dead-gap prune: a placement that leaves its subgroup neither full nor
       able to take the smallest value is dropped, since every later value is
       at least that large;
-    * lazy subset-sum test: after SUBSET_SUM_AFTER placements without success,
-      and for n <= SUBSET_SUM_MAX_N, a meet-in-the-middle test asks whether
-      any subset sums to 1/d at all; if none does, no split exists;
+    * lazy subset-sum test: for n <= SUBSET_SUM_MAX_N, once the placements
+      without success reach the test's own cost, about 2 * 2**ceil(n/2) sums
+      (or SUBSET_SUM_AFTER, whichever is less), a meet-in-the-middle test
+      asks whether any subset sums to 1/d at all; if none does, no split
+      exists;
     * node budget: after PARTITION_NODE_BUDGET placements the search stops.
 
     Raises NoPartition when no split exists or the budget runs out (the
@@ -282,7 +291,11 @@ def _first_fit(vals: list, d: int, target, tol) -> list[int]:
     groups = [0] * n      # subgroup of vals[pos]
     before = [0] * n      # its subgroup's sum before; restored exactly on backtrack
     used = 0              # non-empty subgroups; they are always 0..used-1
-    checkpoint = SUBSET_SUM_AFTER if n <= SUBSET_SUM_MAX_N else PARTITION_NODE_BUDGET
+    # the subset-sum test costs about 2 * 2**ceil(n/2) sums: run it once the
+    # placements spent reach that, or SUBSET_SUM_AFTER if that comes first
+    checkpoint = (
+        min(SUBSET_SUM_AFTER, 2 << (n + 1) // 2) if n <= SUBSET_SUM_MAX_N else PARTITION_NODE_BUDGET
+    )
     nodes = pos = g = 0
     while True:
         v = vals[pos]
@@ -391,22 +404,31 @@ class LeastSquaresResult:
 def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult:
     """Minimize |fun(x)|**2 / 2 by Levenberg-Marquardt, from x0.
 
-    The step is -J^T (J J^T + lam I)^-1 r, solved on the residual side, the
+    The step h = -J^T (J J^T + lam I)^-1 r is solved on the residual side, the
     smaller one: the search has d(d - 1) residuals against (d - 1)(n - 1)
-    unknowns with n > d, so at most a 20 x 20 system up to d = 5.  A step is
-    kept when it lowers the cost, and lam then shrinks tenfold; otherwise lam
-    grows tenfold and the step is retried.  The loop stops on a relative cost
-    decrease below LM_FTOL, a step below LM_XTOL * |x|, a gradient below
-    LM_GTOL or an overflowing lam, and never evaluates fun more than max_nfev
-    times.
+    unknowns with n > d, so at most a 20 x 20 system up to d = 5.  It also
+    solves (J^T J + lam I) h = -g with g = J^T r, so the decrease the linear
+    model predicts is pred = h^T (lam h - g) / 2, one dot product.  The damping
+    follows the gain ratio rho = (cost - cost_new) / pred (Nielsen 1999,
+    "Damping parameter in Marquardt's method"; Madsen, Nielsen & Tingleff
+    2004): a step with rho > 0 is kept, and lam is scaled by
+    max(1/10, 1 - (2 rho - 1)**3), never below LM_LAMBDA_MIN, and nu reset
+    to 2; otherwise lam grows by nu, nu doubles, and the step is retried.
+    Near a minimum with rho close to 1 lam shrinks tenfold per step, and a
+    poor model shrinks it less instead of bouncing between /10 and *10.
+
+    The loop stops on a relative cost decrease below LM_FTOL (of a kept
+    step), a step below LM_XTOL * |x|, a gradient below LM_GTOL or an
+    overflowing lam, and never evaluates fun more than max_nfev times.
     """
     x = np.asarray(x0, dtype=float)
     r = fun(x)
-    cost, nfev, lam = 0.5 * (r @ r), 1, LM_LAMBDA0
+    cost, nfev, lam, nu = 0.5 * (r @ r), 1, LM_LAMBDA0, 2.0
     identity = np.eye(r.size)
     while nfev < max_nfev:
         j = jac(x)
-        if np.abs(j.T @ r).max() <= LM_GTOL:
+        grad = j.T @ r
+        if np.abs(grad).max() <= LM_GTOL:
             break
         gram, x_tol = j @ j.T, LM_XTOL * (LM_XTOL + np.linalg.norm(x))
         while True:
@@ -417,13 +439,15 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
             r_new = fun(x_new)
             nfev += 1
             cost_new = 0.5 * (r_new @ r_new)
-            if cost_new < cost:
+            gain = (cost - cost_new) / (0.5 * (step @ (lam * step - grad)))
+            if gain > 0:
                 break
-            lam *= 10.0
+            lam, nu = lam * nu, 2.0 * nu
             if nfev == max_nfev or not math.isfinite(lam):
                 return LeastSquaresResult(x, float(cost), nfev)
         stalled = cost - cost_new <= LM_FTOL * cost
-        x, r, cost, lam = x_new, r_new, cost_new, max(lam / 10.0, LM_LAMBDA_MIN)
+        x, r, cost, nu = x_new, r_new, cost_new, 2.0
+        lam = max(lam * max(0.1, 1.0 - (2.0 * gain - 1.0) ** 3), LM_LAMBDA_MIN)
         if stalled:
             break
     return LeastSquaresResult(x, float(cost), nfev)
@@ -452,11 +476,17 @@ def phase_equations(probs: np.ndarray, d: int):
         phases = np.exp(1j * _unpack(x, d, n))
         return (probs * phases)[upper] * phases[lower].conj()
 
+    last = {}  # the terms at the point residual saw last, keyed by its bytes
+
     def residual(x: np.ndarray) -> np.ndarray:
-        return terms(x).sum(axis=1).view(float)
+        last.clear()
+        t = last[x.tobytes()] = terms(x)
+        return t.sum(axis=1).view(float)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        t = 1j * terms(x)[:, 1:]
+        # the bytes, not the object: a caller may have changed x in place since
+        t = last.get(x.tobytes())
+        t = 1j * (terms(x) if t is None else t)[:, 1:]
         grad = np.zeros((pairs.size, d, n - 1), dtype=complex)
         grad[pairs, upper] = t
         grad[pairs, lower] = -t

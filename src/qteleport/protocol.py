@@ -57,6 +57,7 @@ from .spectrum import SchmidtSpectrum
 
 CONDITION_TOL = 1e-10
 COLUMN_TOL = 1e-8  # orthonormality slack for the defined correction columns
+OVERLAP_BLOCK_BYTES = 1 << 20  # roots-of-unity rows branch_overlaps builds at a time
 
 
 class Construction(enum.Enum):
@@ -336,7 +337,9 @@ def branch_overlaps(table: ProtocolTable, psi: np.ndarray) -> np.ndarray:
     e[j, l] = exp(2 pi i j l / n) repeats every n outcomes, and F[j, m, l] is
     L[j, m] exp(i theta[m, l]) for the general formula or the phasor rows of
     the qubit one (which depend on j only through its half).  So
-    o = conj(e * sum_m conj(psi_m) F) sqrt(p / s), one (s, n) array.
+    o = conj(e * sum_m conj(psi_m) F) sqrt(p / s), one (s, n) array, with e
+    built OVERLAP_BLOCK_BYTES of rows at a time: the call's peak is the
+    overlaps it returns plus one block.
     """
     d, n, s = table.d, table.n, table.s
     scale = np.sqrt(table.spectrum.as_array())
@@ -345,16 +348,23 @@ def branch_overlaps(table: ProtocolTable, psi: np.ndarray) -> np.ndarray:
         overlaps = np.einsum("jml,m->jl", table.V, psi.conj())
     else:
         bar = psi.conj()
-        r = np.arange(1, n + 1)
-        e = _roots_of_unity(n)[np.multiply.outer(r, r) % n]  # (n, n)
         if table.construction is Construction.D2_FORMULA:
             phasor = np.exp(1j * table.phases.row_differences())
             mixed = np.stack([bar[0] + bar[1] * phasor, bar[1] - bar[0] * phasor.conj()])
-            overlaps = (mixed[:, None, :] * e).reshape(s, n)
+            overlaps = np.empty((s, n), dtype=complex)
         else:
             overlaps = (table.outcome_phases * bar) @ np.exp(1j * table.phases.theta)
-            blocks = overlaps.reshape(d, n, n)  # a view: row t*n + r - 1 holds outcome j = t*n + r
-            blocks *= e
+        blocks = overlaps.reshape(d, n, n)  # a view: row t*n + r - 1 holds outcome j = t*n + r
+        # e[r - 1, l - 1] = exp(2 pi i r l / n) by exact index, a few rows at a
+        # time, so neither e nor its index is ever held whole
+        roots, r = _roots_of_unity(n), np.arange(1, n + 1)
+        rows = max(1, OVERLAP_BLOCK_BYTES // (24 * n))  # complex e and its int64 index
+        for lo in range(0, n, rows):
+            e = roots[np.multiply.outer(r[lo : lo + rows], r) % n]
+            if table.construction is Construction.D2_FORMULA:
+                np.multiply(mixed[:, None, :], e, out=blocks[:, lo : lo + rows])
+            else:
+                blocks[:, lo : lo + rows] *= e
         scale = scale / math.sqrt(s)
     np.conjugate(overlaps, out=overlaps)
     overlaps *= scale

@@ -344,6 +344,13 @@ class TestPartitionSearch:
                 find_partition(near_uniform(n, seed), 3)
             assert time.perf_counter() - start < 0.5
 
+    def test_near_uniform_refused_by_the_subset_sum_test(self):
+        # at n = 14 the test costs about 2 * 2**7 sums, so it runs after 256
+        # placements, before first fit has exhausted its backtracking
+        for seed in range(3):
+            with pytest.raises(NoPartition, match="no subset"):
+                find_partition(near_uniform(14, seed), 3)
+
     def test_budget_bounds_large_searches(self):
         # past SUBSET_SUM_MAX_N, and with subsets of weight 1/3 aplenty, only
         # the node budget stops the search
@@ -550,8 +557,30 @@ class TestSearch:
                         s.as_array(), d, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
                     )
                     assert theta is not None and len(searches) == 2  # first start, then the polish
+                    if d == 5:  # n = d + 1 costs the most evaluations per start
+                        assert searches[0].nfev <= 40
                     assert best_r < phases.SEARCH_R_TOL
                     assert phases.constraint_residual(s.as_array(), theta) < phases.RESIDUAL_TOL
+
+    def test_exhausted_searches_stay_cheap(self, searches):
+        # gain-ratio damping: 64 restarts on each of the three spectra took
+        # 16034 residual evaluations with lam bouncing between /10 and *10
+        for p in EXHAUSTED:
+            assert search_outcome(SchmidtSpectrum.from_probs(p))[1] is None
+        assert len(searches) == 3 * DEFAULT_RESTARTS
+        assert sum(result.nfev for result in searches) < 8000
+
+    def test_jacobian_reuses_the_residual_terms_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        probs = rng.dirichlet([2.0] * 7)
+        residual, jacobian = phases.phase_equations(probs, 4)
+        _, fresh = phases.phase_equations(probs, 4)
+        x = rng.uniform(0, 2 * np.pi, 3 * 6)
+        residual(x)
+        assert jacobian(x).tobytes() == fresh(x.copy()).tobytes()
+        residual(x)
+        x += 0.25  # in place, after residual saw it
+        assert jacobian(x).tobytes() == fresh(x.copy()).tobytes()
 
     def test_exhausted_search_reports_its_best_residual(self, searches):
         for p in EXHAUSTED:

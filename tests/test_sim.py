@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qteleport import sim
+from qteleport import protocol, sim
 from qteleport.errors import DegenerateColumns
 from qteleport.phases import solve_general
 from qteleport.protocol import (
@@ -226,6 +226,27 @@ class TestBranchAlgebra:
             want = np.einsum("jml,m->jl", coeffs.conj(), psi) * sqrt_p
             np.testing.assert_allclose(trace.overlaps, want, rtol=0, atol=1e-15)
         assert "V" not in vars(table)
+
+    @pytest.mark.parametrize("spectrum,d", [(SEARCH, 3), (QUARTERS, 4), *UNIFORM_SHAPES])
+    def test_formula_overlaps_do_not_depend_on_the_block_size(self, monkeypatch, rng, spectrum, d):
+        table = protocol_table(spectrum, d)
+        psi = random_state(rng, d)
+        whole = protocol.branch_overlaps(table, psi)
+        monkeypatch.setattr(protocol, "OVERLAP_BLOCK_BYTES", 1)  # one row of e per block
+        assert protocol.branch_overlaps(table, psi).tobytes() == whole.tobytes()
+
+    def test_formula_overlaps_peak_at_one_block_over_the_result(self, rng):
+        # e and its index are built a block of rows at a time, never whole
+        n = 512
+        table = protocol_table(SchmidtSpectrum.from_rationals([f"1/{n}"] * n), 2)
+        psi = random_state(rng, 2)
+        tracemalloc.start()
+        try:
+            overlaps = protocol.branch_overlaps(table, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= overlaps.nbytes + 2 * protocol.OVERLAP_BLOCK_BYTES
 
     def test_measurement_states_are_built_on_demand(self, rng):
         table = protocol_table(GOLDEN, 2)
