@@ -91,6 +91,15 @@ class Problem:
     trials: int | None = None
 
 
+def _as_double(number) -> float:
+    """A JSON number as a double.  An integer past the double range reads as an
+    infinity, as a float literal past it (1e400) does."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 def parse_spectrum_items(items) -> SchmidtSpectrum:
     """Spectrum from JSON entries: numbers, or strings ("num/den" => exact)."""
     if not isinstance(items, list) or not items:
@@ -110,10 +119,10 @@ def parse_spectrum_items(items) -> SchmidtSpectrum:
         if isinstance(it, bool):
             raise ParseFailure("field 'spectrum': entries must be numbers or 'num/den' strings")
         if isinstance(it, (int, float)):
-            values.append(float(it))
+            values.append(_as_double(it))
         elif isinstance(it, str):
             try:
-                values.append(float(Fraction(it)))
+                values.append(_as_double(Fraction(it)))
             except (ValueError, ZeroDivisionError):
                 raise ParseFailure(f"field 'spectrum': cannot parse entry {it!r}")
         else:
@@ -153,7 +162,7 @@ def parse_problem_doc(doc) -> Problem:
             for p in pairs
         ):
             raise ParseFailure("field 'inputState' must be a list of [re, im] pairs")
-        amps = np.array([complex(p[0], p[1]) for p in pairs])
+        amps = np.array([complex(_as_double(p[0]), _as_double(p[1])) for p in pairs])
         if amps.size != d:
             raise InputFailure(f"field 'inputState' must have {d} amplitudes, got {amps.size}")
         if not is_normalized(amps):

@@ -24,21 +24,21 @@ Two constructions are provided: the closed-form qubit table built from the
 roots-of-unity matrix and the single-phasor angles, and the general-d table
 built from a full phase matrix.  A formula table is its phase matrix: it
 holds theta and builds the dense V only when something reads it (emission,
-the correction columns, the measurement basis).  Both constructions keep
-|V[j, m, k]| = 1/sqrt(s) exactly, so every outcome occurs with probability
-1/s and |M_j| = 1; their measurement basis is orthonormal for every theta (a
-double geometric series); and G_j = L_j C L_j^dagger for the d x d phase
-Gram C = `phases.phase_gram` and a diagonal unitary L_j of roots of unity
-(signs at d = 2).  So a formula table is certified from C in O(s*d^2), and
-its orthonormality residual is 0.  An explicit table (a V given to
-`verify`) holds V and is measured densely: the s x s Gram and W_j W_j^dagger.
+the correction columns, the measurement basis, a simulation trace's branch
+overlaps).  Both constructions keep |V[j, m, k]| = 1/sqrt(s) exactly, so
+every outcome occurs with probability 1/s and |M_j| = 1; their measurement
+basis is orthonormal for every theta (a double geometric series); and
+G_j = L_j C L_j^dagger for the d x d phase Gram C = `phases.phase_gram` and
+a diagonal unitary L_j of roots of unity (signs at d = 2).  So a formula
+table is certified from C in O(s*d^2), and its orthonormality residual is 0.
+An explicit table (a V given to `verify`) holds V and is measured densely:
+the s x s Gram and W_j W_j^dagger.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +57,6 @@ from .spectrum import SchmidtSpectrum
 
 CONDITION_TOL = 1e-10
 COLUMN_TOL = 1e-8  # orthonormality slack for the defined correction columns
-OVERLAP_BLOCK_BYTES = 1 << 20  # roots-of-unity rows branch_overlaps builds at a time
 
 
 class Construction(enum.Enum):
@@ -326,49 +325,6 @@ def bob_unitaries(table: ProtocolTable) -> np.ndarray:
     unitaries, _ = np.linalg.qr(defined, mode="complete")
     unitaries[:, :, :table.d] = defined
     return unitaries
-
-
-def branch_overlaps(table: ProtocolTable, psi: np.ndarray) -> np.ndarray:
-    """Bob's factors of the s projected branches for the input psi, shape (s, n):
-    o[j, l] = sqrt(p_l) sum_m conj(V[j, m, l]) psi_m.
-
-    A formula table reads them from its angles without building V.  Its
-    coefficients factor as V[j, m, l] = e[j, l] F[j, m, l] / sqrt(s), where
-    e[j, l] = exp(2 pi i j l / n) repeats every n outcomes, and F[j, m, l] is
-    L[j, m] exp(i theta[m, l]) for the general formula or the phasor rows of
-    the qubit one (which depend on j only through its half).  So
-    o = conj(e * sum_m conj(psi_m) F) sqrt(p / s), one (s, n) array, with e
-    built OVERLAP_BLOCK_BYTES of rows at a time: the call's peak is the
-    overlaps it returns plus one block.
-    """
-    d, n, s = table.d, table.n, table.s
-    scale = np.sqrt(table.spectrum.as_array())
-    if table.phases is None:
-        # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
-        overlaps = np.einsum("jml,m->jl", table.V, psi.conj())
-    else:
-        bar = psi.conj()
-        if table.construction is Construction.D2_FORMULA:
-            phasor = np.exp(1j * table.phases.row_differences())
-            mixed = np.stack([bar[0] + bar[1] * phasor, bar[1] - bar[0] * phasor.conj()])
-            overlaps = np.empty((s, n), dtype=complex)
-        else:
-            overlaps = (table.outcome_phases * bar) @ np.exp(1j * table.phases.theta)
-        blocks = overlaps.reshape(d, n, n)  # a view: row t*n + r - 1 holds outcome j = t*n + r
-        # e[r - 1, l - 1] = exp(2 pi i r l / n) by exact index, a few rows at a
-        # time, so neither e nor its index is ever held whole
-        roots, r = _roots_of_unity(n), np.arange(1, n + 1)
-        rows = max(1, OVERLAP_BLOCK_BYTES // (24 * n))  # complex e and its int64 index
-        for lo in range(0, n, rows):
-            e = roots[np.multiply.outer(r[lo : lo + rows], r) % n]
-            if table.construction is Construction.D2_FORMULA:
-                np.multiply(mixed[:, None, :], e, out=blocks[:, lo : lo + rows])
-            else:
-                blocks[:, lo : lo + rows] *= e
-        scale = scale / math.sqrt(s)
-    np.conjugate(overlaps, out=overlaps)
-    overlaps *= scale
-    return overlaps
 
 
 def verify_conditions(table: ProtocolTable) -> ConditionReport:

@@ -14,18 +14,18 @@ For every outcome j the run follows the algebra of the protocol:
      (`ProtocolTable.grams`): the rest of u_j is never built, and the trace
      holds only the d leading entries.
 
-The d x d Gram G_j is all a random input needs: p_j = psi^dagger G_j psi / s
-and the fidelity is |M_j|^4 psi^dagger G_j psi.  So `random_input_sweep`
-certifies T inputs as quadratic forms in O(T*s*d^2), one GEMM per block of
-trials.  Every function takes the table alone: it carries its spectrum and
-builds its Grams and weights once (`ProtocolTable.grams`,
-`ProtocolTable.fidelity_weights`); a formula table builds both from its
-phase matrix, so a sweep never builds V.  `run_protocol` stays the full
-branch simulation of one input: the overlaps come from
-`protocol.branch_overlaps` in O(s*d*n) time and (s, n) memory (from theta for
-a formula table), the `SimulationTrace` holds them as arrays, and its
-measurement states (a view of V), its `OutcomeRecord`s and the d*n^2 branch
-states are built only on demand (`SimulationTrace.measurement_states`,
+The d x d Gram G_j is all a run needs: with q_j = psi^dagger G_j psi, the
+outcome probability is q_j / s and the fidelity is |M_j|^4 q_j.  Every
+function takes the table alone: it carries its spectrum and builds its Grams
+and weights once (`ProtocolTable.grams`, `ProtocolTable.fidelity_weights`);
+a formula table builds both from its phase matrix, so neither a run nor a
+sweep builds V.  `random_input_sweep` certifies T inputs as these quadratic
+forms in O(T*s*d^2), one GEMM per block of trials, and `run_protocol` is the
+same quadratic form at one input: q_j = sqrt(s) Re(c_j . conj(psi)) from the
+corrections, in O(s*d^2) with no (s, n) array.  The `SimulationTrace` holds
+the input; the overlaps o_j (one einsum over V), the measurement states (a
+view of V), the `OutcomeRecord`s and the d*n^2 branch states are built only
+when read (`SimulationTrace.overlaps`, `SimulationTrace.measurement_states`,
 `SimulationTrace.outcomes`, `OutcomeRecord.post_state`,
 `OutcomeRecord.corrected_state`).
 Every outcome is enumerated (no sampling), so a fidelity-1 report is an exact
@@ -95,13 +95,30 @@ class SimulationTrace:
 
     d: int
     n: int
+    psi: np.ndarray                 # (d,) the input state
     probabilities: np.ndarray       # (s,) squared norms of the projected branches
     fidelities: np.ndarray          # (s,)
-    overlaps: np.ndarray            # (s, Bob's dim) projected branch factors, unnormalized
-    corrections: np.ndarray         # (s, <= Bob's dim) u_j^dagger o_j, trailing zeros dropped
+    corrections: np.ndarray         # (s, d) u_j^dagger o_j, trailing zeros dropped
     residual_schmidts: tuple[int, ...]
     classical_bits: float           # log2 of the number of outcomes
     table: ProtocolTable = dataclasses.field(repr=False, compare=False)
+    idle: np.ndarray | None = None  # Schmidt matrix (Alice's half, Bob's half) of an idle factor
+
+    def _with_idle(self, bob: np.ndarray) -> np.ndarray:
+        """Branch factors (s, table.n) of the measured resource, joined with the
+        idle factor if there is one: (s, b1) -> (s, a2 b1 b2)."""
+        if self.idle is None:
+            return bob
+        return np.einsum("ac,jb->jabc", self.idle, bob).reshape(len(bob), -1)
+
+    @functools.cached_property
+    def overlaps(self) -> np.ndarray:
+        """(s, Bob's dim) projected branch factors o_j, unnormalized, built on first
+        access by one einsum over V (a formula table builds V then)."""
+        # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
+        overlaps = np.einsum("jml,m->jl", self.table.V, self.psi.conj()).conj()
+        overlaps *= np.sqrt(self.table.spectrum.as_array())
+        return self._with_idle(overlaps)
 
     @functools.cached_property
     def measurement_states(self) -> np.ndarray:
@@ -120,15 +137,17 @@ class SimulationTrace:
     @functools.cached_property
     def outcomes(self) -> tuple[OutcomeRecord, ...]:
         """One record per outcome, built on first access; each correction is
-        zero-padded to the overlap's length."""
-        pad = (0, self.overlaps.shape[1] - self.corrections.shape[1])
+        zero-padded to the table's n and joined with the idle factor, so that it
+        has the overlap's length."""
+        padded = np.pad(self.corrections, ((0, 0), (0, self.table.n - self.d)))
+        corrections = self._with_idle(padded)
         return tuple(
             OutcomeRecord(
                 j=j + 1,
                 probability=float(self.probabilities[j]),
                 measurement_state=self.measurement_states[j],
                 overlap=self.overlaps[j],
-                correction=np.pad(self.corrections[j], pad),
+                correction=corrections[j],
                 fidelity=float(self.fidelities[j]),
                 residual_schmidt=self.residual_schmidts[j],
                 d=self.d,
@@ -146,14 +165,6 @@ def as_input_qudit(amps, d: int | None = None) -> np.ndarray:
     return vec
 
 
-def resource_state(spectrum: SchmidtSpectrum) -> np.ndarray:
-    """The shared resource sum_k sqrt(p_k) |k>|k> as a flat n^2 vector."""
-    n = spectrum.n
-    chi = np.zeros(n * n, dtype=complex)
-    chi[np.arange(n) * n + np.arange(n)] = np.sqrt(spectrum.as_array())
-    return chi
-
-
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed pure state: complex Gaussian amplitudes, normalized."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -167,25 +178,21 @@ def residual_schmidt(record: OutcomeRecord) -> int:
 
 
 def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
-    """Simulate all s outcomes of the protocol for one input state."""
+    """Simulate all s outcomes of the protocol for one input state: the sweep's
+    quadratic forms q_j = psi^dagger G_j psi at this one input, in O(s*d^2)."""
     d, n, s = table.d, table.n, table.s
     psi = as_input_qudit(psi, d)
-    grams = _protocol.checked_grams(table)
-    overlaps = _protocol.branch_overlaps(table, psi)
-    pairs = overlaps.view(np.float64)  # [re, im] pairs: |o_j|^2 without a conjugate copy
-    probabilities = np.einsum("jx,jx->j", pairs, pairs)
     # u_j^dagger o_j = D_j^dagger D_j psi / sqrt(s): o_j lies in the span of the
     # defined columns D_j and the QR completion of u_j is orthogonal to that span,
     # so the correction is zero past entry d and only its first d entries are kept
-    corrections = grams @ psi / math.sqrt(s)
-    overlap_with_input = corrections @ psi.conj()
-    fidelities = table.fidelity_weights * np.abs(overlap_with_input) ** 2 / probabilities
+    corrections = _protocol.checked_grams(table) @ psi / math.sqrt(s)
+    quadratic = math.sqrt(s) * (corrections @ psi.conj()).real
     return SimulationTrace(
         d=d,
         n=n,
-        probabilities=probabilities,
-        fidelities=fidelities,
-        overlaps=overlaps,
+        psi=psi,
+        probabilities=quadratic / s,
+        fidelities=table.fidelity_weights * quadratic,
         corrections=corrections,
         residual_schmidts=(1,) * s,  # |M_j> (x) |c_j> is a product state
         classical_bits=math.log2(s),
@@ -265,15 +272,7 @@ def one_pair_double_bell_trace(psi) -> SimulationTrace:
     """
     pair = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
     table = _protocol.synthesize_d2(pair, _phases.solve_d2(pair))
-    single = run_protocol(psi, table)
-
-    idle = resource_state(pair).reshape(2, 2)  # (a2, b2)
-
-    def with_idle(bob: np.ndarray) -> np.ndarray:  # (s, b1) -> (s, a2 b1 b2)
-        return np.einsum("ac,jb->jabc", idle, bob).reshape(len(bob), -1)
-
-    trace = dataclasses.replace(
-        single, n=4, overlaps=with_idle(single.overlaps), corrections=with_idle(single.corrections)
-    )
+    idle = np.diag(np.sqrt(pair.as_array()))  # the idle pair sum_k sqrt(p_k) |k>|k>
+    trace = dataclasses.replace(run_protocol(psi, table), n=4, idle=idle)
     measured = tuple(residual_schmidt(rec) for rec in trace.outcomes)
     return dataclasses.replace(trace, residual_schmidts=measured)

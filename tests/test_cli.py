@@ -20,6 +20,7 @@ from qteleport.errors import PhaseFactorsNotFound
 from qteleport.spectrum import parse_rational
 
 GOLDEN_PROBLEM = {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 11, "trials": 20}
+OVERFLOWING_TOKENS = ["1e400", "1" + "0" * 400]  # a float literal and an integer past the double range
 
 JSON_DOCS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
@@ -104,10 +105,12 @@ class TestBounds:
         assert "NaN" in capsys.readouterr().err
 
     def test_overflowing_entry_is_invariant_violation(self, tmp_path, capsys):
+        # a 401-digit integer cannot be converted to a float; it reads as 1e400 does
         path = tmp_path / "problem.json"
-        path.write_text('{"d": 2, "spectrum": [1e400, 0.5]}', encoding="utf-8")
-        assert run(["bounds", str(path)]) == 3
-        assert "finite" in capsys.readouterr().err
+        for token in OVERFLOWING_TOKENS:
+            path.write_text(f'{{"d": 2, "spectrum": [{token}, 0.5]}}', encoding="utf-8")
+            assert run(["bounds", str(path)]) == 3, token
+            assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bounds", "synthesize", "simulate"])
     @pytest.mark.parametrize("field,text", [
@@ -244,14 +247,16 @@ class TestSimulate:
         path = write_problem(tmp_path, problem)
         assert run(["simulate", path]) == 2
 
-    def test_overflowing_input_state_is_invariant_violation(self, tmp_path):
-        # an amplitude of 1e400 parses to inf, whose norm is NaN
+    def test_overflowing_input_state_is_invariant_violation(self, tmp_path, capsys):
+        # an amplitude of 1e400, or of a 401-digit integer, reads as inf, whose norm is NaN
         path = tmp_path / "problem.json"
-        path.write_text(
-            '{"d": 2, "spectrum": ["1/2", "1/2"], "inputState": [[1e400, 0], [1, 0]]}',
-            encoding="utf-8",
-        )
-        assert run(["simulate", str(path)]) == 3
+        for token in OVERFLOWING_TOKENS:
+            path.write_text(
+                f'{{"d": 2, "spectrum": ["1/2", "1/2"], "inputState": [[{token}, 0], [1, 0]]}}',
+                encoding="utf-8",
+            )
+            assert run(["simulate", str(path)]) == 3, token
+            assert "normalized" in capsys.readouterr().err
 
     def test_round_trip_parse_serialize(self, tmp_path):
         # reports are written from arrays; their parsed lists re-encode through

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qteleport import protocol, sim
+from qteleport import sim
 from qteleport.errors import DegenerateColumns
 from qteleport.phases import solve_general
 from qteleport.protocol import (
@@ -187,8 +187,8 @@ class TestBranchAlgebra:
                 assert abs(rec.fidelity - fidelity) < 1e-12
 
     def test_conjugating_the_inputs_matches_conjugating_the_table(self, rng):
-        # conj(A) B == conj(A conj(B)) bit for bit, so the overlaps of a table that
-        # holds V conjugate the small operand; a formula table reads them from theta;
+        # conj(A) B == conj(A conj(B)) bit for bit, so the overlaps, read from V on
+        # demand, conjugate the small operand, for a formula table as for its copy;
         # the Gram corrections G psi / sqrt(s) match the oracle's D^H o
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
@@ -216,37 +216,23 @@ class TestBranchAlgebra:
         (SchmidtSpectrum.from_rationals(["1/32"] * 32), 2, "general"),
     ])
     def test_formula_overlaps_from_theta_match_the_table(self, rng, spectrum, d, method):
+        # a run is the quadratic form psi^H G_j psi: it builds neither V nor the
+        # (s, n) overlaps, which are read from V on demand and square to the
+        # probabilities; the formula table and its Explicit copy agree with the oracle
         table = synthesize_auto(spectrum, d, method=method)[1]
-        # the same formula table, built apart so that V is built on it alone
-        coeffs = ProtocolTable.from_phases(spectrum, table.phases, table.construction).V
-        sqrt_p = np.sqrt(spectrum.as_array())
-        for _ in range(3):
-            psi = random_state(rng, d)
-            trace = run_protocol(psi, table)
-            want = np.einsum("jml,m->jl", coeffs.conj(), psi) * sqrt_p
-            np.testing.assert_allclose(trace.overlaps, want, rtol=0, atol=1e-15)
+        psis = [random_state(rng, d) for _ in range(3)]
+        traces = [run_protocol(psi, table) for psi in psis]
         assert "V" not in vars(table)
-
-    @pytest.mark.parametrize("spectrum,d", [(SEARCH, 3), (QUARTERS, 4), *UNIFORM_SHAPES])
-    def test_formula_overlaps_do_not_depend_on_the_block_size(self, monkeypatch, rng, spectrum, d):
-        table = protocol_table(spectrum, d)
-        psi = random_state(rng, d)
-        whole = protocol.branch_overlaps(table, psi)
-        monkeypatch.setattr(protocol, "OVERLAP_BLOCK_BYTES", 1)  # one row of e per block
-        assert protocol.branch_overlaps(table, psi).tobytes() == whole.tobytes()
-
-    def test_formula_overlaps_peak_at_one_block_over_the_result(self, rng):
-        # e and its index are built a block of rows at a time, never whole
-        n = 512
-        table = protocol_table(SchmidtSpectrum.from_rationals([f"1/{n}"] * n), 2)
-        psi = random_state(rng, 2)
-        tracemalloc.start()
-        try:
-            overlaps = protocol.branch_overlaps(table, psi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= overlaps.nbytes + 2 * protocol.OVERLAP_BLOCK_BYTES
+        explicit = ProtocolTable(spectrum, d, table.V, Construction.EXPLICIT)
+        for psi, formula_trace in zip(psis, traces):
+            _, probs, corrections, fids = (out[0] for out in branches_oracle(psi[None, :], table))
+            for trace in (formula_trace, run_protocol(psi, explicit)):
+                assert "overlaps" not in vars(trace)
+                np.testing.assert_allclose(trace.probabilities, probs, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(trace.corrections, corrections, rtol=0, atol=1e-14)
+                squared = np.abs(trace.overlaps) ** 2
+                np.testing.assert_allclose(trace.probabilities, squared.sum(axis=1), rtol=0, atol=1e-15)
 
     def test_measurement_states_are_built_on_demand(self, rng):
         table = protocol_table(GOLDEN, 2)
