@@ -9,7 +9,8 @@ Subcommands:
   concentrate  classical-cost budget for copies -> Bell-pairs conversion
 
 A problem file is a JSON object: {"d": 2, "spectrum": ["1/2", "1/3", "1/6"]}
-with optional "inputState" (list of [re, im] pairs), "seed" and "trials".
+with optional "inputState" (list of [re, im] pairs), "seed" and "trials"
+(at most 10**6).
 Spectrum entries given as "num/den" strings switch the solvers to exact
 rational arithmetic.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import math
 import sys
@@ -70,6 +72,7 @@ TOLERANCES = {
 }
 
 DEFAULT_TRIALS = 100
+MAX_TRIALS = 10**6  # the sweep runs every trial: a larger count would not finish
 DEFAULT_SEED = 0
 
 
@@ -179,6 +182,8 @@ def parse_problem_doc(doc) -> Problem:
         raise ParseFailure("field 'trials' must be an integer")
     if trials is not None and trials < 1:
         raise InputFailure("field 'trials' must be at least 1")
+    if trials is not None and trials > MAX_TRIALS:
+        raise InputFailure(f"field 'trials' must be at most {MAX_TRIALS}")
 
     return Problem(
         d=d, spectrum=spectrum, raw=doc, input_state=input_state, seed=seed, trials=trials
@@ -279,6 +284,8 @@ def cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else (problem.trials or DEFAULT_TRIALS)
     if trials < 1:
         raise InputFailure("--trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise InputFailure(f"--trials must be at most {MAX_TRIALS}")
     if args.seed is not None and args.seed < 0:
         raise InputFailure("--seed must be non-negative")
     seed = args.seed if args.seed is not None else (problem.seed or DEFAULT_SEED)
@@ -349,20 +356,31 @@ def cmd_concentrate(args) -> int:
 
 def _finite_array(items, shape: tuple, what: str, entries: str) -> np.ndarray:
     """A report's nested lists as a float array of the given shape; anything
-    ragged, non-numeric, boolean or non-finite is a parse failure."""
-    try:
-        array = np.asarray(items)  # a ragged list raises ValueError
-    except ValueError as err:
-        raise ParseFailure(f"{what} is malformed: {err}")
-    if array.shape != shape:
-        raise ParseFailure(f"{what} has shape {array.shape}, expected {shape}")
-    # strings, nulls and integers past int64 give a non-numeric dtype (dtype=float
-    # would accept "1.0"); numpy reads a boolean among numbers as 0.0 or 1.0
-    for _ in range(len(shape) - 1):
-        items = itertools.chain.from_iterable(items)
-    if array.dtype.kind not in "iuf" or bool in map(type, items):
+    ragged, non-numeric, boolean or non-finite is a parse failure.
+
+    The shape is found as numpy finds it, one nesting level at a time, and
+    the entries are checked on one flat list, which numpy then converts."""
+    found, level, kinds = [], [items], {type(items)}
+    while level and list in kinds:
+        lengths = set(map(len, level)) if kinds == {list} else ()
+        if len(lengths) != 1:  # in numpy's words, as np.asarray refused it
+            raise ParseFailure(
+                f"{what} is malformed: setting an array element with a sequence. The requested "
+                f"array has an inhomogeneous shape after {len(found)} dimensions. The detected "
+                f"shape was {tuple(found)} + inhomogeneous part."
+            )
+        found.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+        kinds = set(map(type, level))
+    if tuple(found) != shape:
+        raise ParseFailure(f"{what} has shape {tuple(found)}, expected {shape}")
+    # a boolean is not a number here, nor is "1.0"; integers are taken where
+    # numpy reads them as numbers, in the int64 and uint64 ranges
+    if not kinds <= {float, int} or (
+        int in kinds and not all(-2**63 <= x < 2**64 for x in level if type(x) is int)
+    ):
         raise ParseFailure(f"{what} is malformed: entries must be {entries}")
-    array = array.astype(float)
+    array = np.array(level, dtype=float).reshape(shape)
     if not np.isfinite(array).all():
         raise ParseFailure(f"{what} holds non-finite entries")
     return array
@@ -399,8 +417,19 @@ def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> Protocol
     return synthesize_general(spectrum, phases)
 
 
-def _verify_report_doc(doc) -> list[str]:
-    """All violated invariants of a report document, empty when it verifies."""
+@dataclass
+class ReportClaims:
+    """What verify re-checks in a report: its table, tolerances and sweep
+    settings, plus the violations found while reading it."""
+    table: ProtocolTable
+    tolerances: dict
+    trials: int
+    seed: int
+    violations: list[str]
+
+
+def _report_claims(doc) -> ReportClaims:
+    """The claims of a decoded report document; malformed ones raise."""
     if not isinstance(doc, dict):
         raise ParseFailure("report must contain a JSON object")
     for key in ("problem", "table"):
@@ -450,6 +479,42 @@ def _verify_report_doc(doc) -> list[str]:
                     )
                 tolerances[key] = float(value)
 
+    sim_doc = doc.get("simulation") if isinstance(doc.get("simulation"), dict) else {}
+    trials = sim_doc.get("trials", problem.trials or DEFAULT_TRIALS)
+    seed = sim_doc.get("seed", problem.seed or DEFAULT_SEED)
+    if isinstance(trials, bool) or not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
+        raise ParseFailure("report simulation section has an unusable 'trials' value")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ParseFailure("report simulation section has an unusable 'seed' value")
+    return ReportClaims(table, tolerances, trials, seed, violations)
+
+
+def _load_report(path: str) -> ReportClaims:
+    """Read, decode and convert a report with the cycle collector paused.
+
+    Decoded JSON holds no reference cycles: its lists are freed by reference
+    count when _report_claims returns, before the collector resumes, so the
+    thousands of them in an emitted table start no collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                doc = reportio.loads(handle.read())
+        except OSError as err:
+            raise ParseFailure(f"cannot read report file: {err}")
+        except ValueError as err:
+            raise ParseFailure(f"report file is not valid JSON: {err}")
+        return _report_claims(doc)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _violations(claims: ReportClaims) -> list[str]:
+    """Every violated invariant of the report's claims, empty when it verifies."""
+    table, tolerances, violations = claims.table, claims.tolerances, claims.violations
     conditions = verify_conditions(table)
     if conditions.orthonormality_residual > tolerances["orthonormality"]:
         violations.append(
@@ -461,16 +526,8 @@ def _verify_report_doc(doc) -> list[str]:
             f"spectrum-unitarity residual {conditions.unitarity_residual:.6e} "
             f"exceeds {tolerances['unitarity']:.1e}"
         )
-
-    sim_doc = doc.get("simulation") if isinstance(doc.get("simulation"), dict) else {}
-    trials = sim_doc.get("trials", problem.trials or DEFAULT_TRIALS)
-    seed = sim_doc.get("seed", problem.seed or DEFAULT_SEED)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ParseFailure("report simulation section has an unusable 'trials' value")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ParseFailure("report simulation section has an unusable 'seed' value")
     try:
-        sweep = random_input_sweep(table, trials, seed)
+        sweep = random_input_sweep(table, claims.trials, claims.seed)
     except DegenerateColumns as err:
         violations.append(f"Bob's corrections cannot be built: {err}")
         return violations
@@ -488,14 +545,7 @@ def _verify_report_doc(doc) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            doc = reportio.loads(handle.read())
-    except OSError as err:
-        raise ParseFailure(f"cannot read report file: {err}")
-    except ValueError as err:
-        raise ParseFailure(f"report file is not valid JSON: {err}")
-    violations = _verify_report_doc(doc)
+    violations = _violations(_load_report(args.report))
     if violations:
         for line in violations:
             print(f"violated: {line}", file=sys.stderr)
@@ -534,7 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="synthesize and certify on random inputs")
     p_sim.add_argument("problem", help="problem file (JSON)")
-    p_sim.add_argument("--trials", type=int, help=f"random inputs (default {DEFAULT_TRIALS})")
+    p_sim.add_argument(
+        "--trials", type=int, help=f"random inputs (default {DEFAULT_TRIALS}, at most {MAX_TRIALS})"
+    )
     p_sim.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED})")
     p_sim.add_argument(
         "--emit-table", action="store_true",

@@ -15,10 +15,17 @@ coefficient table.  It is written exactly as its .tolist() would be, but
 each distinct innermost element (a float of a 1-D array, a last-axis row
 such as an [re, im] pair of a deeper one) is formatted once, by
 float.__repr__, the function the C encoder calls for a float.
+
+The read side mirrors this: loads parses each distinct float literal once.
+A formula table's entries are e^{iθ} times roots of unity over √s, so most
+of its literals repeat.  Decoded documents hold no reference cycles, so a
+reader such as `qteleport verify` pauses the cycle collector while it holds
+the decoded lists; they are freed by reference counting.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -103,7 +110,10 @@ def _reject_constant(token: str):
 
 
 def loads(text: str):
-    return json.loads(text, parse_constant=_reject_constant)
+    """Parse JSON text, refusing the NaN and Infinity tokens.  Each distinct
+    float literal is parsed once (a fresh cache per call) to the value float()
+    gives it."""
+    return json.loads(text, parse_float=functools.cache(float), parse_constant=_reject_constant)
 
 
 def bits_doc(bits: Bits | None) -> dict | None:

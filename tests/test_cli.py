@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import math
 import os
@@ -42,6 +43,18 @@ ARRAY_VIEWS = {  # non-contiguous views of the same data
     "reversed": lambda a: a[::-1],
     "strided": lambda a: a[..., ::2],
 }
+FLOAT_LITERALS = st.sampled_from([
+    "0.0", "-0.0", "0", "-0", "5e-324", "-5e-324", "2.2250738585072014E-308", "1e308", "-1e308",
+    "1E5", "1e+05", "1.0E-5", "2.5e0", "0.1", "0.30000000000000004",
+]) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FLOAT_TEXTS = st.one_of(  # heavy repetition: a few literals, drawn many times
+    st.lists(FLOAT_LITERALS, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+    ).map(lambda items: "[" + ", ".join(items) + "]"),
+    st.lists(st.tuples(FLOAT_LITERALS, FLOAT_LITERALS), max_size=30).map(
+        lambda pairs: "[" + ", ".join(f"[{re}, {im}]" for re, im in pairs) + "]"
+    ),
+)
 OUTSIDE_STRINGS_WHITESPACE = re.compile(r'("(?:[^"\\]|\\.)*")|\s+')
 
 
@@ -58,6 +71,18 @@ def write_problem(tmp_path, doc, name="problem.json"):
 
 def run(args):
     return main(args)
+
+
+def exact(value):
+    """A decoded JSON value with every float replaced by its float.hex, so
+    that equality is bit for bit and 0.0 differs from -0.0 and from 0."""
+    if isinstance(value, float):
+        return ("float", float.hex(value))
+    if isinstance(value, list):
+        return [exact(item) for item in value]
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()}
+    return (type(value).__name__, value)
 
 
 class TestBounds:
@@ -566,6 +591,99 @@ class TestVerify:
         assert run(["verify", str(out)]) == 2
         assert "table" in capsys.readouterr().err
 
+    RAGGED = ("error: report table is malformed: setting an array element with a sequence. The "
+              "requested array has an inhomogeneous shape after {} dimensions. The detected shape "
+              "was {} + inhomogeneous part.")
+    NOT_NUMBERS = "error: report table is malformed: entries must be [re, im] pairs of numbers"
+
+    @pytest.mark.parametrize("edit, code, message", [
+        (lambda doc: doc["table"]["V"][0][0].pop(), 2, RAGGED.format(2, (6, 2))),
+        (lambda doc: doc["table"]["V"][0][0].__setitem__(0, 0.5), 2, RAGGED.format(3, (6, 2, 3))),
+        (lambda doc: doc["table"]["V"][1].append([]), 2, RAGGED.format(1, (6,))),
+        (lambda doc: doc["table"]["V"].pop(), 2,
+         "error: report table has shape (5, 2, 3, 2), expected (6, 2, 3, 2)"),
+        (str(-2**63 - 1), 2, NOT_NUMBERS),
+        (str(2**64), 2, NOT_NUMBERS),
+        ("1E400", 2, "error: report table holds non-finite entries"),
+        (str(2**63), 6, "violated: orthonormality residual"),  # numpy read it as uint64
+    ], ids=["ragged-pairs", "number-beside-pairs", "ragged-rows", "short", "below-int64",
+            "past-uint64", "1E400", "uint64"])
+    def test_every_refusal_keeps_its_exit_code_and_message(self, tmp_path, capsys, edit, code,
+                                                           message):
+        # strings, nulls, booleans and 1e400 are refused in the tests above; a
+        # string edit is the literal written in place of one table entry
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        if callable(edit):
+            edit(doc)
+        else:
+            doc["table"]["V"][0][0][0][0] = 12345.5
+        text = reportio.dumps(doc)
+        out.write_text(text if callable(edit) else text.replace("12345.5", edit), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("code", [0, 2, 6])
+    def test_collector_state_is_restored(self, tmp_path, capsys, enabled, code):
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        if code == 2:  # raised while the report is read
+            doc["table"]["V"][0][0].pop()
+        if code == 6:
+            doc["table"]["V"][0][0][0][0] = 0.75
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert run(["verify", str(out)]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_verify_starts_no_collection(self, tmp_path, capsys):
+        # the decoded lists of an emitted (4, 20) table, 6400 [re, im] pairs,
+        # are freed before the collector resumes (CPython lowers its count as
+        # each is freed); unpaused they started 9 young collections per verify
+        path = write_problem(tmp_path, {"d": 4, "spectrum": ["1/20"] * 20, "trials": 2})
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--emit-table", "--out", str(out)]) == 0
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert run(["verify", str(out)]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert started == []
+
+    @pytest.mark.parametrize("source", ["problem", "flag"])
+    def test_simulate_refuses_trials_past_the_bound(self, tmp_path, capsys, source):
+        problem = {"d": 2, "spectrum": ["1/2", "1/2"]}
+        if source == "problem":
+            problem["trials"] = cli.MAX_TRIALS + 1
+        argv = ["simulate", write_problem(tmp_path, problem)]
+        if source == "flag":
+            argv += ["--trials", str(cli.MAX_TRIALS + 1)]
+        assert run(argv) == 3
+        assert f"must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
+
+    def test_report_claiming_trials_past_the_bound_is_parse_failure(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"d": 2, "spectrum": ["1/2", "1/2"], "trials": 2})
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["simulation"]["trials"] = cli.MAX_TRIALS + 1
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "unusable 'trials'" in capsys.readouterr().err
+
 
 class TestConcentrate:
     def test_uniform_budget(self, capsys):
@@ -652,6 +770,13 @@ class TestReportEncoding:
         assert without_whitespace(text) == without_whitespace(
             json.dumps(doc, indent=2, sort_keys=True)
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS.map(json.dumps) | FLOAT_TEXTS)
+    def test_cached_loads_is_the_stdlib_bit_for_bit(self, text):
+        # each distinct float literal is parsed once; every value must still be
+        # the one the standard decoder gives, the sign of zero included
+        assert exact(reportio.loads(text)) == exact(json.loads(text))
 
     def test_numeric_rows_sit_on_one_line(self, tmp_path):
         d, n = 2, 32
