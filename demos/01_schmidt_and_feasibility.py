@@ -20,7 +20,6 @@ from qteleport import (
     entanglement_of_teleportation,
     schmidt_decompose,
     schmidt_entanglement,
-    teleport_feasible,
     tensor,
 )
 
@@ -49,8 +48,8 @@ print("reconstruction error:", np.abs(rebuilt - state).max())
 exact = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
 print("\nE_t   =", entanglement_of_teleportation(exact).value, "bit")
 print("E_Sch =", schmidt_entanglement(exact).value, "bits")
-print("qubit (d=2) teleportable? ", teleport_feasible(exact, 2))
-print("qutrit (d=3) teleportable?", teleport_feasible(exact, 3))
+print("qubit (d=2) teleportable? ", exact.admits(2))
+print("qutrit (d=3) teleportable?", exact.admits(3))
 print("(rank 3 is not enough: p_max = 1/2 > 1/3 blocks the qutrit)")
 
 # ---------------------------------------------------------------------------
@@ -59,5 +58,5 @@ print("(rank 3 is not enough: p_max = 1/2 > 1/3 blocks the qutrit)")
 print("\nFeasibility across a family p = (q, (1-q)/3, (1-q)/3, (1-q)/3):")
 for q in (0.25, 0.30, 1 / 3, 0.40, 0.55):
     s = SchmidtSpectrum.from_probs([q, (1 - q) / 3, (1 - q) / 3, (1 - q) / 3])
-    flags = [f"d={d}:{'yes' if teleport_feasible(s, d) else 'no '}" for d in (2, 3, 4)]
+    flags = [f"d={d}:{'yes' if s.admits(d) else 'no '}" for d in (2, 3, 4)]
     print(f"  q = {q:.4f}  E_t = {entanglement_of_teleportation(s).value:.4f}  ", *flags)

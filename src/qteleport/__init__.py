@@ -21,7 +21,6 @@ from .bounds import (
     residual_cap_integer,
     schmidt_entanglement,
     teleport_ccc_bound,
-    teleport_feasible,
 )
 from .errors import (
     DegenerateColumns,

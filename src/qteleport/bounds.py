@@ -84,7 +84,6 @@ class BoundsReport:
     residual_cap: Bits | None              # log2(n/d), zero when d > n/2
     residual_cap_integer: Bits | None      # log2(floor(n/d)): integer-constrained cap
     locc_bound: Bits | None                # rank bound for concentrating n down to d
-    concentration: ConcentrationBounds | None = None
 
 
 def entanglement_of_teleportation(spectrum: SchmidtSpectrum) -> Bits:
@@ -97,17 +96,6 @@ def entanglement_of_teleportation(spectrum: SchmidtSpectrum) -> Bits:
 def schmidt_entanglement(spectrum: SchmidtSpectrum) -> Bits:
     """E_Sch = log2 of the Schmidt number."""
     return Bits.log2(1, spectrum.n)
-
-
-def teleport_feasible(spectrum: SchmidtSpectrum, d: int) -> bool:
-    """Exact feasibility test: no probability may exceed 1/d.
-
-    Equivalent to E_t >= log2(d); feasibility at d implies Schmidt number
-    n >= d and feasibility at every smaller d.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return spectrum.admits(d)
 
 
 def locc_ccc_bound(n1: int, n2: int) -> Bits:
@@ -207,42 +195,31 @@ def concentration_bounds(
     )
 
 
-def build_bounds_report(
-    spectrum: SchmidtSpectrum,
-    d: int,
-    *,
-    assume_zero_residual: bool = True,
-    concentration: tuple[int, int] | None = None,
-) -> BoundsReport:
+def build_bounds_report(spectrum: SchmidtSpectrum, d: int) -> BoundsReport:
     """Assemble every bound for one resource/dimension pair.
 
-    The default assumes zero residual entanglement because the synthesized
-    protocol always destroys all of it; pass assume_zero_residual=False to see
-    the weaker claim that holds when entanglement may survive.
+    The message floor assumes zero residual entanglement because the
+    synthesized protocol always destroys all of it.  Feasibility is
+    SchmidtSpectrum.admits (E_t >= log2 d), exact when the spectrum is.
     """
     n = spectrum.n
     et = entanglement_of_teleportation(spectrum)
     e_sch = schmidt_entanglement(spectrum)
-    feasible = teleport_feasible(spectrum, d)
-    if n >= d:
-        ccc = teleport_ccc_bound(n, d, assume_zero_residual)
+    if n >= d:  # n >= 1, so a d < 2 lands here and teleport_ccc_bound refuses it
+        ccc = teleport_ccc_bound(n, d, assume_zero_residual=True)
         cap = residual_cap(n, d)
         cap_int = residual_cap_integer(n, d)
         locc = locc_ccc_bound(n, d)
     else:
         ccc = cap = cap_int = locc = None
-    conc = None
-    if concentration is not None:
-        conc = concentration_bounds(spectrum, *concentration)
     return BoundsReport(
         d=d,
         n=n,
         et=et,
         e_sch=e_sch,
-        teleport_feasible=feasible,
+        teleport_feasible=spectrum.admits(d),
         ccc_lower_bound=ccc,
         residual_cap=cap,
         residual_cap_integer=cap_int,
         locc_bound=locc,
-        concentration=conc,
     )

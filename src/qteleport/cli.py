@@ -28,7 +28,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,8 +89,28 @@ class Problem:
     spectrum: SchmidtSpectrum
     raw: dict
     input_state: np.ndarray | None = None
-    seed: int | None = None
-    trials: int | None = None
+    seed: int = DEFAULT_SEED
+    trials: int = DEFAULT_TRIALS
+
+
+def _is_integer(value) -> bool:
+    """Whether a decoded JSON value is an integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _sweep_count(value, key: str, label: str) -> int:
+    """A sweep's 'trials' or 'seed' from outside, named label in messages:
+    anything but an integer is a parse failure, one out of range an
+    invariant violation."""
+    if not _is_integer(value):
+        raise ParseFailure(f"{label} must be an integer")
+    if key == "seed" and value < 0:
+        raise InputFailure(f"{label} must be non-negative")
+    if key == "trials" and value < 1:
+        raise InputFailure(f"{label} must be at least 1")
+    if key == "trials" and value > MAX_TRIALS:
+        raise InputFailure(f"{label} must be at most {MAX_TRIALS}")
+    return value
 
 
 def _as_double(number) -> float:
@@ -124,8 +143,8 @@ def parse_spectrum_items(items) -> SchmidtSpectrum:
         if isinstance(it, (int, float)):
             values.append(_as_double(it))
         elif isinstance(it, str):
-            try:
-                values.append(_as_double(Fraction(it)))
+            try:  # "num/den" as a rational, any other string as float() reads it
+                values.append(_as_double(parse_rational(it)) if "/" in it else float(it))
             except (ValueError, ZeroDivisionError):
                 raise ParseFailure(f"field 'spectrum': cannot parse entry {it!r}")
         else:
@@ -150,7 +169,7 @@ def parse_problem_doc(doc) -> Problem:
     if "spectrum" not in doc:
         raise ParseFailure("missing field 'spectrum'")
     d = doc["d"]
-    if isinstance(d, bool) or not isinstance(d, int):
+    if not _is_integer(d):
         raise ParseFailure("field 'd' must be an integer")
     if d < 2:
         raise InputFailure("field 'd' must be at least 2")
@@ -172,34 +191,27 @@ def parse_problem_doc(doc) -> Problem:
             raise InputFailure("field 'inputState' must be normalized")
         input_state = amps
 
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ParseFailure("field 'seed' must be an integer")
-    if seed is not None and seed < 0:
-        raise InputFailure("field 'seed' must be non-negative")
-    trials = doc.get("trials")
-    if trials is not None and (isinstance(trials, bool) or not isinstance(trials, int)):
-        raise ParseFailure("field 'trials' must be an integer")
-    if trials is not None and trials < 1:
-        raise InputFailure("field 'trials' must be at least 1")
-    if trials is not None and trials > MAX_TRIALS:
-        raise InputFailure(f"field 'trials' must be at most {MAX_TRIALS}")
+    counts = {  # an absent or null count takes its default
+        key: default if doc.get(key) is None else _sweep_count(doc[key], key, f"field {key!r}")
+        for key, default in (("seed", DEFAULT_SEED), ("trials", DEFAULT_TRIALS))
+    }
+    return Problem(d=d, spectrum=spectrum, raw=doc, input_state=input_state, **counts)
 
-    return Problem(
-        d=d, spectrum=spectrum, raw=doc, input_state=input_state, seed=seed, trials=trials
-    )
+
+def _read_json(path: str, what: str):
+    """The JSON document in a file; a file that cannot be read, or whose text
+    is not UTF-8 JSON, is a parse failure."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return reportio.loads(handle.read())
+    except OSError as err:
+        raise ParseFailure(f"cannot read {what} file: {err}")
+    except ValueError as err:  # UnicodeDecodeError is one
+        raise ParseFailure(f"{what} file is not valid JSON: {err}")
 
 
 def load_problem(path: str) -> Problem:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise ParseFailure(f"cannot read problem file: {err}")
-    try:
-        doc = reportio.loads(text)
-    except ValueError as err:
-        raise ParseFailure(f"problem file is not valid JSON: {err}")
+    doc = _read_json(path, "problem")
     problem = parse_problem_doc(doc)
     for key, value in doc.items():  # the whole document is echoed into the report
         if not _all_finite(value):
@@ -217,8 +229,10 @@ def _all_finite(value) -> bool:
     return True
 
 
-def _write_report(doc: dict, out_path: str | None) -> None:
-    text = reportio.dumps(doc)
+def _write_report(out_path: str | None, **sections) -> None:
+    """Write a report of the given sections, stamped with the tool version, to
+    out_path or stdout."""
+    text = reportio.dumps({"toolVersion": __version__, **sections})
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -226,40 +240,41 @@ def _write_report(doc: dict, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _phases_doc(theta: PhaseMatrix, spectrum: SchmidtSpectrum) -> dict:
-    return {
+def _protocol_sections(
+    problem: Problem, theta: PhaseMatrix, table: ProtocolTable, emit_table: bool
+) -> dict:
+    """The report sections synthesize and simulate share: the problem echo,
+    the phases, the table and the tolerances."""
+    phases_doc = {
         "d": theta.d,
         "n": theta.n,
         "theta": theta.theta,
-        "constraintResidual": theta.constraint_residual(spectrum),
+        "constraintResidual": theta.constraint_residual(problem.spectrum),
     }
-
-
-def _table_doc(table: ProtocolTable, emit_table: bool) -> dict:
-    report = verify_conditions(table)
-    doc = {
+    conditions = verify_conditions(table)
+    table_doc = {
         "d": table.d,
         "n": table.n,
         "s": table.s,
         "construction": table.construction.value,
-        "orthonormalityResidual": report.orthonormality_residual,
-        "unitarityResidual": report.unitarity_residual,
+        "orthonormalityResidual": conditions.orthonormality_residual,
+        "unitarityResidual": conditions.unitarity_residual,
         "V": None,
     }
-    if emit_table or table.s <= TABLE_ELISION_THRESHOLD:
-        doc["V"] = table.V.view(np.float64).reshape(table.s, table.d, table.n, 2)  # [re, im] pairs
-    return doc
+    if emit_table or table.s <= TABLE_ELISION_THRESHOLD:  # V as [re, im] pairs
+        table_doc["V"] = table.V.view(np.float64).reshape(table.s, table.d, table.n, 2)
+    return {
+        "problem": problem.raw,
+        "phases": phases_doc,
+        "table": table_doc,
+        "tolerances": dict(TOLERANCES),
+    }
 
 
 def cmd_bounds(args) -> int:
     problem = load_problem(args.problem)
     report = build_bounds_report(problem.spectrum, problem.d)
-    doc = {
-        "toolVersion": __version__,
-        "problem": problem.raw,
-        "bounds": reportio.bounds_doc(report),
-    }
-    _write_report(doc, args.out)
+    _write_report(args.out, problem=problem.raw, bounds=reportio.bounds_doc(report))
     return EXIT_OK
 
 
@@ -268,27 +283,14 @@ def cmd_synthesize(args) -> int:
     if args.method == "d2" and problem.d != 2:
         raise ParseFailure("--method d2 requires a problem with d = 2")
     theta, table = synthesize_auto(problem.spectrum, problem.d, method=args.method)
-    doc = {
-        "toolVersion": __version__,
-        "problem": problem.raw,
-        "phases": _phases_doc(theta, problem.spectrum),
-        "table": _table_doc(table, args.emit_table),
-        "tolerances": dict(TOLERANCES),
-    }
-    _write_report(doc, args.out)
+    _write_report(args.out, **_protocol_sections(problem, theta, table, args.emit_table))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    trials = args.trials if args.trials is not None else (problem.trials or DEFAULT_TRIALS)
-    if trials < 1:
-        raise InputFailure("--trials must be at least 1")
-    if trials > MAX_TRIALS:
-        raise InputFailure(f"--trials must be at most {MAX_TRIALS}")
-    if args.seed is not None and args.seed < 0:
-        raise InputFailure("--seed must be non-negative")
-    seed = args.seed if args.seed is not None else (problem.seed or DEFAULT_SEED)
+    trials = problem.trials if args.trials is None else _sweep_count(args.trials, "trials", "--trials")
+    seed = problem.seed if args.seed is None else _sweep_count(args.seed, "seed", "--seed")
 
     theta, table = synthesize_auto(problem.spectrum, problem.d)
     sweep = random_input_sweep(table, trials, seed)
@@ -296,13 +298,10 @@ def cmd_simulate(args) -> int:
         problem.input_state if problem.input_state is not None else basis_state(problem.d, 0)
     )
     reference = run_protocol(reference_input, table)
-
-    doc = {
-        "toolVersion": __version__,
-        "problem": problem.raw,
-        "phases": _phases_doc(theta, problem.spectrum),
-        "table": _table_doc(table, args.emit_table),
-        "simulation": {
+    _write_report(
+        args.out,
+        **_protocol_sections(problem, theta, table, args.emit_table),
+        simulation={
             "trials": trials,
             "seed": seed,
             "classicalBits": sweep.classical_bits,
@@ -314,43 +313,31 @@ def cmd_simulate(args) -> int:
             "outcomeProbabilities": reference.probabilities,
             "residualSchmidtNumbers": list(reference.residual_schmidts),
         },
-        "tolerances": dict(TOLERANCES),
-    }
-    _write_report(doc, args.out)
+    )
     return EXIT_OK
 
 
 def cmd_concentrate(args) -> int:
     items = [part.strip() for part in args.spectrum.split(",") if part.strip()]
-    converted = []
-    for item in items:
-        if "/" in item:
-            converted.append(item)
-        else:
-            try:
-                converted.append(float(item))
-            except ValueError:
-                raise ParseFailure(f"--spectrum: cannot parse entry {item!r}")
-    spectrum = parse_spectrum_items(converted)
+    spectrum = parse_spectrum_items(items)
     if args.copies < 1:
         raise InputFailure("--copies must be at least 1")
     if args.bells < 0:
         raise InputFailure("--bells must be non-negative")
     conc = concentration_bounds(spectrum, args.copies, args.bells)
-    doc = {
-        "toolVersion": __version__,
-        "concentrate": {
+    _write_report(
+        args.out,
+        concentrate={
             "spectrum": list(args.spectrum.split(",")),
             "copies": args.copies,
             "bells": args.bells,
         },
-        "bounds": {
+        bounds={
             "Et": reportio.bits_doc(entanglement_of_teleportation(spectrum)),
             "ESch": reportio.bits_doc(schmidt_entanglement(spectrum)),
         },
-        "concentration": reportio.concentration_doc(conc),
-    }
-    _write_report(doc, args.out)
+        concentration=reportio.concentration_doc(conc),
+    )
     return EXIT_OK
 
 
@@ -440,8 +427,7 @@ def _report_claims(doc) -> ReportClaims:
     if not isinstance(table_doc, dict):
         raise ParseFailure("report section 'table' must be an object")
     for key in ("d", "n"):
-        value = table_doc.get(key)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_integer(table_doc.get(key)):
             raise ParseFailure(f"report table field {key!r} must be an integer")
     d, n = table_doc["d"], table_doc["n"]
     if problem.spectrum.n != n or problem.d != d:
@@ -480,13 +466,13 @@ def _report_claims(doc) -> ReportClaims:
                 tolerances[key] = float(value)
 
     sim_doc = doc.get("simulation") if isinstance(doc.get("simulation"), dict) else {}
-    trials = sim_doc.get("trials", problem.trials or DEFAULT_TRIALS)
-    seed = sim_doc.get("seed", problem.seed or DEFAULT_SEED)
-    if isinstance(trials, bool) or not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
-        raise ParseFailure("report simulation section has an unusable 'trials' value")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ParseFailure("report simulation section has an unusable 'seed' value")
-    return ReportClaims(table, tolerances, trials, seed, violations)
+    counts = {}
+    for key in ("trials", "seed"):
+        try:
+            counts[key] = _sweep_count(sim_doc.get(key, getattr(problem, key)), key, key)
+        except (ParseFailure, InputFailure):
+            raise ParseFailure(f"report simulation section has an unusable {key!r} value") from None
+    return ReportClaims(table, tolerances, violations=violations, **counts)
 
 
 def _load_report(path: str) -> ReportClaims:
@@ -499,14 +485,7 @@ def _load_report(path: str) -> ReportClaims:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = reportio.loads(handle.read())
-        except OSError as err:
-            raise ParseFailure(f"cannot read report file: {err}")
-        except ValueError as err:
-            raise ParseFailure(f"report file is not valid JSON: {err}")
-        return _report_claims(doc)
+        return _report_claims(_read_json(path, "report"))
     finally:
         if enabled:
             gc.enable()
@@ -563,47 +542,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared arguments: every report can go to --out, three subcommands read
+    # a problem file, and two of those write a table
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report here instead of stdout")
+    problem = argparse.ArgumentParser(add_help=False, parents=[out])
+    problem.add_argument("problem", help="problem file (JSON)")
+    table = argparse.ArgumentParser(add_help=False, parents=[problem])
+    table.add_argument(
+        "--emit-table", action="store_true",
+        help=f"include the full table even above {TABLE_ELISION_THRESHOLD} outcomes",
+    )
 
-    p_bounds = sub.add_parser("bounds", help="entanglement measures and CCC bounds")
-    p_bounds.add_argument("problem", help="problem file (JSON)")
-    p_bounds.add_argument("--out", help="write the report here instead of stdout")
+    p_bounds = sub.add_parser("bounds", parents=[problem], help="entanglement measures and CCC bounds")
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_synth = sub.add_parser("synthesize", help="phase factors and coefficient table")
-    p_synth.add_argument("problem", help="problem file (JSON)")
+    p_synth = sub.add_parser("synthesize", parents=[table], help="phase factors and coefficient table")
     p_synth.add_argument(
         "--method", choices=("auto", "d2", "general"), default="auto",
         help="which construction to use (default: auto)",
     )
-    p_synth.add_argument(
-        "--emit-table", action="store_true",
-        help=f"include the full table even above {TABLE_ELISION_THRESHOLD} outcomes",
-    )
-    p_synth.add_argument("--out", help="write the report here instead of stdout")
     p_synth.set_defaults(func=cmd_synthesize)
 
-    p_sim = sub.add_parser("simulate", help="synthesize and certify on random inputs")
-    p_sim.add_argument("problem", help="problem file (JSON)")
+    p_sim = sub.add_parser("simulate", parents=[table], help="synthesize and certify on random inputs")
     p_sim.add_argument(
         "--trials", type=int, help=f"random inputs (default {DEFAULT_TRIALS}, at most {MAX_TRIALS})"
     )
     p_sim.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED})")
-    p_sim.add_argument(
-        "--emit-table", action="store_true",
-        help=f"include the full table even above {TABLE_ELISION_THRESHOLD} outcomes",
-    )
-    p_sim.add_argument("--out", help="write the report here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="re-check an emitted report")
     p_verify.add_argument("report", help="report file (JSON)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_conc = sub.add_parser("concentrate", help="copies -> Bell pairs cost budget")
+    p_conc = sub.add_parser("concentrate", parents=[out], help="copies -> Bell pairs cost budget")
     p_conc.add_argument("--spectrum", required=True, help="comma-separated probabilities")
     p_conc.add_argument("--copies", type=int, required=True, help="resource copies n")
     p_conc.add_argument("--bells", type=int, required=True, help="target Bell pairs m")
-    p_conc.add_argument("--out", help="write the report here instead of stdout")
     p_conc.set_defaults(func=cmd_concentrate)
 
     return parser

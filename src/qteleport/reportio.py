@@ -144,9 +144,7 @@ def ccc_doc(bound: CccBound | None) -> dict | None:
     return doc
 
 
-def concentration_doc(conc: ConcentrationBounds | None) -> dict | None:
-    if conc is None:
-        return None
+def concentration_doc(conc: ConcentrationBounds) -> dict:
     return {
         "copies": conc.n_copies,
         "bells": conc.m_bells,
@@ -168,5 +166,4 @@ def bounds_doc(report: BoundsReport) -> dict:
         "residualCap": bits_doc(report.residual_cap),
         "residualCapInteger": bits_doc(report.residual_cap_integer),
         "loccBound": bits_doc(report.locc_bound),
-        "concentration": concentration_doc(report.concentration),
     }

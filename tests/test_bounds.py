@@ -16,7 +16,6 @@ from qteleport.bounds import (
     residual_cap_integer,
     schmidt_entanglement,
     teleport_ccc_bound,
-    teleport_feasible,
 )
 from qteleport.errors import InfeasibleSpectrum, PhaseFactorsNotFound, RankOrder
 from qteleport.protocol import synthesize_auto
@@ -61,18 +60,18 @@ class TestEntanglementOfTeleportation:
 
 class TestFeasibility:
     def test_worked_example(self):
-        assert teleport_feasible(GOLDEN, 2)
-        assert not teleport_feasible(GOLDEN, 3)
+        assert GOLDEN.admits(2)
+        assert not GOLDEN.admits(3)
 
     def test_uniform_qutrits(self):
-        assert teleport_feasible(SchmidtSpectrum.from_rationals(["1/3"] * 3), 3)
+        assert SchmidtSpectrum.from_rationals(["1/3"] * 3).admits(3)
 
     def test_monotone_in_d(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 8))
             p = rng.random(n)
             s = SchmidtSpectrum.from_probs(p / p.sum())
-            feasibles = [teleport_feasible(s, d) for d in range(2, 6)]
+            feasibles = [s.admits(d) for d in range(2, 6)]
             for earlier, later in zip(feasibles, feasibles[1:]):
                 assert earlier or not later  # feasible at d implies feasible at d' < d
 
@@ -82,12 +81,12 @@ class TestFeasibility:
             p = rng.random(n)
             s = SchmidtSpectrum.from_probs(p / p.sum())
             for d in (2, 3, 4):
-                if teleport_feasible(s, d):
+                if s.admits(d):
                     assert s.n >= d
 
     def test_exact_boundary(self):
         exact_third = SchmidtSpectrum.from_rationals(["1/3", "1/3", "1/3"])
-        assert teleport_feasible(exact_third, 3)
+        assert exact_third.admits(3)
 
 
 class TestLoccBound:
@@ -263,7 +262,7 @@ class TestReportConsistency:
             p = rng.random(n)
             s = SchmidtSpectrum.from_probs(p / p.sum())
             d = int(rng.integers(2, 4))
-            if not teleport_feasible(s, d):
+            if not s.admits(d):
                 with pytest.raises(InfeasibleSpectrum):
                     synthesize_auto(s, d, restarts=2, max_nfev=500)
             else:
@@ -279,4 +278,4 @@ class TestReportConsistency:
         rng = np.random.default_rng(43)
         for d in (2, 3):
             s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, 5, 1 / d))
-            assert teleport_feasible(s, d)
+            assert s.admits(d)

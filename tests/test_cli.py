@@ -116,6 +116,24 @@ class TestBounds:
         path.write_text("plainly not json", encoding="utf-8")
         assert run(["bounds", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["bounds", "synthesize", "simulate"])
+    def test_non_utf8_file_is_parse_failure(self, tmp_path, capsys, command):
+        # read as verify reads a report: undecodable text is bad JSON, not a traceback
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(GOLDEN_PROBLEM).encode("utf-8"))
+        assert run([command, str(path)]) == 2
+        assert "problem file is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_string_entry_is_invariant_violation(self, tmp_path, capsys, entry):
+        # a string entry reads as float() reads it, in a file as from --spectrum
+        path = write_problem(tmp_path, {"d": 2, "spectrum": [entry, 0.5]})
+        assert run(["bounds", path]) == 3
+        from_file = capsys.readouterr().err
+        assert run(["concentrate", "--spectrum", f"{entry},0.5", "--copies", "2", "--bells", "1"]) == 3
+        assert capsys.readouterr().err == from_file
+        assert "entries must be finite" in from_file
+
     def test_bad_sum_is_invariant_violation(self, tmp_path):
         path = write_problem(tmp_path, {"d": 2, "spectrum": [0.7, 0.4]})
         assert run(["bounds", path]) == 3
