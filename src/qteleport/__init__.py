@@ -13,7 +13,6 @@ from .bounds import (
     CccBound,
     ConcentrationBounds,
     build_bounds_report,
-    concentrate_and_teleport_bound,
     concentration_bounds,
     entanglement_of_teleportation,
     locc_ccc_bound,
@@ -34,7 +33,6 @@ from .errors import (
 from .linalg import (
     BipartiteShape,
     basis_state,
-    partial_trace,
     schmidt_decompose,
     schmidt_number,
     tensor,

@@ -56,7 +56,7 @@ class CccBound:
     """A classical-communication lower bound with its assumption tag."""
 
     bits: Bits
-    assumption: str  # "zero-residual" | "d>n/2" | "concentrate-and-teleport" | "not-tight"
+    assumption: str  # "zero-residual" | "d>n/2" | "not-tight"
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,6 @@ def teleport_ccc_bound(n: int, d: int, assume_zero_residual: bool) -> CccBound:
     if assume_zero_residual:
         return CccBound(bits=Bits.log2(1, n * d), assumption="zero-residual")
     return CccBound(bits=Bits.log2(2, d), assumption="not-tight")
-
-
-def concentrate_and_teleport_bound(n: int, d: int) -> CccBound:
-    """Cost floor for concentrate-then-teleport: log2(n/d) + 2*log2(d) = log2(n*d)."""
-    if not n >= d >= 2:
-        raise ValueError(f"need n >= d >= 2, got n={n}, d={d}")
-    return CccBound(bits=Bits.log2(1, n * d), assumption="concentrate-and-teleport")
 
 
 def residual_cap(n: int, d: int) -> Bits:

@@ -280,9 +280,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_synthesize(args) -> int:
     problem = load_problem(args.problem)
-    if args.method == "d2" and problem.d != 2:
-        raise ParseFailure("--method d2 requires a problem with d = 2")
-    theta, table = synthesize_auto(problem.spectrum, problem.d, method=args.method)
+    theta, table = synthesize_auto(problem.spectrum, problem.d)
     _write_report(args.out, **_protocol_sections(problem, theta, table, args.emit_table))
     return EXIT_OK
 
@@ -328,7 +326,7 @@ def cmd_concentrate(args) -> int:
     _write_report(
         args.out,
         concentrate={
-            "spectrum": list(args.spectrum.split(",")),
+            "spectrum": items,
             "copies": args.copies,
             "bells": args.bells,
         },
@@ -406,10 +404,9 @@ def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> Protocol
 
 @dataclass
 class ReportClaims:
-    """What verify re-checks in a report: its table, tolerances and sweep
-    settings, plus the violations found while reading it."""
+    """What verify re-checks in a report: its table and sweep settings, plus
+    the violations found while reading it."""
     table: ProtocolTable
-    tolerances: dict
     trials: int
     seed: int
     violations: list[str]
@@ -452,18 +449,9 @@ def _report_claims(doc) -> ReportClaims:
                     f"(tolerance {CONDITION_TOL:.1e})"
                 )
 
-    tolerances = dict(TOLERANCES)
-    recorded = doc.get("tolerances")
-    if isinstance(recorded, dict):
-        for key, value in recorded.items():
-            if key in tolerances and isinstance(value, (int, float)):
-                # JSON true reads as 1 and a 1e400 literal as inf: either would
-                # let a report loosen its own checks (NaN fails the test too)
-                if isinstance(value, bool) or not 0 < value <= sys.float_info.max:
-                    raise ParseFailure(
-                        f"report tolerance {key!r} must be a positive finite number, got {value!r}"
-                    )
-                tolerances[key] = float(value)
+    if "tolerances" in doc and doc["tolerances"] != TOLERANCES:
+        # verify judges with its own tolerances: a report cannot loosen them
+        raise ParseFailure(f"report tolerances differ from the tool's own, {TOLERANCES}")
 
     sim_doc = doc.get("simulation") if isinstance(doc.get("simulation"), dict) else {}
     counts = {}
@@ -472,7 +460,7 @@ def _report_claims(doc) -> ReportClaims:
             counts[key] = _sweep_count(sim_doc.get(key, getattr(problem, key)), key, key)
         except (ParseFailure, InputFailure):
             raise ParseFailure(f"report simulation section has an unusable {key!r} value") from None
-    return ReportClaims(table, tolerances, violations=violations, **counts)
+    return ReportClaims(table, violations=violations, **counts)
 
 
 def _load_report(path: str) -> ReportClaims:
@@ -493,32 +481,32 @@ def _load_report(path: str) -> ReportClaims:
 
 def _violations(claims: ReportClaims) -> list[str]:
     """Every violated invariant of the report's claims, empty when it verifies."""
-    table, tolerances, violations = claims.table, claims.tolerances, claims.violations
+    table, violations = claims.table, claims.violations
     conditions = verify_conditions(table)
-    if conditions.orthonormality_residual > tolerances["orthonormality"]:
+    if conditions.orthonormality_residual > TOLERANCES["orthonormality"]:
         violations.append(
             f"orthonormality residual {conditions.orthonormality_residual:.6e} "
-            f"exceeds {tolerances['orthonormality']:.1e}"
+            f"exceeds {TOLERANCES['orthonormality']:.1e}"
         )
-    if conditions.unitarity_residual > tolerances["unitarity"]:
+    if conditions.unitarity_residual > TOLERANCES["unitarity"]:
         violations.append(
             f"spectrum-unitarity residual {conditions.unitarity_residual:.6e} "
-            f"exceeds {tolerances['unitarity']:.1e}"
+            f"exceeds {TOLERANCES['unitarity']:.1e}"
         )
     try:
         sweep = random_input_sweep(table, claims.trials, claims.seed)
     except DegenerateColumns as err:
         violations.append(f"Bob's corrections cannot be built: {err}")
         return violations
-    if sweep.min_fidelity < 1.0 - tolerances["fidelity"]:
+    if sweep.min_fidelity < 1.0 - TOLERANCES["fidelity"]:
         violations.append(
-            f"re-simulated fidelity {sweep.min_fidelity!r} below 1 - {tolerances['fidelity']:.1e}"
+            f"re-simulated fidelity {sweep.min_fidelity!r} below 1 - {TOLERANCES['fidelity']:.1e}"
         )
-    if sweep.max_probability_deviation > tolerances["probabilityUniformity"]:
+    if sweep.max_probability_deviation > TOLERANCES["probabilityUniformity"]:
         violations.append(
             f"outcome probabilities deviate from 1/{table.s} by "
             f"{sweep.max_probability_deviation:.6e} "
-            f"(tolerance {tolerances['probabilityUniformity']:.1e})"
+            f"(tolerance {TOLERANCES['probabilityUniformity']:.1e})"
         )
     return violations
 
@@ -558,10 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_synth = sub.add_parser("synthesize", parents=[table], help="phase factors and coefficient table")
-    p_synth.add_argument(
-        "--method", choices=("auto", "d2", "general"), default="auto",
-        help="which construction to use (default: auto)",
-    )
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_sim = sub.add_parser("simulate", parents=[table], help="synthesize and certify on random inputs")
@@ -585,6 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a --spectrum value may begin with "-" (-0.5,1.5): bound to its option, as
+    # --spectrum=-0.5,1.5 is, it is not taken for an option of its own
+    while "--spectrum" in argv[:-1]:
+        at = argv.index("--spectrum")
+        argv[at:at + 2] = [f"--spectrum={argv[at + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

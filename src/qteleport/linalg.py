@@ -72,7 +72,7 @@ def _as_bipartite_matrix(state, shape: BipartiteShape) -> np.ndarray:
 
 
 def schmidt_decompose(
-    state, shape: BipartiteShape, rank_tol: float = RANK_TOL
+    state, shape: BipartiteShape
 ) -> tuple[SchmidtSpectrum, np.ndarray, np.ndarray]:
     """Schmidt decomposition of a normalized bipartite pure state.
 
@@ -89,35 +89,16 @@ def schmidt_decompose(
     if not is_normalized(state):
         raise ValueError("state must be normalized before decomposition")
     u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = sigma**2 > rank_tol
+    keep = sigma**2 > RANK_TOL
     sigma = sigma[keep]
     spectrum = SchmidtSpectrum.from_probs(sigma**2)
     return spectrum, u[:, keep].T.copy(), vh[keep, :].copy()
 
 
-def schmidt_number(state, shape: BipartiteShape, rank_tol: float = RANK_TOL) -> int:
+def schmidt_number(state, shape: BipartiteShape) -> int:
     """Count of Schmidt coefficients above the rank threshold."""
     mat = _as_bipartite_matrix(state, shape)
     if not is_normalized(state):
         raise ValueError("state must be normalized")
     sigma = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sigma**2 > rank_tol))
-
-
-def partial_trace(rho, shape: BipartiteShape, keep: str) -> np.ndarray:
-    """Partial trace of a density matrix over one side of a bipartite cut.
-
-    keep="a" traces out B and returns the dimA x dimA reduced state;
-    keep="b" traces out A.
-    """
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (shape.dim, shape.dim):
-        raise ShapeMismatch(
-            f"density matrix of shape {mat.shape} does not match {shape.dim}x{shape.dim}"
-        )
-    four = mat.reshape(shape.dim_a, shape.dim_b, shape.dim_a, shape.dim_b)
-    if keep == "a":
-        return np.einsum("ijkj->ik", four)
-    if keep == "b":
-        return np.einsum("ijil->jl", four)
-    raise ValueError("keep must be 'a' or 'b'")
+    return int(np.sum(sigma**2 > RANK_TOL))

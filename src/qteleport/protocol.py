@@ -191,9 +191,6 @@ class ConditionReport:
     orthonormality_residual: float
     unitarity_residual: float
 
-    def ok(self, tol: float = CONDITION_TOL) -> bool:
-        return self.orthonormality_residual <= tol and self.unitarity_residual <= tol
-
 
 def _roots_of_unity(count: int) -> np.ndarray:
     """exp(2 pi i r / count) for r = 0 .. count-1, every argument below 2 pi."""
@@ -263,23 +260,14 @@ def synthesize_auto(
     spectrum: SchmidtSpectrum,
     d: int,
     *,
-    method: str = "auto",
     restarts: int = DEFAULT_RESTARTS,
     max_nfev: int = DEFAULT_MAX_NFEV,
 ) -> tuple[PhaseMatrix, ProtocolTable]:
-    """Solve for phase factors and synthesize a table in one step: (theta, table).
-
-    method "d2" forces the qubit construction, "general" the general formula,
-    "auto" picks the qubit construction at d = 2.
-    """
-    if method not in ("auto", "d2", "general"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "d2" and d != 2:
-        raise ValueError("the qubit construction requires d = 2")
+    """Solve for phase factors and synthesize a table in one step: (theta, table),
+    by the qubit construction at d = 2 and the general formula otherwise."""
     theta = solve_general(spectrum, d, restarts=restarts, max_nfev=max_nfev)
-    if d == 2 and method in ("auto", "d2"):
-        return theta, synthesize_d2(spectrum, theta)
-    return theta, synthesize_general(spectrum, theta)
+    synthesize = synthesize_d2 if d == 2 else synthesize_general
+    return theta, synthesize(spectrum, theta)
 
 
 def measurement_basis(table: ProtocolTable) -> np.ndarray:

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import phases as _phases
 from . import protocol as _protocol
-from .linalg import RANK_TOL, BipartiteShape, as_state, is_normalized, schmidt_number
+from .linalg import BipartiteShape, as_state, is_normalized, schmidt_number
 from .protocol import ProtocolTable
 from .spectrum import SchmidtSpectrum
 
@@ -174,7 +174,7 @@ def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def residual_schmidt(record: OutcomeRecord) -> int:
     """Schmidt number of the corrected final state across the (1,2)|(3) cut."""
     shape = BipartiteShape(record.d * record.n, record.n)
-    return schmidt_number(record.corrected_state, shape, rank_tol=RANK_TOL)
+    return schmidt_number(record.corrected_state, shape)
 
 
 def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
@@ -204,10 +204,6 @@ def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
 class SweepReport:
     """Worst-case deviations over a batch of random input states."""
 
-    d: int
-    n: int
-    trials: int
-    seed: int
     classical_bits: float
     min_fidelity: float
     max_fidelity_deviation: float       # worst |fidelity - 1|
@@ -243,10 +239,6 @@ def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepRep
         max_prob_dev = max(max_prob_dev, float(np.abs(probabilities - 1.0 / table.s).max()))
         max_total_dev = max(max_total_dev, float(np.abs(probabilities.sum(axis=1) - 1.0).max()))
     return SweepReport(
-        d=d,
-        n=table.n,
-        trials=trials,
-        seed=seed,
         classical_bits=math.log2(table.s),
         min_fidelity=min_fid,
         max_fidelity_deviation=max_fid_dev,

@@ -104,10 +104,6 @@ class SchmidtSpectrum:
     def p_max_exact(self) -> Fraction | None:
         return max(self.exact) if self.exact is not None else None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def admits(self, d: int) -> bool:
         """Whether a d-level state can be teleported faithfully: p_max <= 1/d.
 
@@ -116,11 +112,6 @@ class SchmidtSpectrum:
         if self.exact is not None:
             return self.p_max_exact <= Fraction(1, d)
         return self.p_max <= 1.0 / d + FEASIBILITY_SLACK
-
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        if self.exact is not None:
-            return all(f == Fraction(1, self.n) for f in self.exact)
-        return max(abs(p - 1.0 / self.n) for p in self.probs) <= tol
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)

@@ -8,7 +8,6 @@ import pytest
 from qteleport.bounds import (
     Bits,
     build_bounds_report,
-    concentrate_and_teleport_bound,
     concentration_bounds,
     entanglement_of_teleportation,
     locc_ccc_bound,
@@ -48,7 +47,7 @@ class TestEntanglementOfTeleportation:
             et = entanglement_of_teleportation(s).value
             e_sch = schmidt_entanglement(s).value
             assert et <= e_sch + 1e-12
-            if s.is_uniform(1e-12):
+            if max(abs(q - 1 / n) for q in s.probs) <= 1e-12:  # uniform
                 assert abs(et - e_sch) < 1e-12
 
     def test_equality_only_for_uniform(self):
@@ -123,9 +122,13 @@ class TestTeleportCccBound:
         assert bound.assumption == "not-tight"
 
     def test_concentrate_and_teleport(self):
-        bound = concentrate_and_teleport_bound(4, 2)
-        assert bound.bits.value == 3.0
-        assert bound.assumption == "concentrate-and-teleport"
+        # concentrating n terms down to d costs log2(n/d) bits and teleporting
+        # through the d-level result 2*log2(d): together the zero-residual floor
+        for n, d in [(4, 2), (6, 2), (6, 3), (9, 3), (12, 4)]:
+            bound = teleport_ccc_bound(n, d, True)
+            concentrate_then_teleport = locc_ccc_bound(n, d).value + 2 * math.log2(d)
+            assert abs(concentrate_then_teleport - bound.bits.value) < 1e-12
+            assert Fraction(n, d) * d**2 == bound.bits.argument
 
     def test_square_case_matches_bennett(self):
         assert teleport_ccc_bound(3, 3, True).bits.value == 2 * math.log2(3)

@@ -214,17 +214,6 @@ class TestSynthesize:
         assert run(["synthesize", path]) == 5
         assert "(search exhausted; best residual 1.000000e-02)" in capsys.readouterr().err
 
-    def test_method_general(self, tmp_path, capsys):
-        path = write_problem(tmp_path, GOLDEN_PROBLEM)
-        assert run(["synthesize", path, "--method", "general"]) == 0
-        doc = reportio.loads(capsys.readouterr().out)
-        assert doc["table"]["construction"] == "GeneralFormula"
-        assert doc["table"]["orthonormalityResidual"] < 1e-10
-
-    def test_method_d2_needs_qubit(self, tmp_path):
-        path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/3", "1/3", "1/3"]})
-        assert run(["synthesize", path, "--method", "d2"]) == 2
-
     def test_out_flag_writes_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         out = tmp_path / "report.json"
@@ -487,22 +476,31 @@ class TestVerify:
         assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "token", ["true", "1e400", "1" + "0" * 400, "0", "-1e-10"],
-        ids=["boolean", "non-finite", "integer-past-double", "zero", "negative"],
+        "token", ["true", "1e400", "1" + "0" * 400, "0", "-1e-10", "1e-3"],
+        ids=["boolean", "non-finite", "integer-past-double", "zero", "negative", "widened"],
     )
     def test_recorded_tolerance_cannot_loosen_the_checks(self, tmp_path, capsys, token):
-        # true reads as 1.0 and 1e400 as inf, which would pass this tampered
-        # table; a 400-digit integer cannot be converted to a float at all
+        # verify judges with its own tolerances: a report recording others,
+        # even finite ones wide enough to pass this tampered theta, is refused
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["table"]["V"][0][0] = [[re * (1 + 3e-9), im * (1 + 3e-9)] for re, im in doc["table"]["V"][0][0]]
+        doc["table"]["V"] = None
+        doc["phases"]["theta"][1][1] += 3e-9
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 6
         doc["tolerances"] = {key: 12345.5 for key in doc["tolerances"]}
         out.write_text(reportio.dumps(doc).replace("12345.5", token), encoding="utf-8")
         capsys.readouterr()
         assert run(["verify", str(out)]) == 2
-        assert "positive finite number" in capsys.readouterr().err
+        assert "report tolerances differ from the tool's own" in capsys.readouterr().err
+
+    def test_tolerances_of_the_tool_or_none_verify(self, tmp_path, capsys):
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        assert doc["tolerances"] == cli.TOLERANCES
+        del doc["tolerances"]
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 0
 
     @pytest.mark.parametrize("entry", ["1.0", None, True, "all-boolean"])
     def test_non_numeric_entry_is_parse_failure(self, tmp_path, capsys, entry):
@@ -728,6 +726,19 @@ class TestConcentrate:
         doc = reportio.loads(capsys.readouterr().out)
         assert doc["concentration"]["feasible"] is False
         assert doc["concentration"]["mMax"] == 4
+
+    def test_echoes_the_entries_it_read(self, capsys):
+        # empty parts are dropped and padding stripped, in the echo as in the arithmetic
+        assert run(["concentrate", "--spectrum", " 1/2,,1/2,", "--copies", "3", "--bells", "3"]) == 0
+        assert reportio.loads(capsys.readouterr().out)["concentrate"]["spectrum"] == ["1/2", "1/2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--spectrum", "-0.5,1.5"], ["--spectrum=-0.5,1.5"], ["--spectrum", "-1,2"],
+    ])
+    def test_negative_entry_is_invariant_violation(self, capsys, argv):
+        # a value beginning with "-" is the spectrum's, as in a problem file
+        assert run(["concentrate", *argv, "--copies", "1", "--bells", "0"]) == 3
+        assert "entries must be positive" in capsys.readouterr().err
 
     def test_bad_spectrum_entry(self, capsys):
         assert run(["concentrate", "--spectrum", "1/2,zzz", "--copies", "1", "--bells", "0"]) == 2

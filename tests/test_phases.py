@@ -61,10 +61,6 @@ class TestSchmidtSpectrum:
         assert s.probs == (0.5, float(Fraction(1, 3)), float(Fraction(1, 6)))
         assert s.p_max_exact == Fraction(1, 2)
 
-    def test_uniformity(self):
-        assert SchmidtSpectrum.from_rationals(["1/3"] * 3).is_uniform()
-        assert not GOLDEN.is_uniform()
-
 
 class TestSolveD2:
     def test_two_term_resource(self):

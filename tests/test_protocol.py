@@ -37,6 +37,11 @@ def golden_table() -> ProtocolTable:
     return synthesize_d2(GOLDEN, solve_d2(GOLDEN))
 
 
+def conditions_hold(table: ProtocolTable) -> bool:
+    conditions = verify_conditions(table)
+    return max(conditions.orthonormality_residual, conditions.unitarity_residual) <= 1e-10
+
+
 def orthonormality_defect(table: ProtocolTable) -> float:
     """max |<M_j|M_j'> - delta(j, j')| over the dense measurement basis: a formula
     table reports 0 for every theta, and this measures that theorem on the floats."""
@@ -133,19 +138,19 @@ class TestSynthesis:
             s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 0.5))
             theta = solve_d2(s)
             for table in (synthesize_d2(s, theta), synthesize_general(s, theta)):
-                assert verify_conditions(table).ok(1e-10)
+                assert conditions_hold(table)
 
     def test_qutrit_uniform(self):
         s = SchmidtSpectrum.from_rationals(["1/3"] * 3)
         table = synthesize_general(s, solve_general(s, 3))
         assert table.s == 9
-        assert verify_conditions(table).ok(1e-10)
+        assert conditions_hold(table)
 
     def test_eight_outcome_qubit_protocol(self):
         s = SchmidtSpectrum.from_probs([0.3, 0.3, 0.2, 0.2])
         table = synthesize_d2(s, solve_d2(s))
         assert table.s == 8
-        assert verify_conditions(table).ok(1e-10)
+        assert conditions_hold(table)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_feasible_spectra(self, d):
@@ -158,7 +163,7 @@ class TestSynthesis:
                     _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
                 except PhaseFactorsNotFound:
                     continue
-                assert verify_conditions(table).ok(1e-10)
+                assert conditions_hold(table)
                 checked += 1
         assert checked > 0
 
@@ -185,23 +190,13 @@ class TestSynthesis:
         with pytest.raises(InfeasibleSpectrum):
             synthesize_d2(s, PhaseMatrix(np.array([[0.0, 0.0], [0.0, np.pi]])))
 
-    def test_method_dispatch(self):
-        assert synthesize_auto(GOLDEN, 2)[1].construction is Construction.D2_FORMULA
-        assert (
-            synthesize_auto(GOLDEN, 2, method="general")[1].construction
-            is Construction.GENERAL_FORMULA
-        )
-        with pytest.raises(ValueError):
-            synthesize_auto(SchmidtSpectrum.from_rationals(["1/3"] * 3), 3, method="d2")
-
     def test_auto_returns_the_phases_its_table_uses(self):
         thirds = SchmidtSpectrum.from_rationals(["1/3"] * 3)
-        for spectrum, d, method, build in [
-            (GOLDEN, 2, "auto", lambda th: synthesize_d2(GOLDEN, th)),
-            (GOLDEN, 2, "general", lambda th: synthesize_general(GOLDEN, th)),
-            (thirds, 3, "auto", lambda th: synthesize_general(thirds, th)),
+        for spectrum, d, build in [
+            (GOLDEN, 2, lambda th: synthesize_d2(GOLDEN, th)),
+            (thirds, 3, lambda th: synthesize_general(thirds, th)),
         ]:
-            theta, table = synthesize_auto(spectrum, d, method=method)
+            theta, table = synthesize_auto(spectrum, d)
             np.testing.assert_array_equal(theta.theta, solve_general(spectrum, d).theta)
             np.testing.assert_array_equal(table.V, build(theta).V)
 
@@ -380,7 +375,7 @@ class TestBobUnitaries:
             synthesize_auto(thirds, 3)[1],
             synthesize_auto(UNIFORM_12, 3)[1],
             synthesize_auto(UNIFORM_32, 2)[1],
-            synthesize_auto(UNIFORM_32, 2, method="general")[1],
+            synthesize_general(UNIFORM_32, solve_general(UNIFORM_32, 2)),
             synthesize_auto(wide, 2)[1],
         ]
         for table in cases:

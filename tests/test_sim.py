@@ -210,16 +210,19 @@ class TestBranchAlgebra:
                 assert not rec.correction[d:].any()
             np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("spectrum,d,method", [
+    @pytest.mark.parametrize("spectrum,d,formula", [
         *((spectrum, d, "auto") for spectrum, d in PROTOCOL_CASES + UNIFORM_SHAPES),
         (GOLDEN, 2, "general"),
         (SchmidtSpectrum.from_rationals(["1/32"] * 32), 2, "general"),
     ])
-    def test_formula_overlaps_from_theta_match_the_table(self, rng, spectrum, d, method):
+    def test_formula_overlaps_from_theta_match_the_table(self, rng, spectrum, d, formula):
         # a run is the quadratic form psi^H G_j psi: it builds neither V nor the
         # (s, n) overlaps, which are read from V on demand and square to the
         # probabilities; the formula table and its Explicit copy agree with the oracle
-        table = synthesize_auto(spectrum, d, method=method)[1]
+        if formula == "general":  # the general formula at d = 2, where synthesize_auto takes the qubit one
+            table = synthesize_general(spectrum, solve_general(spectrum, d))
+        else:
+            table = synthesize_auto(spectrum, d)[1]
         psis = [random_state(rng, d) for _ in range(3)]
         traces = [run_protocol(psi, table) for psi in psis]
         assert "V" not in vars(table)
