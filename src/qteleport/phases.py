@@ -11,6 +11,11 @@ probabilities split into d subgroups of equal weight 1/d; beyond that the
 solver falls back to a multi-restart least-squares search and reports failure
 honestly when nothing reaches the acceptance threshold.
 
+A theta is accepted only when max |lambda - 1| over the phase Gram C's
+eigenvalues (eigenvalue_defect) is at most CONDITION_TOL: every outcome's Gram
+has these eigenvalues, so the defect bounds each entry of C - I and, over all
+inputs, each outcome's deviation in fidelity and in probability (times s).
+
 The split is found by first-fit backtracking (find_partition), kept bounded
 without changing which split it returns: a dead-gap prune drops placements
 that leave a subgroup impossible to complete, a meet-in-the-middle subset-sum
@@ -51,9 +56,7 @@ from .spectrum import SchmidtSpectrum
 
 TWO_PI = 2.0 * np.pi
 
-RESIDUAL_TOL = 1e-9         # per-constraint acceptance for any returned PhaseMatrix
-PARTITION_TOL = 1e-9        # subgroup-sum tolerance on the float path
-SEARCH_R_TOL = 1e-18        # sum-of-squares acceptance for the numerical search
+CONDITION_TOL = 1e-10       # largest eigenvalue defect of the phase Gram of an accepted theta
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_NFEV = 100_000
 PARTITION_NODE_BUDGET = 1_000_000  # first-fit placements before find_partition gives up
@@ -155,6 +158,12 @@ def constraint_residual(probs: np.ndarray, theta: np.ndarray) -> float:
     return float(np.abs(off).max()) if theta.shape[0] > 1 else 0.0
 
 
+def eigenvalue_defect(probs: np.ndarray, theta: np.ndarray) -> float:
+    """max |lambda - 1| over the eigenvalues of the phase Gram: at most CONDITION_TOL
+    for every theta solve_general accepts."""
+    return float(np.abs(np.linalg.eigvalsh(phase_gram(probs, theta)) - 1.0).max())
+
+
 @dataclass(frozen=True)
 class Partition:
     """Assignment of each probability index to a subgroup label in 1..d."""
@@ -237,7 +246,7 @@ def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
     subgroup (empty subgroups are interchangeable), and the first complete
     split in that order is returned.  Exact spectra are scaled to integers
     over L = lcm(denominators, d) and compared against L // d exactly; float
-    spectra compare float sums within PARTITION_TOL.
+    spectra compare float sums within CONDITION_TOL.
 
     Three devices bound the search without changing which split it returns:
 
@@ -267,7 +276,7 @@ def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
         target, tol = scale // d, 0
     else:
         values = list(spectrum.probs)
-        target, tol = 1.0 / d, PARTITION_TOL
+        target, tol = 1.0 / d, CONDITION_TOL
 
     order = sorted(range(n), key=lambda i: (-values[i], i))
     groups = _first_fit([values[i] for i in order], d, target, tol)
@@ -508,8 +517,8 @@ def _search_phases(
     Gauge freedom is removed by pinning the first row and first column of
     theta to zero (column and row shifts never change the constraints).
     Restarts are scanned in a fixed seeded order and the scan stops at the
-    first solution with R < SEARCH_R_TOL, which keeps the result
-    deterministic; otherwise the best R seen is reported.
+    first solution with R < CONDITION_TOL**2 / 2 (|C - I|_F**2 = 2R), which
+    keeps the result deterministic; otherwise the best R seen is reported.
     """
     n = probs.size
     n_free = (d - 1) * (n - 1)
@@ -520,14 +529,14 @@ def _search_phases(
         return 2.0 * sol.cost, sol.x
 
     rng = np.random.default_rng(seed)
-    best_r, best_x = np.inf, None
+    best_r, best_x, r_tol = np.inf, None, CONDITION_TOL**2 / 2
     for _ in range(restarts):
         r, x = refine(rng.uniform(0.0, TWO_PI, n_free))
         if r < best_r:
             best_r, best_x = r, x
-        if best_r < SEARCH_R_TOL:
+        if best_r < r_tol:
             break
-    if best_r < SEARCH_R_TOL:
+    if best_r < r_tol:
         r, x = refine(best_x)  # one polish pass from the accepted solution
         if r < best_r:
             best_r, best_x = r, x
@@ -666,8 +675,8 @@ def solve_general(
     (b) the equal-weight subgroup partition when one exists;
     (c) for d = 3, n = 4, decide_three_by_four: when it proves that no phase
         factors exist, stop there;
-    (d) the multi-restart numerical search, accepted only when the summed
-        squared constraint violation drops below SEARCH_R_TOL.
+    (d) the multi-restart numerical search.
+    (b) and (d) are accepted only at an eigenvalue defect <= CONDITION_TOL.
 
     Raises InfeasibleSpectrum when p_max > 1/d (no phase factors can exist),
     and PhaseFactorsNotFound when no phase factors exist or every strategy
@@ -682,12 +691,14 @@ def solve_general(
     if d == 2:
         return solve_d2(spectrum)
 
+    probs = spectrum.as_array()
     try:
-        partition = find_partition(spectrum, d)
+        matrix = phases_from_partition(find_partition(spectrum, d))
     except NoPartition:
         pass
     else:
-        return phases_from_partition(partition)
+        if eigenvalue_defect(probs, matrix.theta) <= CONDITION_TOL:
+            return matrix
 
     if d == 3 and spectrum.n == 4:
         verdict = decide_three_by_four(spectrum)
@@ -699,7 +710,7 @@ def solve_general(
                 proved=True,
             )
 
-    best_r, theta = _search_phases(spectrum.as_array(), d, restarts, max_nfev, seed)
+    best_r, theta = _search_phases(probs, d, restarts, max_nfev, seed)
     if theta is None:
         raise PhaseFactorsNotFound(
             f"no phase factors found for d={d}, n={spectrum.n} after {restarts} "
@@ -707,10 +718,10 @@ def solve_general(
             best_residual=float(np.sqrt(best_r)),
         )
     matrix = PhaseMatrix(canonicalize(theta))
-    residual = matrix.constraint_residual(spectrum)
-    if residual > RESIDUAL_TOL:  # canonicalization cannot degrade this; belt and braces
+    defect = eigenvalue_defect(probs, matrix.theta)
+    if defect > CONDITION_TOL:
         raise PhaseFactorsNotFound(
-            f"search result failed re-validation with residual {residual:.3e}",
-            best_residual=residual,
+            f"search result failed re-validation with eigenvalue defect {defect:.3e}",
+            best_residual=defect,
         )
     return matrix

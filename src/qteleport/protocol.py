@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import DegenerateColumns
 from .phases import (
+    CONDITION_TOL,
     DEFAULT_MAX_NFEV,
     DEFAULT_RESTARTS,
     TWO_PI,
@@ -54,9 +55,6 @@ from .phases import (
     solve_general,
 )
 from .spectrum import SchmidtSpectrum
-
-CONDITION_TOL = 1e-10
-COLUMN_TOL = 1e-8  # orthonormality slack for the defined correction columns
 
 
 class Construction(enum.Enum):
@@ -282,11 +280,11 @@ def measurement_basis(table: ProtocolTable) -> np.ndarray:
 
 def checked_grams(table: ProtocolTable) -> np.ndarray:
     """`ProtocolTable.grams`, raising DegenerateColumns when some G_j deviates from
-    the identity by more than COLUMN_TOL, as for a table that violates the
+    the identity by more than CONDITION_TOL, as for a table that violates the
     unitarity condition for its spectrum."""
     grams = table.grams
     defects = np.abs(grams - np.eye(table.d)).max(axis=(1, 2))
-    failing = np.flatnonzero(defects > COLUMN_TOL)
+    failing = np.flatnonzero(defects > CONDITION_TOL)
     if failing.size:
         j = int(failing[0])
         raise DegenerateColumns(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qteleport
-from qteleport import cli, protocol, reportio
+from qteleport import cli, phases, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
 from qteleport.spectrum import parse_rational
@@ -316,6 +316,44 @@ class TestSimulate:
         assert sim["outcomeProbabilities"] == [pytest.approx(0.25, abs=1e-10)] * 4
 
 
+def near_partition(eps, seed=0):
+    """A d = 3 float spectrum that splits into (1/3), (0.2 + eps, 0.1333333333333333)
+    and (1/6, 1/6 - eps): subgroups off 1/3 by +-eps, so the split's phase Gram
+    has eigenvalues 1 and 1 +- 3 eps."""
+    spectrum = [1 / 3, 0.2 + eps, 1 / 6, 1 / 6 - eps, 0.1333333333333333]
+    return {"d": 3, "spectrum": spectrum, "seed": seed, "trials": 1}
+
+
+class TestNearPartition:
+    # the split is taken while 3 eps <= CONDITION_TOL; past it the search
+    # runs, and no phase factors are found
+    @pytest.mark.parametrize("eps, code", [(3e-11, 0), (5e-11, 5), (8e-11, 5), (2e-10, 5), (6e-10, 5)])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_no_call_writes_a_report_verify_rejects(self, tmp_path, capsys, command, eps, code):
+        path = write_problem(tmp_path, near_partition(eps))
+        out = tmp_path / "report.json"
+        assert run([command, path, "--out", str(out)]) == code
+        if code == 0:
+            assert run(["verify", str(out)]) == 0
+        else:
+            assert "search exhausted" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_past_the_tolerance_fails_verification_for_every_seed(self, tmp_path, capsys, seed):
+        # the split's own theta at eps = 5e-11: every entry of C - I is within
+        # 1e-10, but C's eigenvalues are 1 +- 1.5e-10, so some input's fidelity
+        # is 1 - 1.5e-10, whichever seed the report's problem carries
+        problem = cli.parse_problem_doc(near_partition(5e-11, seed))
+        theta = phases.phases_from_partition(phases.find_partition(problem.spectrum, 3))
+        table = protocol.synthesize_general(problem.spectrum, theta)
+        sections = cli._protocol_sections(problem, theta, table, emit_table=False)
+        assert sections["table"]["unitarityResidual"] < cli.CONDITION_TOL
+        out = tmp_path / "report.json"
+        cli._write_report(str(out), **sections)
+        assert run(["verify", str(out)]) == 6
+        assert "violated: worst-case fidelity" in capsys.readouterr().err
+
+
 class TestTableElision:
     def test_large_table_summarized_unless_requested(self, tmp_path, capsys):
         # d = 2, n = 33 gives s = 66 > 64 outcomes
@@ -375,7 +413,7 @@ class TestTableElision:
         monkeypatch.setattr(cli, "verify_conditions", keep(cli.verify_conditions))
         out, doc = self.elided_report(tmp_path)
         assert run(["verify", str(out)]) == 0
-        assert len(tables) == 4  # simulate's sweep and table doc, verify's conditions and sweep
+        assert len(tables) == 3  # simulate's sweep and table doc, verify's conditions
         assert all("V" not in vars(table) for table in tables)
 
     def test_tampered_theta_fails_verification(self, tmp_path, capsys):
@@ -418,17 +456,9 @@ class TestVerify:
         assert run(["synthesize", path, "--out", str(out)]) == 0
         assert run(["verify", str(out)]) == 0
 
-    def test_negative_simulation_seed_is_parse_failure(self, tmp_path, capsys):
-        out = self.emit_report(tmp_path)
-        doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["simulation"]["seed"] = -2
-        out.write_text(reportio.dumps(doc), encoding="utf-8")
-        assert run(["verify", str(out)]) == 2
-        assert "unusable 'seed'" in capsys.readouterr().err
-
     def test_negative_problem_seed_is_invariant_violation(self, tmp_path, capsys):
-        # a synthesize report has no simulation section, so verify would
-        # re-simulate with the echoed problem's seed
+        # verify samples no inputs, but it reads the echoed problem as a
+        # problem file is read, and a problem with a negative seed is refused
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         out = tmp_path / "synth.json"
         assert run(["synthesize", path, "--out", str(out)]) == 0
@@ -690,16 +720,6 @@ class TestVerify:
         assert run(argv) == 3
         assert f"must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
 
-    def test_report_claiming_trials_past_the_bound_is_parse_failure(self, tmp_path, capsys):
-        path = write_problem(tmp_path, {"d": 2, "spectrum": ["1/2", "1/2"], "trials": 2})
-        out = tmp_path / "report.json"
-        assert run(["simulate", path, "--out", str(out)]) == 0
-        doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["simulation"]["trials"] = cli.MAX_TRIALS + 1
-        out.write_text(reportio.dumps(doc), encoding="utf-8")
-        assert run(["verify", str(out)]) == 2
-        assert "unusable 'trials'" in capsys.readouterr().err
-
 
 class TestConcentrate:
     def test_uniform_budget(self, capsys):
@@ -904,6 +924,21 @@ class TestParser:
         first = cli.build_parser().parse_args(argv)
         assert run(["bounds", path]) == 0
         assert vars(cli.build_parser().parse_args(argv)) == vars(first)
+
+    @pytest.mark.parametrize("argv", [
+        ["--vers"], ["simulate", "{path}", "--tri", "3"], ["synthesize", "{path}", "--emit"],
+        ["synthesize", "{path}", "--ou", "report.json"],
+        # main binds only the full --spectrum to a value beginning with "-", so
+        # an accepted --spec made these three exit 2, 3 and 0
+        *(["concentrate", *spec, "--copies", "1", "--bells", "0"]
+          for spec in (["--spec", "-0.5,1.5"], ["--spec=-0.5,1.5"], ["--spec", "1/2,1/2"])),
+    ])
+    def test_abbreviated_options_are_usage_errors(self, tmp_path, capsys, argv):
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(path=path) for arg in argv])
+        assert err.value.code == 2
+        assert "error:" in capsys.readouterr().err  # a usage error, not --version's exit 0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from qteleport import phases
 from qteleport.errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound
 from qteleport.phases import (
+    CONDITION_TOL,
     DEFAULT_MAX_NFEV,
     DEFAULT_RESTARTS,
-    PARTITION_TOL,
     PhaseMatrix,
     canonicalize,
     decide_three_by_four,
@@ -152,7 +152,7 @@ def reference_first_fit(spectrum: SchmidtSpectrum, d: int):
     """Frozen recursive first-fit search, the reference for find_partition.
 
     Unpruned, unbounded backtracking on Fractions (exact spectra) or on float
-    sums within PARTITION_TOL; returns the assignment, or None.
+    sums within CONDITION_TOL; returns the assignment, or None.
     """
     if spectrum.exact is not None:
         values = list(spectrum.exact)
@@ -162,8 +162,8 @@ def reference_first_fit(spectrum: SchmidtSpectrum, d: int):
     else:
         values = list(spectrum.probs)
         target = 1.0 / d
-        fits = lambda acc, v: acc + v <= target + PARTITION_TOL
-        full = lambda acc: abs(acc - target) <= PARTITION_TOL
+        fits = lambda acc, v: acc + v <= target + CONDITION_TOL
+        full = lambda acc: abs(acc - target) <= CONDITION_TOL
     n = len(values)
     order = sorted(range(n), key=lambda i: (-values[i], i))
     assignment = [0] * n
@@ -201,7 +201,7 @@ def brute_force_splits(spectrum: SchmidtSpectrum, d: int) -> bool:
         weights = np.array([int(f * scale) for f in spectrum.exact], dtype=np.int64)
         return bool((members @ weights == scale // d).all(axis=0).any())
     sums = members @ spectrum.as_array()
-    return bool((np.abs(sums - 1.0 / d) <= PARTITION_TOL).all(axis=0).any())
+    return bool((np.abs(sums - 1.0 / d) <= CONDITION_TOL).all(axis=0).any())
 
 
 def random_weights(rng, n: int, d: int) -> list[int]:
@@ -285,12 +285,12 @@ class TestPartitionSearch:
         # even when subgroup sums sit on the last floats first fit accepts
         monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", 1)
         target = 1.0 / d
-        full = lambda acc: abs(acc - target) <= PARTITION_TOL
+        full = lambda acc: abs(acc - target) <= CONDITION_TOL
 
         def edge_entry(k: int, sign: int) -> float:
             """Entry w whose k-fold running sum is the last full one on the sign side."""
             running = lambda w: sum([w] * k)
-            w = (target + sign * PARTITION_TOL) / k
+            w = (target + sign * CONDITION_TOL) / k
             while full(running(np.nextafter(w, sign * np.inf))):
                 w = np.nextafter(w, sign * np.inf)
             while not full(running(w)):
@@ -306,18 +306,18 @@ class TestPartitionSearch:
             values = [w for w, k in zip(entries, sizes) for _ in range(k)]
             spectrum = SchmidtSpectrum.from_probs(rng.permutation(values))
             sums = find_partition(spectrum, d).subgroup_sums(spectrum)
-            assert max(abs(x - target) for x in sums) <= PARTITION_TOL
+            assert max(abs(x - target) for x in sums) <= CONDITION_TOL
 
     def test_float_margin_at_the_tolerance_edge(self, monkeypatch):
         # d = 2 with random entries: the only subsets near 1/2 are the two
         # planted halves, whose descending running sums are the last floats
         # first fit accepts; without SUBSET_SUM_MARGIN some are rejected
         monkeypatch.setattr(phases, "SUBSET_SUM_AFTER", 1)
-        full = lambda acc: abs(acc - 0.5) <= PARTITION_TOL
+        full = lambda acc: abs(acc - 0.5) <= CONDITION_TOL
         running = lambda entries: sum(sorted(entries, reverse=True))
 
         def edge_half(k: int, sign: int) -> list[float]:
-            entries = (rng.dirichlet(np.ones(k)) * (0.5 + sign * PARTITION_TOL)).tolist()
+            entries = (rng.dirichlet(np.ones(k)) * (0.5 + sign * CONDITION_TOL)).tolist()
             nudged = lambda w, toward: entries[:-1] + [float(np.nextafter(w, toward * np.inf))]
             while full(running(nudged(entries[-1], sign))):
                 entries = nudged(entries[-1], sign)
@@ -330,7 +330,7 @@ class TestPartitionSearch:
             halves = edge_half(int(rng.integers(2, 10)), 1) + edge_half(int(rng.integers(2, 10)), -1)
             spectrum = SchmidtSpectrum.from_probs(halves)
             sums = find_partition(spectrum, 2).subgroup_sums(spectrum)  # index-order sums
-            assert max(abs(x - 0.5) for x in sums) <= PARTITION_TOL + 1e-15
+            assert max(abs(x - 0.5) for x in sums) <= CONDITION_TOL + 1e-15
 
     @pytest.mark.parametrize("n", [20, 24])
     def test_near_uniform_rejected_fast(self, n):
@@ -555,8 +555,8 @@ class TestSearch:
                     assert theta is not None and len(searches) == 2  # first start, then the polish
                     if d == 5:  # n = d + 1 costs the most evaluations per start
                         assert searches[0].nfev <= 40
-                    assert best_r < phases.SEARCH_R_TOL
-                    assert phases.constraint_residual(s.as_array(), theta) < phases.RESIDUAL_TOL
+                    assert best_r < CONDITION_TOL**2 / 2
+                    assert phases.eigenvalue_defect(s.as_array(), theta) <= CONDITION_TOL
 
     def test_exhausted_searches_stay_cheap(self, searches):
         # gain-ratio damping: 64 restarts on each of the three spectra took

@@ -319,16 +319,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES)
     def test_off_normal_explicit_tables_agree_with_the_oracle(self, rng, spectrum, d):
-        # |M_j| = 1 + 1e-9 passes the column check; the fidelity keeps |M_j|^4
+        # |M_j| = 1 + 1e-11 passes the column check; the fidelity keeps |M_j|^4
         # from the table's rows, as the oracle does
-        coeffs = protocol_table(spectrum, d).V * (1 + 1e-9)
+        coeffs = protocol_table(spectrum, d).V * (1 + 1e-11)
         table = ProtocolTable(spectrum, d, coeffs, Construction.EXPLICIT)
         report = random_input_sweep(table, trials=12, seed=11)
         np.testing.assert_allclose(sweep_fields(report), oracle_sweep(table, 12, 11), rtol=0, atol=1e-14)
         psi = random_state(rng, d)
         fids = branches_oracle(psi[None, :], table)[3][0]
         np.testing.assert_allclose(run_protocol(psi, table).fidelities, fids, rtol=0, atol=1e-14)
-        assert abs(report.max_fidelity_deviation - 6e-9) < 1e-10  # |M_j|^4 (1 + 1e-9)^2
+        assert abs(report.max_fidelity_deviation - 6e-11) < 1e-13  # |M_j|^4 (1 + 1e-11)^2
+        # at 1 + 1e-9 each Gram is (1 + 1e-9)^2 I, 2e-9 past the identity: past CONDITION_TOL
+        off = ProtocolTable(spectrum, d, protocol_table(spectrum, d).V * (1 + 1e-9), Construction.EXPLICIT)
+        with pytest.raises(DegenerateColumns):
+            random_input_sweep(off, trials=12, seed=11)
 
     def test_memory_does_not_grow_with_trials(self):
         # a formula table's Grams take a few KiB, so a sweep's peak is its own block
