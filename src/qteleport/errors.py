@@ -26,7 +26,8 @@ class PhaseFactorsNotFound(QTeleportError):
 
     `proved` is True when it was proved that none exist; no search ran then,
     and `best_residual` is inf.  Otherwise every strategy failed and
-    `best_residual` is the best the search reached.
+    `best_residual` is the least eigenvalue defect max |lambda - 1| of the
+    phase Gram that any restart of the search reached.
     """
 
     def __init__(self, message: str, best_residual: float, proved: bool = False):

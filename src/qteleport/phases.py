@@ -35,12 +35,14 @@ proves that no solution exists whenever g keeps one sign.  Only that proof
 skips the search; every other case runs it unchanged.
 
 The search runs Levenberg-Marquardt (least_squares) on the d(d - 1) real
-constraints, with every row pair's residual and Jacobian computed in one
-array operation (phase_equations); the Jacobian reuses the terms of the
-residual just evaluated at the same point.  The damping follows the gain
-ratio of each step, actual over predicted decrease (Nielsen 1999; Madsen,
-Nielsen & Tingleff 2004): a kept step shrinks lam by at most tenfold, a
-rejected one grows it by a factor that doubles with each rejection in a row.
+constraints, with every row pair's residual computed in one array operation
+(phase_equations); the Jacobian is built from the same terms, and only at
+the points the loop keeps.  The damping follows the gain ratio of each step,
+actual over predicted decrease (Nielsen 1999; Madsen, Nielsen & Tingleff
+2004): a kept step shrinks lam by at most tenfold, a rejected one grows it by
+a factor that doubles with each rejection in a row.  Each restart is judged
+by the acceptance rule above: the scan stops at the first whose theta has an
+eigenvalue defect of at most CONDITION_TOL.
 """
 
 from __future__ import annotations
@@ -403,15 +405,17 @@ LM_LAMBDA_MIN = 1e-15  # floor, so J J^T + lam I stays invertible
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Where least_squares stopped: x, cost = |r(x)|**2 / 2 and residual evaluations used."""
+    """Where least_squares stopped: x and the residual evaluations used."""
 
     x: np.ndarray
-    cost: float
     nfev: int
 
 
-def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult:
-    """Minimize |fun(x)|**2 / 2 by Levenberg-Marquardt, from x0.
+def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
+    """Minimize |r(x)|**2 / 2 by Levenberg-Marquardt, from x0.
+
+    fun(x) returns (r(x), jacobian), where jacobian() builds J at x; the loop
+    calls it only at the points it keeps.
 
     The step h = -J^T (J J^T + lam I)^-1 r is solved on the residual side, the
     smaller one: the search has d(d - 1) residuals against (d - 1)(n - 1)
@@ -431,11 +435,11 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
     overflowing lam, and never evaluates fun more than max_nfev times.
     """
     x = np.asarray(x0, dtype=float)
-    r = fun(x)
+    r, jac = fun(x)
     cost, nfev, lam, nu = 0.5 * (r @ r), 1, LM_LAMBDA0, 2.0
     identity = np.eye(r.size)
     while nfev < max_nfev:
-        j = jac(x)
+        j = jac()
         grad = j.T @ r
         if np.abs(grad).max() <= LM_GTOL:
             break
@@ -443,9 +447,9 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
         while True:
             step = -j.T @ np.linalg.solve(gram + lam * identity, r)
             if np.linalg.norm(step) <= x_tol:
-                return LeastSquaresResult(x, float(cost), nfev)
+                return LeastSquaresResult(x, nfev)
             x_new = x + step
-            r_new = fun(x_new)
+            r_new, jac_new = fun(x_new)
             nfev += 1
             cost_new = 0.5 * (r_new @ r_new)
             gain = (cost - cost_new) / (0.5 * (step @ (lam * step - grad)))
@@ -453,13 +457,13 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
                 break
             lam, nu = lam * nu, 2.0 * nu
             if nfev == max_nfev or not math.isfinite(lam):
-                return LeastSquaresResult(x, float(cost), nfev)
+                return LeastSquaresResult(x, nfev)
         stalled = cost - cost_new <= LM_FTOL * cost
-        x, r, cost, nu = x_new, r_new, cost_new, 2.0
+        x, r, jac, cost, nu = x_new, r_new, jac_new, cost_new, 2.0
         lam = max(lam * max(0.1, 1.0 - (2.0 * gain - 1.0) ** 3), LM_LAMBDA_MIN)
         if stalled:
             break
-    return LeastSquaresResult(x, float(cost), nfev)
+    return LeastSquaresResult(x, nfev)
 
 
 def _unpack(x: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -470,39 +474,33 @@ def _unpack(x: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 def phase_equations(probs: np.ndarray, d: int):
-    """The search's residual r(x) and Jacobian dr/dx, x the free angles theta[1:, 1:].
+    """x -> (r(x), jacobian) for the search, x the free angles theta[1:, 1:].
 
     r holds the real and imaginary parts of every off-diagonal constraint
     sum_k t[i, k], pair by pair, where t[i, k] = p_k exp(i(theta[m, k] -
     theta[m', k])) for the i-th row pair m < m'; t[i, k] moves by +i t[i, k]
-    with theta[m, k] and by -i t[i, k] with theta[m', k].
+    with theta[m, k] and by -i t[i, k] with theta[m', k].  jacobian() builds
+    dr/dx at x from the same terms t.
     """
     n = probs.size
     upper, lower = np.triu_indices(d, 1)
     pairs = np.arange(upper.size)
 
-    def terms(x: np.ndarray) -> np.ndarray:
+    def equations(x: np.ndarray):
         phases = np.exp(1j * _unpack(x, d, n))
-        return (probs * phases)[upper] * phases[lower].conj()
+        t = (probs * phases)[upper] * phases[lower].conj()
 
-    last = {}  # the terms at the point residual saw last, keyed by its bytes
+        def jacobian() -> np.ndarray:
+            dt = 1j * t[:, 1:]
+            grad = np.zeros((pairs.size, d, n - 1), dtype=complex)
+            grad[pairs, upper] = dt
+            grad[pairs, lower] = -dt
+            grad = grad[:, 1:].reshape(pairs.size, -1)
+            return np.stack((grad.real, grad.imag), axis=1).reshape(2 * pairs.size, -1)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        last.clear()
-        t = last[x.tobytes()] = terms(x)
-        return t.sum(axis=1).view(float)
+        return t.sum(axis=1).view(float), jacobian
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        # the bytes, not the object: a caller may have changed x in place since
-        t = last.get(x.tobytes())
-        t = 1j * (terms(x) if t is None else t)[:, 1:]
-        grad = np.zeros((pairs.size, d, n - 1), dtype=complex)
-        grad[pairs, upper] = t
-        grad[pairs, lower] = -t
-        grad = grad[:, 1:].reshape(pairs.size, -1)
-        return np.stack((grad.real, grad.imag), axis=1).reshape(2 * pairs.size, -1)
-
-    return residual, jacobian
+    return equations
 
 
 def _search_phases(
@@ -511,37 +509,29 @@ def _search_phases(
     restarts: int,
     max_nfev: int,
     seed: int,
-) -> tuple[float, np.ndarray | None]:
-    """Least-squares search for the phase constraints; returns (R, theta).
+) -> tuple[float, PhaseMatrix | None]:
+    """Least-squares search for the phase constraints; returns (defect, theta).
 
     Gauge freedom is removed by pinning the first row and first column of
     theta to zero (column and row shifts never change the constraints).
-    Restarts are scanned in a fixed seeded order and the scan stops at the
-    first solution with R < CONDITION_TOL**2 / 2 (|C - I|_F**2 = 2R), which
-    keeps the result deterministic; otherwise the best R seen is reported.
+    Restarts are scanned in a fixed seeded order, which keeps the result
+    deterministic, and the scan stops at the first whose canonical theta has
+    an eigenvalue defect of at most CONDITION_TOL, the rule solve_general
+    applies.  When none does, theta is None and the defect is the least any
+    restart reached.
     """
     n = probs.size
-    n_free = (d - 1) * (n - 1)
-    residual, jacobian = phase_equations(probs, d)
-
-    def refine(x0: np.ndarray):
-        sol = least_squares(residual, x0, jac=jacobian, max_nfev=max_nfev)
-        return 2.0 * sol.cost, sol.x
-
+    equations = phase_equations(probs, d)
     rng = np.random.default_rng(seed)
-    best_r, best_x, r_tol = np.inf, None, CONDITION_TOL**2 / 2
+    best = math.inf
     for _ in range(restarts):
-        r, x = refine(rng.uniform(0.0, TWO_PI, n_free))
-        if r < best_r:
-            best_r, best_x = r, x
-        if best_r < r_tol:
-            break
-    if best_r < r_tol:
-        r, x = refine(best_x)  # one polish pass from the accepted solution
-        if r < best_r:
-            best_r, best_x = r, x
-        return best_r, _unpack(best_x, d, n)
-    return best_r, None
+        x = least_squares(equations, rng.uniform(0.0, TWO_PI, (d - 1) * (n - 1)), max_nfev).x
+        matrix = PhaseMatrix(canonicalize(_unpack(x, d, n)))
+        defect = eigenvalue_defect(probs, matrix.theta)
+        if defect <= CONDITION_TOL:
+            return defect, matrix
+        best = min(best, defect)
+    return best, None
 
 
 _CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, k): weight 4 p_k - 1 on Im(conj(z_i) z_j)
@@ -682,7 +672,7 @@ def solve_general(
     and PhaseFactorsNotFound when no phase factors exist or every strategy
     fails; the latter is a legitimate outcome for 2 < d < n.  Its `proved`
     flag tells the two apart: a proof sets best_residual to inf, since no
-    search ran.
+    search ran; otherwise it is the least eigenvalue defect a restart reached.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -710,18 +700,10 @@ def solve_general(
                 proved=True,
             )
 
-    best_r, theta = _search_phases(probs, d, restarts, max_nfev, seed)
-    if theta is None:
+    best, matrix = _search_phases(probs, d, restarts, max_nfev, seed)
+    if matrix is None:
         raise PhaseFactorsNotFound(
-            f"no phase factors found for d={d}, n={spectrum.n} after {restarts} "
-            f"restarts; best residual {np.sqrt(best_r):.3e}",
-            best_residual=float(np.sqrt(best_r)),
-        )
-    matrix = PhaseMatrix(canonicalize(theta))
-    defect = eigenvalue_defect(probs, matrix.theta)
-    if defect > CONDITION_TOL:
-        raise PhaseFactorsNotFound(
-            f"search result failed re-validation with eigenvalue defect {defect:.3e}",
-            best_residual=defect,
+            f"no phase factors found for d={d}, n={spectrum.n} after {restarts} restarts",
+            best_residual=best,
         )
     return matrix

@@ -18,7 +18,7 @@ import qteleport
 from qteleport import cli, phases, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
-from qteleport.spectrum import parse_rational
+from qteleport.spectrum import SUM_TOL, parse_rational
 
 GOLDEN_PROBLEM = {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 11, "trials": 20}
 OVERFLOWING_TOKENS = ["1e400", "1" + "0" * 400]  # a float literal and an integer past the double range
@@ -100,6 +100,14 @@ class TestBounds:
         assert run(["bounds", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
         assert doc["bounds"]["teleportFeasible"] is False
+
+    def test_fewer_terms_than_d_reports_null_bounds(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/2", "1/2"]})
+        assert run(["bounds", path]) == 0
+        bounds = reportio.loads(capsys.readouterr().out)["bounds"]
+        assert bounds["teleportFeasible"] is False
+        for key in ("cccLowerBound", "residualCap", "residualCapInteger", "loccBound"):
+            assert key in bounds and bounds[key] is None
 
     def test_malformed_file_names_field(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"d": 2, "spectrum": [0.5, "oops"]})
@@ -214,6 +222,19 @@ class TestSynthesize:
         assert run(["synthesize", path]) == 5
         assert "(search exhausted; best residual 1.000000e-02)" in capsys.readouterr().err
 
+    def test_float_sum_within_the_window_is_renormalized(self, tmp_path):
+        doc = {"d": 2, "spectrum": [0.5, 0.3, 0.2 + 5e-10]}
+        assert abs(sum(doc["spectrum"]) - 1) > SUM_TOL
+        assert abs(sum(cli.parse_problem_doc(doc).spectrum.probs) - 1) <= SUM_TOL
+        out = tmp_path / "report.json"
+        assert run(["synthesize", write_problem(tmp_path, doc), "--out", str(out)]) == 0
+        assert run(["verify", str(out)]) == 0
+
+    def test_float_sum_past_the_window_is_invariant_violation(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"d": 2, "spectrum": [0.5, 0.3, 0.2 + 2e-9]})
+        assert run(["synthesize", path]) == 3
+        assert re.search(r"entries sum to \S+, not 1", capsys.readouterr().err)
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         out = tmp_path / "report.json"
@@ -326,8 +347,9 @@ def near_partition(eps, seed=0):
 
 class TestNearPartition:
     # the split is taken while 3 eps <= CONDITION_TOL; past it the search
-    # runs, and no phase factors are found
-    @pytest.mark.parametrize("eps, code", [(3e-11, 0), (5e-11, 5), (8e-11, 5), (2e-10, 5), (6e-10, 5)])
+    # runs, and its best restart reaches a defect of about 1.5 eps: accepted
+    # at eps = 5e-11, and from 8e-11 on no phase factors are found
+    @pytest.mark.parametrize("eps, code", [(3e-11, 0), (5e-11, 0), (8e-11, 5), (2e-10, 5), (6e-10, 5)])
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     def test_no_call_writes_a_report_verify_rejects(self, tmp_path, capsys, command, eps, code):
         path = write_problem(tmp_path, near_partition(eps))
@@ -579,6 +601,35 @@ class TestVerify:
         edit(doc)
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "report must contain a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "problem"},
+         "report is missing section 'problem'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "table"},
+         "report is missing section 'table'"),
+        (lambda doc: doc | {"table": [doc["table"]]}, "report section 'table' must be an object"),
+        (lambda doc: doc | {"table": doc["table"] | {"d": 3}},
+         "report table dimensions disagree with the echoed problem"),
+        (lambda doc: doc | {"table": doc["table"] | {"n": 4}},
+         "report table dimensions disagree with the echoed problem"),
+    ], ids=["not-an-object", "no-problem", "no-table", "table-not-an-object", "other-d", "other-n"])
+    def test_malformed_report_is_parse_failure(self, tmp_path, capsys, edit, message):
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        out.write_text(reportio.dumps(edit(doc)), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_d2_formula_with_d_3_is_parse_failure(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/3"] * 3})
+        out = tmp_path / "report.json"
+        assert run(["synthesize", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["construction"] = "D2Formula"
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert "error: report table construction D2Formula requires d = 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("d", 2.9), ("d", "2"), ("d", 2.0), ("d", True), ("n", 3.5), ("n", "3"), ("n", 3.0),

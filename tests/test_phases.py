@@ -513,32 +513,32 @@ class TestSearch:
         for n in (d + 1, d + 4):
             probs = rng.dirichlet([2.0] * n)
             x = rng.uniform(0, 2 * np.pi, (d - 1) * (n - 1))
-            residual, jacobian = phases.phase_equations(probs, d)
-            jac = jacobian(x)
+            equations = phases.phase_equations(probs, d)
+            r, jacobian = equations(x)
+            jac = jacobian()
             loop_res, loop_jac = pair_loop(x, probs, d)
-            np.testing.assert_allclose(residual(x), loop_res, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(r, loop_res, rtol=0, atol=1e-15)
             np.testing.assert_allclose(jac, loop_jac, rtol=0, atol=1e-15)
             h = 1e-6
-            central = np.column_stack(
-                [(residual(x + h * e) - residual(x - h * e)) / (2 * h) for e in np.eye(x.size)]
-            )
+            central = np.column_stack([
+                (equations(x + h * e)[0] - equations(x - h * e)[0]) / (2 * h)
+                for e in np.eye(x.size)
+            ])
             np.testing.assert_allclose(jac, central, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
     def test_least_squares_keeps_to_max_nfev(self, budget):
         # a spectrum with no phase factors never converges, so only the budget stops it
-        residual, jacobian = phases.phase_equations(np.array(EXHAUSTED[0]), 3)
+        equations = phases.phase_equations(np.array(EXHAUSTED[0]), 3)
         evaluated = []
 
         def fun(x):
             evaluated.append(x.copy())
-            return residual(x)
+            return equations(x)
 
         x0 = np.random.default_rng(3).uniform(0, 2 * np.pi, 6)
-        result = phases.least_squares(fun, x0, jac=jacobian, max_nfev=budget)
+        result = phases.least_squares(fun, x0, max_nfev=budget)
         assert result.nfev == len(evaluated) == budget
-        r = residual(result.x)
-        assert result.cost == 0.5 * (r @ r)
         assert any(np.array_equal(result.x, x) for x in evaluated)
 
     def test_partitionless_grid_solved_on_the_first_start(self, searches):
@@ -549,14 +549,14 @@ class TestSearch:
                 for _ in range(3):
                     s = partitionless_spectrum(rng, n, d, alpha, lo)
                     searches.clear()
-                    best_r, theta = phases._search_phases(
+                    defect, theta = phases._search_phases(
                         s.as_array(), d, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
                     )
-                    assert theta is not None and len(searches) == 2  # first start, then the polish
+                    assert theta is not None and len(searches) == 1
                     if d == 5:  # n = d + 1 costs the most evaluations per start
                         assert searches[0].nfev <= 40
-                    assert best_r < CONDITION_TOL**2 / 2
-                    assert phases.eigenvalue_defect(s.as_array(), theta) <= CONDITION_TOL
+                    assert defect == phases.eigenvalue_defect(s.as_array(), theta.theta)
+                    assert defect <= CONDITION_TOL
 
     def test_exhausted_searches_stay_cheap(self, searches):
         # gain-ratio damping: 64 restarts on each of the three spectra took
@@ -566,34 +566,56 @@ class TestSearch:
         assert len(searches) == 3 * DEFAULT_RESTARTS
         assert sum(result.nfev for result in searches) < 8000
 
-    def test_jacobian_reuses_the_residual_terms_bit_for_bit(self):
+    def test_jacobian_is_built_only_at_kept_points(self):
+        # a step is kept exactly when it lowers the cost (the predicted
+        # decrease is positive), so the kept points are x0 and every
+        # evaluation below all earlier ones; the last may stop the loop unbuilt
         rng = np.random.default_rng(12)
-        probs = rng.dirichlet([2.0] * 7)
-        residual, jacobian = phases.phase_equations(probs, 4)
-        _, fresh = phases.phase_equations(probs, 4)
-        x = rng.uniform(0, 2 * np.pi, 3 * 6)
-        residual(x)
-        assert jacobian(x).tobytes() == fresh(x.copy()).tobytes()
-        residual(x)
-        x += 0.25  # in place, after residual saw it
-        assert jacobian(x).tobytes() == fresh(x.copy()).tobytes()
+        probs = np.array(EXHAUSTED[1])
+        equations = phases.phase_equations(probs, 3)
+        evaluated, built = [], []
+
+        def fun(x):
+            r, jacobian = equations(x)
+            evaluated.append((x.copy(), 0.5 * (r @ r)))
+            point = x.copy()
+
+            def recorded():
+                built.append(point)
+                return jacobian()
+
+            return r, recorded
+
+        for _ in range(4):
+            evaluated.clear()
+            built.clear()
+            phases.least_squares(fun, rng.uniform(0, 2 * np.pi, 6), max_nfev=200)
+            kept, least = [], math.inf
+            for x, cost in evaluated:
+                if cost < least:
+                    kept.append(x)
+                    least = cost
+            assert len(kept) < len(evaluated)  # some steps were rejected
+            assert len(kept) - 1 <= len(built) <= len(kept)
+            for x, y in zip(built, kept):
+                np.testing.assert_array_equal(x, y)
 
     def test_exhausted_search_reports_its_best_residual(self, searches):
         for p in EXHAUSTED:
             probs = np.array(p)
-            residual, _ = phases.phase_equations(probs, 3)
             searches.clear()
-            best_r, theta = phases._search_phases(probs, 3, 4, DEFAULT_MAX_NFEV, phases._SEARCH_SEED)
+            best, theta = phases._search_phases(probs, 3, 4, DEFAULT_MAX_NFEV, phases._SEARCH_SEED)
             assert theta is None and len(searches) == 4
-            assert best_r == min(2 * result.cost for result in searches)
-            for result in searches:
-                r = residual(result.x)
-                assert 2 * result.cost == r @ r
-            assert 1e-3 < math.sqrt(best_r) < 1
+            defects = [
+                phases.eigenvalue_defect(probs, canonicalize(phases._unpack(result.x, 3, 4)))
+                for result in searches
+            ]
+            assert best == min(defects)
+            assert 1e-3 < best < 1
 
 
 def search_outcome(spectrum: SchmidtSpectrum):
-    """solve_general's own 64-restart search, run directly: (best R, theta or None)."""
+    """solve_general's own 64-restart search, run directly: (least defect, theta or None)."""
     return phases._search_phases(
         spectrum.as_array(), 3, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
     )
@@ -738,5 +760,5 @@ class TestThreeByFour:
         assert decide_three_by_four(s).solvable is None
         theta = solve_general(s, 3)
         _, expected = search_outcome(s)
-        np.testing.assert_array_equal(theta.theta, canonicalize(expected))
+        np.testing.assert_array_equal(theta.theta, expected.theta)
         assert theta.constraint_residual(s) < 1e-9
