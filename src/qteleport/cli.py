@@ -3,7 +3,7 @@
 Subcommands:
 
   bounds       entanglement measures and communication bounds for a problem
-  synthesize   phase factors plus the full coefficient table, verified
+  synthesize   phase factors and the residuals of their verified table
   simulate     synthesize, then certify fidelity on random input states
   verify       re-check a previously emitted report document
   concentrate  classical-cost budget for copies -> Bell-pairs conversion
@@ -57,8 +57,6 @@ EXIT_INPUT = 3
 EXIT_INFEASIBLE = 4
 EXIT_NO_PHASES = 5
 EXIT_VERIFY = 6
-
-TABLE_ELISION_THRESHOLD = 64  # outcomes; larger tables are summarized unless --emit-table
 
 SUM_ACCEPT_TOL = 1e-9  # float spectra summing this close to 1 are renormalized, not refused
 
@@ -257,7 +255,7 @@ def _protocol_sections(
         "unitarityResidual": conditions.unitarity_residual,
         "V": None,
     }
-    if emit_table or table.s <= TABLE_ELISION_THRESHOLD:  # V as [re, im] pairs
+    if emit_table:  # V as [re, im] pairs; theta and the construction determine it
         table_doc["V"] = table.V.view(np.float64).reshape(table.s, table.d, table.n, 2)
     return {
         "problem": problem.raw,
@@ -398,9 +396,20 @@ def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> Protocol
     return synthesize_general(spectrum, phases)
 
 
-def _report_claims(doc) -> tuple[ProtocolTable, list[str]]:
-    """The table a decoded report claims, and the violations found reading it;
-    a malformed report raises."""
+def _stated_number(doc: dict, section: str, key: str) -> float:
+    """The number a report states as section.key, as a double; anything else
+    is a parse failure."""
+    part = doc[section]
+    value = part.get(key) if isinstance(part, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseFailure(f"report field '{section}.{key}' must be a number")
+    return _as_double(value)
+
+
+def _report_claims(doc) -> tuple[ProtocolTable, PhaseMatrix | None, dict, list[str]]:
+    """The table a decoded report claims, the phases verify read from it, the
+    numbers it states by field name, and the violations found reading it; a
+    malformed report raises."""
     if not isinstance(doc, dict):
         raise ParseFailure("report must contain a JSON object")
     for key in ("problem", "table"):
@@ -410,15 +419,15 @@ def _report_claims(doc) -> tuple[ProtocolTable, list[str]]:
     table_doc = doc["table"]
     if not isinstance(table_doc, dict):
         raise ParseFailure("report section 'table' must be an object")
-    for key in ("d", "n"):
+    for key in ("d", "n", "s"):
         if not _is_integer(table_doc.get(key)):
             raise ParseFailure(f"report table field {key!r} must be an integer")
     d, n = table_doc["d"], table_doc["n"]
     if problem.spectrum.n != n or problem.d != d:
         raise ParseFailure("report table dimensions disagree with the echoed problem")
-    violations = []
+    violations, rebuilt = [], None
     if table_doc.get("V") is None:
-        table = _table_from_phases(doc, problem.spectrum, d)
+        table = rebuilt = _table_from_phases(doc, problem.spectrum, d)
     else:
         pairs = _finite_array(
             table_doc["V"], (d * n, d, n, 2), "report table", "[re, im] pairs of numbers"
@@ -439,10 +448,18 @@ def _report_claims(doc) -> tuple[ProtocolTable, list[str]]:
     if "tolerances" in doc and doc["tolerances"] != TOLERANCES:
         # verify judges with its own tolerances: a report cannot loosen them
         raise ParseFailure(f"report tolerances differ from the tool's own, {TOLERANCES}")
-    return table, violations
+    stated = {"table.s": table_doc["s"]}
+    claimed = [("table", "orthonormalityResidual"), ("table", "unitarityResidual")]
+    if rebuilt is not None:  # theta was read: its constraint residual is checked too
+        claimed.append(("phases", "constraintResidual"))
+    if "simulation" in doc:
+        claimed.append(("simulation", "classicalBits"))
+    for section, key in claimed:
+        stated[f"{section}.{key}"] = _stated_number(doc, section, key)
+    return table, None if rebuilt is None else rebuilt.phases, stated, violations
 
 
-def _load_report(path: str) -> tuple[ProtocolTable, list[str]]:
+def _load_report(path: str) -> tuple[ProtocolTable, PhaseMatrix | None, dict, list[str]]:
     """Read, decode and convert a report with the cycle collector paused.
 
     Decoded JSON holds no reference cycles: its lists are freed by reference
@@ -458,10 +475,26 @@ def _load_report(path: str) -> tuple[ProtocolTable, list[str]]:
             gc.enable()
 
 
-def _violations(table: ProtocolTable, violations: list[str]) -> list[str]:
-    """Every violated invariant of the report's table, added to those found
-    reading it: empty when it verifies."""
+def _violations(
+    table: ProtocolTable, phases: PhaseMatrix | None, stated: dict, violations: list[str]
+) -> list[str]:
+    """Every violated invariant of the report's table, and every stated number
+    that disagrees with the one derived here, added to those found reading the
+    report: empty when it verifies."""
     conditions = verify_conditions(table)
+    derived = {  # field: (value, allowed deviation)
+        "table.s": (table.s, 0),
+        "table.orthonormalityResidual": (conditions.orthonormality_residual, CONDITION_TOL),
+        "table.unitarityResidual": (conditions.unitarity_residual, CONDITION_TOL),
+        "simulation.classicalBits": (math.log2(table.s), 0),
+    }
+    if phases is not None:
+        residual = phases.constraint_residual(table.spectrum)
+        derived["phases.constraintResidual"] = (residual, CONDITION_TOL)
+    for field, value in stated.items():
+        expected, slack = derived[field]
+        if not abs(value - expected) <= slack:
+            violations.append(f"stated {field} {value!r} differs from the derived {expected!r}")
     if conditions.orthonormality_residual > TOLERANCES["orthonormality"]:
         violations.append(
             f"orthonormality residual {conditions.orthonormality_residual:.6e} "
@@ -519,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False, parents=[problem])
     table.add_argument(
         "--emit-table", action="store_true",
-        help=f"include the full table even above {TABLE_ELISION_THRESHOLD} outcomes",
+        help="include the coefficient table V",
     )
 
     p_bounds = command("bounds", parents=[problem], help="entanglement measures and CCC bounds")

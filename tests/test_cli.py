@@ -186,7 +186,7 @@ class TestSynthesize:
         assert doc["table"]["orthonormalityResidual"] < 1e-10
         assert doc["table"]["unitarityResidual"] < 1e-10
         assert doc["phases"]["theta"][1] == [0.0, pytest.approx(math.pi), pytest.approx(math.pi)]
-        assert doc["table"]["V"] is not None
+        assert doc["table"]["V"] is None  # theta and the construction determine it
 
     def test_infeasible_exits_4(self, tmp_path):
         path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/2", "1/3", "1/6"]})
@@ -392,6 +392,26 @@ class TestTableElision:
         assert doc["table"]["V"] is not None
         assert len(doc["table"]["V"]) == 66
 
+    @pytest.mark.parametrize("problem", [
+        {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 7, "trials": 100},  # the README's, s = 6
+        {"d": 2, "spectrum": [k / 528 for k in range(1, 33)], "trials": 3},  # s = 64
+        {"d": 2, "spectrum": ["1/33"] * 33, "trials": 3},  # s = 66
+    ], ids=["s6", "s64", "s66"])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_default_report_is_the_emitted_one_without_v(self, tmp_path, problem, command):
+        # V is written only on request, at any s; a default report verifies from theta
+        path = write_problem(tmp_path, problem)
+        out, full = tmp_path / "report.json", tmp_path / "full.json"
+        assert run([command, path, "--out", str(out)]) == 0
+        assert run([command, path, "--emit-table", "--out", str(full)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert reportio.loads(text)["table"]["V"] is None
+        emitted = reportio.loads(full.read_text(encoding="utf-8"))
+        assert len(emitted["table"]["V"]) == emitted["table"]["s"]
+        emitted["table"]["V"] = None
+        assert reportio.dumps(emitted) == text
+        assert run(["verify", str(out)]) == 0
+
 
     ELIDED_CASES = [  # s = 66 > 64 outcomes
         ({"d": 2, "spectrum": ["1/33"] * 33, "trials": 4}, "simulate", "D2Formula"),
@@ -463,9 +483,10 @@ class TestTableElision:
 
 class TestVerify:
     def emit_report(self, tmp_path):
+        """The golden simulate report with its table V written, for the tests that tamper it."""
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         out = tmp_path / "report.json"
-        assert run(["simulate", path, "--out", str(out)]) == 0
+        assert run(["simulate", path, "--emit-table", "--out", str(out)]) == 0
         return out
 
     def test_fresh_report_verifies(self, tmp_path, capsys):
@@ -633,6 +654,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("key, value", [
         ("d", 2.9), ("d", "2"), ("d", 2.0), ("d", True), ("n", 3.5), ("n", "3"), ("n", 3.0),
+        ("s", 6.0), ("s", "6"), ("s", None),
     ])
     def test_non_integer_table_dimension_is_parse_failure(self, tmp_path, capsys, key, value):
         # int() once read 2.9 and "2" as 2, so the report verified
@@ -642,6 +664,49 @@ class TestVerify:
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 2
         assert f"report table field '{key}' must be an integer" in capsys.readouterr().err
+
+    TAMPERED_CLAIMS = [  # one tampered value per claim verify re-derives
+        ("table", "s", 99),
+        ("simulation", "classicalBits", 1),
+        ("phases", "constraintResidual", 0.7),
+        ("table", "unitarityResidual", 3.0),
+        ("table", "orthonormalityResidual", 0.5),
+    ]
+
+    @pytest.mark.parametrize("section, key, value", TAMPERED_CLAIMS)
+    @pytest.mark.parametrize("emit", [False, True], ids=["theta", "emitted"])
+    def test_tampered_claim_is_a_violation(self, tmp_path, capsys, section, key, value, emit):
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, *["--emit-table"] * emit, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc[section][key] = value
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        assert re.search(rf"violated: stated {section}\.{key} \S+ differs", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("token", OVERFLOWING_TOKENS)
+    def test_claim_past_the_double_range_is_a_violation(self, tmp_path, capsys, token):
+        # read as a double, a 401-digit integer is inf: it cannot overflow the comparison
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["table"]["unitarityResidual"] = 12345.5
+        out.write_text(reportio.dumps(doc).replace("12345.5", token), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        assert "violated: stated table.unitarityResidual inf differs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [claim[:2] for claim in TAMPERED_CLAIMS[1:]])
+    @pytest.mark.parametrize("value", ["0.0", True, None])
+    def test_claim_that_is_not_a_number_is_parse_failure(self, tmp_path, capsys, section, key,
+                                                          value):
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc[section][key] = value
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 2
+        assert f"error: report field '{section}.{key}' must be a number" in capsys.readouterr().err
 
     def test_grams_are_built_once_per_table(self, tmp_path, monkeypatch):
         build = protocol.ProtocolTable.grams.func
