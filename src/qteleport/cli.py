@@ -14,6 +14,10 @@ with optional "inputState" (list of [re, im] pairs), "seed" and "trials"
 Spectrum entries given as "num/den" strings switch the solvers to exact
 rational arithmetic.
 
+A report's table is its phase factors: verify rebuilds it from phases.theta
+and a formula construction, certifies it from the d x d phase Gram, and
+compares every number the report states with the one it derives.
+
 Exit codes partition the failure modes: 2 unparseable input, 3 input
 invariant violation, 4 infeasible spectrum, 5 phase factors not found,
 6 verification failure.
@@ -33,13 +37,12 @@ import numpy as np
 
 from . import __version__, reportio
 from .bounds import build_bounds_report, concentration_bounds, entanglement_of_teleportation, schmidt_entanglement
-from .errors import InfeasibleSpectrum, PhaseFactorsNotFound
+from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
 from .linalg import basis_state, is_normalized
 # solve_general and bob_unitaries are unused here but stay importable:
 # bench/tracing.py wraps them by these names.
 from .phases import CONDITION_TOL, PhaseMatrix, solve_general  # noqa: F401
 from .protocol import (  # noqa: F401
-    FORMULAS,
     Construction,
     ProtocolTable,
     bob_unitaries,
@@ -63,6 +66,12 @@ SUM_ACCEPT_TOL = 1e-9  # float spectra summing this close to 1 are renormalized,
 TOLERANCES = dict.fromkeys(
     ("orthonormality", "unitarity", "fidelity", "probabilityUniformity"), CONDITION_TOL
 )
+
+# A sampled quadratic form sums d^2 products of entries within a few ulps of
+# the exact ones, and eigvalsh is as accurate, so a sampled statistic may
+# leave its eigenvalue bracket by a few ulps times d^2 (at uniform (2, 1024)
+# the sampled minimum fidelity was 1 - 5.6e-16 against lambda_min = 1 - 2.2e-16).
+BRACKET_ULPS = 8  # allowed: this many ulps times d^2
 
 DEFAULT_TRIALS = 100
 MAX_TRIALS = 10**6  # the sweep runs every trial: a larger count would not finish
@@ -148,7 +157,7 @@ def parse_spectrum_items(items) -> SchmidtSpectrum:
     if any(v <= 0 for v in values):
         raise InputFailure("field 'spectrum': entries must be positive")
     total = sum(values)
-    if abs(total - 1.0) > SUM_ACCEPT_TOL:
+    if not abs(total - 1.0) <= SUM_ACCEPT_TOL:
         raise InputFailure(f"field 'spectrum': entries sum to {total!r}, not 1")
     if abs(total - 1.0) > SUM_TOL:
         values = [v / total for v in values]
@@ -365,24 +374,16 @@ def _finite_array(items, shape: tuple, what: str, entries: str) -> np.ndarray:
     return array
 
 
-FORMULA_CONSTRUCTIONS = tuple(construction.value for construction in FORMULAS)
-
-
-def _report_theta(doc: dict):
-    phases_doc = doc.get("phases")
-    return phases_doc.get("theta") if isinstance(phases_doc, dict) else None
-
-
 def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> ProtocolTable:
     """Rebuild the table from the report's theta and construction."""
     construction = doc["table"].get("construction")
-    theta = _report_theta(doc)
+    phases_doc = doc.get("phases")
+    theta = phases_doc.get("theta") if isinstance(phases_doc, dict) else None
     if theta is None:
         raise ParseFailure(
-            "report table holds no coefficients (section 'table', field 'V') "
-            "and no phases to rebuild them from (section 'phases', field 'theta')"
+            "report holds no phases to build its table from (section 'phases', field 'theta')"
         )
-    if construction not in FORMULA_CONSTRUCTIONS:
+    if construction not in {c.value for c in Construction}:
         raise ParseFailure(f"report table construction {construction!r} cannot be rebuilt from theta")
     angles = _finite_array(theta, (d, spectrum.n), "report phases", "angles")
     try:
@@ -406,10 +407,12 @@ def _stated_number(doc: dict, section: str, key: str) -> float:
     return _as_double(value)
 
 
-def _report_claims(doc) -> tuple[ProtocolTable, PhaseMatrix | None, dict, list[str]]:
-    """The table a decoded report claims, the phases verify read from it, the
-    numbers it states by field name, and the violations found reading it; a
-    malformed report raises."""
+def _report_claims(doc) -> tuple[ProtocolTable, np.ndarray, dict, list[str], float]:
+    """The table a decoded report claims, rebuilt from its theta; the echoed
+    reference input; the numbers it states by field name; the violations found
+    reading it; and eta, how far an emitted V may move the entries of its own
+    Grams from the rebuilt table's (0 when V is not written).  A malformed
+    report raises."""
     if not isinstance(doc, dict):
         raise ParseFailure("report must contain a JSON object")
     for key in ("problem", "table"):
@@ -425,41 +428,54 @@ def _report_claims(doc) -> tuple[ProtocolTable, PhaseMatrix | None, dict, list[s
     d, n = table_doc["d"], table_doc["n"]
     if problem.spectrum.n != n or problem.d != d:
         raise ParseFailure("report table dimensions disagree with the echoed problem")
-    violations, rebuilt = [], None
-    if table_doc.get("V") is None:
-        table = rebuilt = _table_from_phases(doc, problem.spectrum, d)
-    else:
+    table = _table_from_phases(doc, problem.spectrum, d)
+    violations, eta = [], 0.0
+    if table_doc.get("V") is not None:
         pairs = _finite_array(
             table_doc["V"], (d * n, d, n, 2), "report table", "[re, im] pairs of numbers"
         )
-        table = ProtocolTable(
-            problem.spectrum, d, pairs.view(complex)[..., 0], Construction.EXPLICIT
-        )
-        if table_doc.get("construction") in FORMULA_CONSTRUCTIONS and _report_theta(doc) is not None:
-            # a formula table is its theta: the emitted V must be the one theta builds
-            rebuilt = _table_from_phases(doc, problem.spectrum, d)
-            deviation = float(np.abs(rebuilt.V - table.V).max())
-            if deviation > CONDITION_TOL:
-                violations.append(
-                    f"table V deviates from the table rebuilt from theta by {deviation:.6e} "
-                    f"(tolerance {CONDITION_TOL:.1e})"
-                )
+        # a table is its theta: an emitted V is compared with the one theta builds.
+        # Rows of that V and of its W_j = V[j] sqrt(s p) have unit norm, so a V
+        # within delta of it entrywise moves each entry of its own s x s Gram and
+        # of each G_j by at most eta = delta (2 sqrt(s) + s delta)
+        delta = float(np.abs(pairs.view(complex)[..., 0] - table.V).max())
+        eta = delta * (2.0 * math.sqrt(table.s) + table.s * delta)
+        if not delta <= CONDITION_TOL:
+            violations.append(
+                f"table V deviates from the table rebuilt from theta by {delta:.6e} "
+                f"(tolerance {CONDITION_TOL:.1e})"
+            )
 
     if "tolerances" in doc and doc["tolerances"] != TOLERANCES:
         # verify judges with its own tolerances: a report cannot loosen them
         raise ParseFailure(f"report tolerances differ from the tool's own, {TOLERANCES}")
     stated = {"table.s": table_doc["s"]}
-    claimed = [("table", "orthonormalityResidual"), ("table", "unitarityResidual")]
-    if rebuilt is not None:  # theta was read: its constraint residual is checked too
-        claimed.append(("phases", "constraintResidual"))
+    claimed = [
+        ("table", "orthonormalityResidual"),
+        ("table", "unitarityResidual"),
+        ("phases", "constraintResidual"),
+    ]
     if "simulation" in doc:
-        claimed.append(("simulation", "classicalBits"))
+        sim = doc["simulation"]
+        if not isinstance(sim, dict):
+            raise ParseFailure("report section 'simulation' must be an object")
+        for key in ("trials", "seed"):
+            _sweep_count(sim.get(key), key, f"report field 'simulation.{key}'")
+        claimed += [("simulation", key) for key in (
+            "classicalBits", "maxResidualSchmidt", "minFidelity", "maxFidelityDeviation",
+            "maxProbabilityDeviation", "totalProbabilityDeviation",
+        )]
+        for key in ("outcomeProbabilities", "residualSchmidtNumbers"):
+            field = f"simulation.{key}"
+            entries = _finite_array(sim.get(key), (table.s,), f"report field '{field}'", "numbers")
+            stated.update((f"{field}[{j}]", entry) for j, entry in enumerate(entries.tolist()))
     for section, key in claimed:
         stated[f"{section}.{key}"] = _stated_number(doc, section, key)
-    return table, None if rebuilt is None else rebuilt.phases, stated, violations
+    reference = problem.input_state if problem.input_state is not None else basis_state(d, 0)
+    return table, reference, stated, violations, eta
 
 
-def _load_report(path: str) -> tuple[ProtocolTable, PhaseMatrix | None, dict, list[str]]:
+def _load_report(path: str) -> tuple[ProtocolTable, np.ndarray, dict, list[str], float]:
     """Read, decode and convert a report with the cycle collector paused.
 
     Decoded JSON holds no reference cycles: its lists are freed by reference
@@ -476,49 +492,72 @@ def _load_report(path: str) -> tuple[ProtocolTable, PhaseMatrix | None, dict, li
 
 
 def _violations(
-    table: ProtocolTable, phases: PhaseMatrix | None, stated: dict, violations: list[str]
+    table: ProtocolTable, reference: np.ndarray, stated: dict, violations: list[str], eta: float
 ) -> list[str]:
     """Every violated invariant of the report's table, and every stated number
     that disagrees with the one derived here, added to those found reading the
-    report: empty when it verifies."""
+    report: empty when it verifies.
+
+    Everything is read from the phase Gram C: the residuals, and over all
+    inputs psi the fidelity psi^H G_j psi and probability psi^H G_j psi / s,
+    which range over C's eigenvalues.  An emitted V moves each Gram entry by at
+    most eta, so its eigenvalues by d eta and |M_j|^2 by eta: its figures are
+    bounded by C's widened by those, and it passes only if the bounds do."""
+    s, d = table.s, table.d
     conditions = verify_conditions(table)
-    derived = {  # field: (value, allowed deviation)
-        "table.s": (table.s, 0),
-        "table.orthonormalityResidual": (conditions.orthonormality_residual, CONDITION_TOL),
-        "table.unitarityResidual": (conditions.unitarity_residual, CONDITION_TOL),
-        "simulation.classicalBits": (math.log2(table.s), 0),
+    eigenvalues = np.linalg.eigvalsh(table.phase_gram)  # ascending
+    spread = float(np.abs(eigenvalues - 1.0).max())
+
+    def near(value: float) -> tuple[float, float]:
+        return value - CONDITION_TOL, value + CONDITION_TOL
+
+    derived = {  # field: (lowest, highest) value it may state
+        "table.s": (s, s),
+        "table.orthonormalityResidual": near(conditions.orthonormality_residual),
+        "table.unitarityResidual": near(conditions.unitarity_residual),
+        "phases.constraintResidual": near(table.phases.constraint_residual(table.spectrum)),
     }
-    if phases is not None:
-        residual = phases.constraint_residual(table.spectrum)
-        derived["phases.constraintResidual"] = (residual, CONDITION_TOL)
+    if "simulation.classicalBits" in stated:
+        # every fidelity psi^H G_j psi lies in [lo, hi], every probability is that
+        # over s, and so does their average over outcomes, the total probability
+        lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
+        ulps = BRACKET_ULPS * d * d * sys.float_info.epsilon
+        derived |= {
+            "simulation.classicalBits": (math.log2(s), math.log2(s)),
+            "simulation.maxResidualSchmidt": (1, 1),
+            "simulation.minFidelity": (lo - ulps, hi + ulps),
+            "simulation.maxFidelityDeviation": (0.0, spread + ulps),
+            "simulation.maxProbabilityDeviation": (0.0, (spread + ulps) / s),
+            "simulation.totalProbabilityDeviation": (0.0, spread + ulps),
+        }
+        derived |= {f"simulation.residualSchmidtNumbers[{j}]": (1, 1) for j in range(s)}
+        try:
+            runs = [near(p) for p in run_protocol(reference, table).probabilities.tolist()]
+        except DegenerateColumns:  # a table past the tolerance has no run: named below
+            runs = [(-math.inf, math.inf)] * s
+        derived |= {f"simulation.outcomeProbabilities[{j}]": run for j, run in enumerate(runs)}
     for field, value in stated.items():
-        expected, slack = derived[field]
-        if not abs(value - expected) <= slack:
-            violations.append(f"stated {field} {value!r} differs from the derived {expected!r}")
-    if conditions.orthonormality_residual > TOLERANCES["orthonormality"]:
-        violations.append(
-            f"orthonormality residual {conditions.orthonormality_residual:.6e} "
-            f"exceeds {TOLERANCES['orthonormality']:.1e}"
-        )
-    if conditions.unitarity_residual > TOLERANCES["unitarity"]:
-        violations.append(
-            f"spectrum-unitarity residual {conditions.unitarity_residual:.6e} "
-            f"exceeds {TOLERANCES['unitarity']:.1e}"
-        )
-    # over all inputs psi, fidelity |M_j|^4 psi^H G_j psi and probability
-    # psi^H G_j psi / s range over G_j's eigenvalues: every input is judged
-    eigenvalues = np.linalg.eigvalsh(table.grams)  # (s, d), ascending
-    min_fidelity = float((table.fidelity_weights * eigenvalues[:, 0]).min())
-    if min_fidelity < 1.0 - TOLERANCES["fidelity"]:
-        violations.append(
-            f"worst-case fidelity {min_fidelity!r} below 1 - {TOLERANCES['fidelity']:.1e}"
-        )
-    probability_deviation = float(np.abs(eigenvalues - 1.0).max()) / table.s
-    if probability_deviation > TOLERANCES["probabilityUniformity"]:
-        violations.append(
-            f"outcome probabilities deviate from 1/{table.s} by up to {probability_deviation:.6e} "
-            f"(tolerance {TOLERANCES['probabilityUniformity']:.1e})"
-        )
+        lowest, highest = derived[field]
+        if not lowest <= value <= highest:
+            violations.append(
+                f"stated {field} {value!r} lies outside the derived [{lowest!r}, {highest!r}]"
+            )
+    # an emitted V's own figures are bounded by C's widened by eta: V passes only if
+    # those bounds do.  Its |M_j|^2 is within eta of 1 and its G_j's eigenvalues within
+    # d eta of C's, so its fidelity |M_j|^4 psi^H G_j psi is at least min_fidelity
+    min_fidelity = max(1.0 - eta, 0.0) ** 2 * float(eigenvalues[0] - d * eta)
+    worst = {  # tolerance: (what, worst deviation)
+        "orthonormality": ("orthonormality residual", conditions.orthonormality_residual + eta),
+        "unitarity": ("spectrum-unitarity residual", conditions.unitarity_residual + eta),
+        "fidelity": ("worst-case fidelity's deficit from 1", 1.0 - min_fidelity),
+        "probabilityUniformity": (
+            f"outcome probabilities' deviation from 1/{s}", (spread + d * eta) / s
+        ),
+    }
+    widened = f" (bounds for table V, allowing {eta:.1e})" if eta else ""
+    for key, (what, deviation) in worst.items():
+        if not deviation <= TOLERANCES[key]:
+            violations.append(f"{what} {deviation:.6e} exceeds {TOLERANCES[key]:.1e}{widened}")
     return violations
 
 

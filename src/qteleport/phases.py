@@ -126,7 +126,7 @@ class PhaseMatrix:
         mat = np.asarray(self.theta, dtype=float)
         if mat.ndim != 2:
             raise ValueError("theta must be a d x n matrix")
-        if np.any(mat < 0.0) or np.any(mat >= TWO_PI):
+        if not np.all((mat >= 0.0) & (mat < TWO_PI)):  # NaN fails too
             raise ValueError("angles must lie in [0, 2*pi)")
         object.__setattr__(self, "theta", _freeze(mat))
 

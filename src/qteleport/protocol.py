@@ -15,24 +15,23 @@ system.
 
 The unitarity condition is stated against the resource, so a table is a
 protocol only for the spectrum it was built from: `ProtocolTable` holds that
-spectrum, and every stage after synthesis takes the table alone.  The d x d
-Grams G_j = D_j^dagger D_j of Bob's defined columns are built once per table
-(`ProtocolTable.grams`); the unitarity residual, the DegenerateColumns check
-and the simulator all read them.
+spectrum, and every stage after synthesis takes the table alone.
 
 Two constructions are provided: the closed-form qubit table built from the
 roots-of-unity matrix and the single-phasor angles, and the general-d table
-built from a full phase matrix.  A formula table is its phase matrix: it
-holds theta and builds the dense V only when something reads it (emission,
-the correction columns, the measurement basis, a simulation trace's branch
+built from a full phase matrix.  A table is its phase matrix: it holds theta
+and builds the dense V only when something reads it (emission, the
+correction columns, the measurement basis, a simulation trace's branch
 overlaps).  Both constructions keep |V[j, m, k]| = 1/sqrt(s) exactly, so
 every outcome occurs with probability 1/s and |M_j| = 1; their measurement
-basis is orthonormal for every theta (a double geometric series); and
-G_j = L_j C L_j^dagger for the d x d phase Gram C = `phases.phase_gram` and
-a diagonal unitary L_j of roots of unity (signs at d = 2).  So a formula
-table is certified from C in O(s*d^2), and its orthonormality residual is 0.
-An explicit table (a V given to `verify`) holds V and is measured densely:
-the s x s Gram and W_j W_j^dagger.
+basis is orthonormal for every theta (a double geometric series); and the
+Gram G_j = D_j^dagger D_j of Bob's defined columns is L_j C L_j^dagger for
+the d x d phase Gram C (`ProtocolTable.phase_gram`) and a diagonal unitary
+L_j of roots of unity (signs at d = 2).  So C certifies a table: its
+orthonormality residual is 0, its unitarity residual is |C - I|, and over
+all inputs every fidelity and s times every outcome probability lie
+between C's extreme eigenvalues.  The simulator reads the Grams, built once
+per table from C in O(s*d^2) (`ProtocolTable.grams`).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .spectrum import SchmidtSpectrum
 class Construction(enum.Enum):
     GENERAL_FORMULA = "GeneralFormula"
     D2_FORMULA = "D2Formula"
-    EXPLICIT = "Explicit"
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -68,55 +66,29 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-FORMULAS = (Construction.GENERAL_FORMULA, Construction.D2_FORMULA)
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class ProtocolTable:
-    """Coefficients V with shape (s, d, n), one d x n block per outcome, for the
-    spectrum whose unitarity condition they are meant to satisfy.
-
-    `ProtocolTable(spectrum, d, V, construction)` holds V as given.  A formula
-    table (`from_phases`) holds its phase matrix instead, and builds V on first
-    access, read-only; `phases` is None for a table that holds V.
-    """
+    """The formula table of `construction` for a phase matrix and the spectrum
+    whose unitarity condition it is meant to satisfy: coefficients V with shape
+    (s, d, n), one d x n block per outcome, built on first access, read-only.
+    d is the phase matrix's row count (2 for the qubit construction)."""
 
     spectrum: SchmidtSpectrum
-    d: int
+    phases: PhaseMatrix
     construction: Construction
-    phases: PhaseMatrix | None
 
-    def __init__(self, spectrum: SchmidtSpectrum, d: int, V, construction: Construction):
-        coeffs = _read_only(np.array(V, dtype=complex))  # a copy: the caller's array may change
-        if coeffs.shape != (d * spectrum.n, d, spectrum.n):
+    def __post_init__(self):
+        rows = 2 if self.construction is Construction.D2_FORMULA else self.phases.d
+        if self.phases.theta.shape != (rows, self.spectrum.n):
             raise ValueError(
-                f"coefficient array of shape {coeffs.shape} does not match "
-                f"(s, d, n) = ({d * spectrum.n}, {d}, {spectrum.n}) "
-                f"for a {spectrum.n}-term spectrum"
+                f"phase matrix shape {self.phases.theta.shape} does not match "
+                f"(d, n) = ({rows}, {self.spectrum.n}) for a {self.spectrum.n}-term spectrum"
             )
-        self._hold(spectrum=spectrum, d=d, construction=construction, phases=None)
-        self.__dict__["V"] = coeffs
 
-    @classmethod
-    def from_phases(
-        cls, spectrum: SchmidtSpectrum, phases: PhaseMatrix, construction: Construction
-    ) -> "ProtocolTable":
-        """The formula table of `construction` for these angles, V not yet built."""
-        if construction not in FORMULAS:
-            raise ValueError(f"{construction.value} tables are not built from phases")
-        d = 2 if construction is Construction.D2_FORMULA else phases.d
-        if phases.theta.shape != (d, spectrum.n):
-            raise ValueError(
-                f"phase matrix shape {phases.theta.shape} does not match "
-                f"(d, n) = ({d}, {spectrum.n}) for a {spectrum.n}-term spectrum"
-            )
-        table = cls.__new__(cls)
-        table._hold(spectrum=spectrum, d=d, construction=construction, phases=phases)
-        return table
-
-    def _hold(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    @property
+    def d(self) -> int:
+        """Dimension of the teleported state."""
+        return self.phases.d
 
     @property
     def n(self) -> int:
@@ -130,18 +102,23 @@ class ProtocolTable:
 
     @functools.cached_property
     def V(self) -> np.ndarray:
-        """The formula table's coefficients, built on first access and read-only
-        (a table built from V holds it from the start)."""
+        """The coefficients, built on first access and read-only."""
         if self.construction is Construction.D2_FORMULA:
             return _read_only(_d2_coefficients(self.phases))
         return _read_only(_general_coefficients(self.phases))
 
     @functools.cached_property
+    def phase_gram(self) -> np.ndarray:
+        """The d x d phase Gram C = `phases.phase_gram` of this spectrum, read-only:
+        every outcome's Gram is L_j C L_j^dagger, so C decides both conditions."""
+        return _read_only(phase_gram(self.spectrum.as_array(), self.phases.theta))
+
+    @functools.cached_property
     def outcome_phases(self) -> np.ndarray:
-        """Diagonals of the unitaries L_j with G_j = L_j C L_j^dagger for a formula
-        table, shape (s, d): exp(2 pi i j m / s) for the general formula (exact
-        indices into the s-th roots of unity), (1, 1) for the first n qubit
-        outcomes and (1, -1) for the last n."""
+        """Diagonals of the unitaries L_j with G_j = L_j C L_j^dagger, shape (s, d):
+        exp(2 pi i j m / s) for the general formula (exact indices into the s-th
+        roots of unity), (1, 1) for the first n qubit outcomes and (1, -1) for
+        the last n."""
         s, d = self.s, self.d
         if self.construction is Construction.D2_FORMULA:
             lam = np.ones((s, 2), dtype=complex)
@@ -156,30 +133,13 @@ class ProtocolTable:
         """Gram matrices G_j = D_j^dagger D_j of Bob's defined columns, shape (s, d, d),
         built on first access and read-only.
 
-        G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p).  For a formula table that
-        is L_j C L_j^dagger, with C the d x d phase Gram, in O(s d^2) and without V;
-        for a table that holds V, one batched matmul.  The unitarity condition
-        says G_j = I; for an input psi the outcome probability is
-        psi^dagger G_j psi / s and the fidelity |M_j|^4 psi^dagger G_j psi.
+        G_j = W_j W_j^dagger with W_j = V[j] * sqrt(s p), which is L_j C L_j^dagger,
+        formed from the phase Gram in O(s d^2) and without V.  The unitarity
+        condition says G_j = I; for an input psi the outcome probability is
+        psi^dagger G_j psi / s and the fidelity psi^dagger G_j psi.
         """
-        probs = self.spectrum.as_array()
-        if self.phases is not None:
-            lam = self.outcome_phases
-            gram = phase_gram(probs, self.phases.theta)
-            return _read_only(lam[:, :, None] * gram * lam.conj()[:, None, :])
-        weighted = self.V * np.sqrt(self.s * probs)
-        return _read_only(weighted @ weighted.conj().transpose(0, 2, 1))
-
-    @functools.cached_property
-    def fidelity_weights(self) -> np.ndarray:
-        """|M_j|^4, shape (s,), read-only: the fidelity keeps it so off-normal
-        tables are judged as such.  1 for a formula table, whose |V| = 1/sqrt(s)
-        exactly; for a table that holds V, read from its [re, im] pairs without
-        a conjugate copy."""
-        if self.phases is not None:
-            return _read_only(np.ones(self.s))
-        pairs = self.V.reshape(self.s, -1).view(np.float64)
-        return _read_only(np.einsum("jx,jx->j", pairs, pairs) ** 2)
+        lam = self.outcome_phases
+        return _read_only(lam[:, :, None] * self.phase_gram * lam.conj()[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -237,7 +197,7 @@ def synthesize_general(spectrum: SchmidtSpectrum, phases: PhaseMatrix) -> Protoc
     the given spectrum.  The table holds the angles; V is built on first access.
     """
     _feasibility_gate(spectrum, phases.d)
-    return ProtocolTable.from_phases(spectrum, phases, Construction.GENERAL_FORMULA)
+    return ProtocolTable(spectrum, phases, Construction.GENERAL_FORMULA)
 
 
 def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTable:
@@ -251,7 +211,7 @@ def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTab
     built on first access.
     """
     _feasibility_gate(spectrum, 2)
-    return ProtocolTable.from_phases(spectrum, thetas, Construction.D2_FORMULA)
+    return ProtocolTable(spectrum, thetas, Construction.D2_FORMULA)
 
 
 def synthesize_auto(
@@ -278,27 +238,24 @@ def measurement_basis(table: ProtocolTable) -> np.ndarray:
     return table.V.reshape(table.s, table.d * table.n)
 
 
-def checked_grams(table: ProtocolTable) -> np.ndarray:
-    """`ProtocolTable.grams`, raising DegenerateColumns when some G_j deviates from
+def checked_phase_gram(table: ProtocolTable) -> np.ndarray:
+    """`ProtocolTable.phase_gram`, raising DegenerateColumns when it deviates from
     the identity by more than CONDITION_TOL, as for a table that violates the
-    unitarity condition for its spectrum."""
-    grams = table.grams
-    defects = np.abs(grams - np.eye(table.d)).max(axis=(1, 2))
-    failing = np.flatnonzero(defects > CONDITION_TOL)
-    if failing.size:
-        j = int(failing[0])
+    unitarity condition for its spectrum: every G_j = L_j C L_j^dagger deviates
+    as C does."""
+    defect = float(np.abs(table.phase_gram - np.eye(table.d)).max())
+    if not defect <= CONDITION_TOL:  # NaN angles fail too
         raise DegenerateColumns(
-            f"outcome {j + 1}: defined correction columns deviate from "
-            f"orthonormality by {defects[j]:.3e}"
+            f"defined correction columns deviate from orthonormality by {defect:.3e}"
         )
-    return grams
+    return table.phase_gram
 
 
 def correction_columns(table: ProtocolTable) -> np.ndarray:
     """Bob's d defined correction columns per outcome, shape (s, n, d): column m
     of u_j is sqrt(s) * conj(V[j, m, :]) * sqrt(p).  Raises DegenerateColumns as
-    `checked_grams` does."""
-    checked_grams(table)
+    `checked_phase_gram` does."""
+    checked_phase_gram(table)
     sqrt_p = np.sqrt(table.spectrum.as_array())
     return np.sqrt(table.s) * table.V.conj().transpose(0, 2, 1) * sqrt_p[None, :, None]
 
@@ -316,16 +273,10 @@ def bob_unitaries(table: ProtocolTable) -> np.ndarray:
 def verify_conditions(table: ProtocolTable) -> ConditionReport:
     """Worst-case residuals of the two defining conditions; reports, never raises.
 
-    The unitarity residual is max |G_j - I| over `ProtocolTable.grams`.  A
-    formula table's measurement basis is orthonormal for every theta, so its
-    orthonormality residual is 0; a table that holds V is measured on the
-    dense s x s Gram of its rows.
+    The measurement basis is orthonormal for every theta, so the orthonormality
+    residual is 0; the unitarity residual is max |G_j - I|, which is |C - I|
+    for the phase Gram C, since G_j = L_j C L_j^dagger with L_j diagonal and
+    unimodular.
     """
-    unit = float(np.abs(table.grams - np.eye(table.d)).max())
-    if table.phases is not None:
-        return ConditionReport(orthonormality_residual=0.0, unitarity_residual=unit)
-    flat = measurement_basis(table)
-    gram = flat.conj() @ flat.T
-    gram[np.diag_indices(table.s)] -= 1.0  # in place: no second s x s array
-    ortho = float(np.abs(gram).max())
-    return ConditionReport(orthonormality_residual=ortho, unitarity_residual=unit)
+    unit = float(np.abs(table.phase_gram - np.eye(table.d)).max())
+    return ConditionReport(orthonormality_residual=0.0, unitarity_residual=unit)

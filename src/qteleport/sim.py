@@ -15,14 +15,16 @@ For every outcome j the run follows the algebra of the protocol:
      holds only the d leading entries.
 
 The d x d Gram G_j is all a run needs: with q_j = psi^dagger G_j psi, the
-outcome probability is q_j / s and the fidelity is |M_j|^4 q_j.  Every
-function takes the table alone: it carries its spectrum and builds its Grams
-and weights once (`ProtocolTable.grams`, `ProtocolTable.fidelity_weights`);
-a formula table builds both from its phase matrix, so neither a run nor a
-sweep builds V.  `random_input_sweep` certifies T inputs as these quadratic
-forms in O(T*s*d^2), one GEMM per block of trials, and `run_protocol` is the
-same quadratic form at one input: q_j = sqrt(s) Re(c_j . conj(psi)) from the
-corrections, in O(s*d^2) with no (s, n) array.  The `SimulationTrace` holds
+outcome probability is q_j / s and the fidelity is |M_j|^4 q_j = q_j, since
+every measurement state has unit norm.  Every function takes the table
+alone: it carries its spectrum and its phase Gram C, and G_j = L_j C L_j^dagger
+(`ProtocolTable.phase_gram`, `ProtocolTable.outcome_phases`), so neither a
+run nor a sweep builds V.  `random_input_sweep` certifies T inputs as these
+quadratic forms in O(T*s*d^2), one GEMM per block of trials against the
+Grams (`ProtocolTable.grams`), and `run_protocol` is the same quadratic form
+at one input: q_j = sqrt(s) Re(c_j . conj(psi)) from the corrections
+c_j = L_j C L_j^dagger psi / sqrt(s), in O(s*d^2) with neither the Grams nor
+an (s, n) array.  The `SimulationTrace` holds
 the input; the overlaps o_j (one einsum over V), the measurement states (a
 view of V), the `OutcomeRecord`s and the d*n^2 branch states are built only
 when read (`SimulationTrace.overlaps`, `SimulationTrace.measurement_states`,
@@ -184,15 +186,17 @@ def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
     psi = as_input_qudit(psi, d)
     # u_j^dagger o_j = D_j^dagger D_j psi / sqrt(s): o_j lies in the span of the
     # defined columns D_j and the QR completion of u_j is orthogonal to that span,
-    # so the correction is zero past entry d and only its first d entries are kept
-    corrections = _protocol.checked_grams(table) @ psi / math.sqrt(s)
+    # so the correction is zero past entry d and only its first d entries are kept;
+    # D_j^dagger D_j = L_j C L_j^dagger, applied without forming it
+    lam = table.outcome_phases
+    corrections = lam * ((lam.conj() * psi) @ _protocol.checked_phase_gram(table).T) / math.sqrt(s)
     quadratic = math.sqrt(s) * (corrections @ psi.conj()).real
     return SimulationTrace(
         d=d,
         n=n,
         psi=psi,
         probabilities=quadratic / s,
-        fidelities=table.fidelity_weights * quadratic,
+        fidelities=quadratic,
         corrections=corrections,
         residual_schmidts=(1,) * s,  # |M_j> (x) |c_j> is a product state
         classical_bits=math.log2(s),
@@ -220,8 +224,8 @@ def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepRep
     if trials < 1:
         raise ValueError("trials must be at least 1")
     d = table.d
-    grams = _protocol.checked_grams(table)
-    weights = table.fidelity_weights
+    _protocol.checked_phase_gram(table)
+    grams = table.grams
     block = max(1, SWEEP_BLOCK_BYTES // (16 * table.s))  # complex128 quadratic forms
 
     rng = np.random.default_rng(seed)
@@ -229,11 +233,10 @@ def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepRep
     for start in range(0, trials, block):
         psis = np.array([haar_random_state(d, rng) for _ in range(min(block, trials - start))])
         # q[t, j] = psi_t^dagger G_j psi_t, one GEMM of the (T, d^2) outer products
-        # against the (s, d^2) Grams; then p = q / s and fidelity = |M_j|^4 q
+        # against the (s, d^2) Grams; then p = q / s and fidelity = q
         outer = (psis.conj()[:, :, None] * psis[:, None, :]).reshape(len(psis), -1)
-        quadratic = (outer @ grams.reshape(table.s, -1).T).real
-        probabilities = quadratic / table.s
-        fidelities = weights * quadratic
+        fidelities = (outer @ grams.reshape(table.s, -1).T).real
+        probabilities = fidelities / table.s
         min_fid = min(min_fid, float(fidelities.min()))
         max_fid_dev = max(max_fid_dev, float(np.abs(fidelities - 1.0).max()))
         max_prob_dev = max(max_prob_dev, float(np.abs(probabilities - 1.0 / table.s).max()))

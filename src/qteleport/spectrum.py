@@ -70,7 +70,7 @@ class SchmidtSpectrum:
                 raise ValueError("probs must be the floating images of the exact values")
         if any(not p > 0.0 for p in self.probs):  # NaN fails too, and exact values that underflow
             raise ValueError("all probabilities must be strictly positive")
-        if self.exact is None and abs(sum(self.probs) - 1.0) > SUM_TOL:
+        if self.exact is None and not abs(sum(self.probs) - 1.0) <= SUM_TOL:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 
     @classmethod

@@ -435,10 +435,10 @@ class TestTableElision:
         rebuilt = cli._table_from_phases(doc, spectrum, doc["table"]["d"])
         np.testing.assert_array_equal(rebuilt.V, emitted[..., 0] + 1j * emitted[..., 1])
 
-    def elided_report(self, tmp_path):
+    def elided_report(self, tmp_path, *flags):
         path = write_problem(tmp_path, self.ELIDED_CASES[0][0])
         out = tmp_path / "report.json"
-        assert run(["simulate", path, "--out", str(out)]) == 0
+        assert run(["simulate", path, *flags, "--out", str(out)]) == 0
         return out, reportio.loads(out.read_text(encoding="utf-8"))
 
     def test_elided_simulate_and_verify_never_build_the_table(self, tmp_path, monkeypatch):
@@ -465,20 +465,29 @@ class TestTableElision:
         assert run(["verify", str(out)]) == 6
         assert "violated" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc["phases"].update(theta=doc["phases"]["theta"][:1]),
-        lambda doc: doc["phases"]["theta"][0].__setitem__(0, "0.1"),
-        lambda doc: doc["phases"]["theta"][0].__setitem__(0, True),
-        lambda doc: doc["phases"]["theta"][0].__setitem__(0, 7.0),
-        lambda doc: doc["table"].update(construction="Explicit"),
-        lambda doc: doc.update(phases=None),
-    ], ids=["short", "string", "boolean", "out-of-range", "explicit", "no-phases"])
-    def test_unusable_phases_are_parse_failures(self, tmp_path, capsys, edit):
-        out, doc = self.elided_report(tmp_path)
+    EXPLICIT = "error: report table construction 'Explicit' cannot be rebuilt from theta"
+    NO_PHASES = "error: report holds no phases to build its table from"
+
+    @pytest.mark.parametrize("edit, flags, message", [
+        (lambda doc: doc["phases"].update(theta=doc["phases"]["theta"][:1]), [], "error:"),
+        (lambda doc: doc["phases"]["theta"][0].__setitem__(0, "0.1"), [], "error:"),
+        (lambda doc: doc["phases"]["theta"][0].__setitem__(0, True), [], "error:"),
+        (lambda doc: doc["phases"]["theta"][0].__setitem__(0, 7.0), [], "error:"),
+        (lambda doc: doc["table"].update(construction="Explicit"), [], EXPLICIT),
+        (lambda doc: doc.update(phases=None), [], NO_PHASES),
+        # a table is its theta: a report that writes V is refused alike
+        (lambda doc: doc["table"].update(construction="Explicit"), ["--emit-table"], EXPLICIT),
+        (lambda doc: doc.update(phases=None), ["--emit-table"], NO_PHASES),
+    ], ids=["short", "string", "boolean", "out-of-range", "explicit", "no-phases",
+            "explicit-with-V", "no-phases-with-V"])
+    def test_unusable_phases_are_parse_failures(self, tmp_path, capsys, edit, flags, message):
+        out, doc = self.elided_report(tmp_path, *flags)
+        assert (doc["table"]["V"] is None) == (not flags)
         edit(doc)
         out.write_text(reportio.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
         assert run(["verify", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestVerify:
@@ -593,14 +602,38 @@ class TestVerify:
         assert "pairs of numbers" in capsys.readouterr().err
 
     def test_scaled_entry_of_an_explicit_table_fails(self, tmp_path, capsys):
-        # an explicit V is measured densely: one entry off by 1e-8 relative is seen
+        # the V written out in a report is compared with theta's: one entry off by
+        # 1e-8 relative is seen, and so is what it may do to V's orthonormality
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["table"]["construction"] = "Explicit"
         doc["table"]["V"][0][0][0] = [x * (1 + 1e-8) for x in doc["table"]["V"][0][0][0]]
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 6
-        assert "violated: orthonormality" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "violated: table V deviates from the table rebuilt from theta" in err
+        assert "violated: orthonormality residual" in err
+
+    @pytest.mark.parametrize("eta, code", [(1.05e-10, 6), (None, 0)], ids=["eta-past-tol", "one-ulp"])
+    def test_emitted_table_is_judged_by_its_bound(self, tmp_path, capsys, eta, code):
+        # a V within delta of theta's moves its own Gram entries by at most
+        # eta = delta (2 sqrt(s) + s delta): one entry moved so that eta is just past
+        # CONDITION_TOL fails, while delta itself is 2e-11; 1-ulp noise on every entry passes
+        out = self.emit_report(tmp_path)
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        pairs = np.array(doc["table"]["V"])
+        s = pairs.shape[0]
+        if eta is None:
+            pairs = np.nextafter(pairs, np.inf)
+        else:
+            delta = (math.sqrt(s + s * eta) - math.sqrt(s)) / s  # the root of eta's quadratic
+            assert delta <= cli.CONDITION_TOL / 4
+            pairs[2, 1, 0, 0] += 1.0001 * delta
+        doc["table"]["V"] = pairs.tolist()
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("violated: orthonormality residual 1.05" in err) is (code == 6)
+        assert "rebuilt from theta" not in err
 
     def test_table_disagreeing_with_theta_is_a_violation(self, tmp_path, capsys):
         # a V that theta does not build verified as long as V alone passed
@@ -610,18 +643,6 @@ class TestVerify:
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 6
         assert "rebuilt from theta" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc["table"].update(construction="Explicit"),
-        lambda doc: doc.pop("phases"),
-    ], ids=["explicit", "no-phases"])
-    def test_table_without_formula_theta_is_checked_alone(self, tmp_path, capsys, edit):
-        out = self.emit_report(tmp_path)
-        doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["phases"]["theta"][1][0] = (doc["phases"]["theta"][1][0] + 0.5) % (2 * math.pi)
-        edit(doc)
-        out.write_text(reportio.dumps(doc), encoding="utf-8")
-        assert run(["verify", str(out)]) == 0
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [doc], "report must contain a JSON object"),
@@ -683,7 +704,49 @@ class TestVerify:
         doc[section][key] = value
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 6
-        assert re.search(rf"violated: stated {section}\.{key} \S+ differs", capsys.readouterr().err)
+        assert re.search(rf"violated: stated {section}\.{key} \S+ lies outside", capsys.readouterr().err)
+
+    TAMPERED_SIMULATION = [  # (edit, exit code, message): one per simulation field
+        (lambda sim: sim.update(minFidelity=0.5), 6,
+         r"violated: stated simulation\.minFidelity 0\.5 lies outside the derived \[\S+, \S+\]"),
+        (lambda sim: sim.update(maxFidelityDeviation=0.5), 6,
+         r"violated: stated simulation\.maxFidelityDeviation 0\.5 lies outside"),
+        (lambda sim: sim.update(maxProbabilityDeviation=0.3), 6,
+         r"violated: stated simulation\.maxProbabilityDeviation 0\.3 lies outside"),
+        (lambda sim: sim.update(totalProbabilityDeviation=0.9), 6,
+         r"violated: stated simulation\.totalProbabilityDeviation 0\.9 lies outside"),
+        (lambda sim: sim.update(maxFidelityDeviation=-1e-3), 6,
+         r"violated: stated simulation\.maxFidelityDeviation -0\.001 lies outside"),
+        (lambda sim: sim.update(maxResidualSchmidt=7), 6,
+         r"violated: stated simulation\.maxResidualSchmidt 7\.0 lies outside the derived \[1, 1\]"),
+        (lambda sim: sim["outcomeProbabilities"].__setitem__(1, 0.9), 6,
+         r"violated: stated simulation\.outcomeProbabilities\[1\] 0\.9 lies outside the derived \[0\.16"),
+        (lambda sim: sim.update(residualSchmidtNumbers=[7] * 6), 6,
+         r"violated: stated simulation\.residualSchmidtNumbers\[0\] 7\.0 lies outside the derived \[1, 1\]"),
+        (lambda sim: sim["outcomeProbabilities"].pop(), 2,
+         r"error: report field 'simulation\.outcomeProbabilities' has shape \(5,\), expected \(6,\)"),
+        (lambda sim: sim.update(trials=10**9), 3,
+         r"error: report field 'simulation\.trials' must be at most 1000000"),
+        (lambda sim: sim.update(seed=-4), 3, r"error: report field 'simulation\.seed' must be non-negative"),
+        (lambda sim: sim.update(seed=0.5), 2, r"error: report field 'simulation\.seed' must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("edit, code, message", TAMPERED_SIMULATION, ids=[
+        "minFidelity", "maxFidelityDeviation", "maxProbabilityDeviation",
+        "totalProbabilityDeviation", "negative-deviation", "maxResidualSchmidt",
+        "outcomeProbabilities", "residualSchmidtNumbers", "short-probabilities", "trials", "seed",
+        "fractional-seed",
+    ])
+    def test_tampered_simulation_claim_is_refused(self, tmp_path, capsys, edit, code, message):
+        # each of these verified before the simulation section was checked
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        edit(doc["simulation"])
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == code
+        assert re.search(message, capsys.readouterr().err)
 
     @pytest.mark.parametrize("token", OVERFLOWING_TOKENS)
     def test_claim_past_the_double_range_is_a_violation(self, tmp_path, capsys, token):
@@ -693,7 +756,7 @@ class TestVerify:
         doc["table"]["unitarityResidual"] = 12345.5
         out.write_text(reportio.dumps(doc).replace("12345.5", token), encoding="utf-8")
         assert run(["verify", str(out)]) == 6
-        assert "violated: stated table.unitarityResidual inf differs" in capsys.readouterr().err
+        assert "violated: stated table.unitarityResidual inf lies outside" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [claim[:2] for claim in TAMPERED_CLAIMS[1:]])
     @pytest.mark.parametrize("value", ["0.0", True, None])
@@ -719,12 +782,28 @@ class TestVerify:
         grams = functools.cached_property(counted)
         grams.__set_name__(protocol.ProtocolTable, "grams")
         monkeypatch.setattr(protocol.ProtocolTable, "grams", grams)
-        out = self.emit_report(tmp_path)  # the sweep, the reference run and the table doc
+        out = self.emit_report(tmp_path)  # the sweep and the reference run
         assert built == [protocol.Construction.D2_FORMULA]
         built.clear()
-        # the table rebuilt from theta is compared entry by entry; only V's Grams are built
+        # verify reads the phase Gram alone, and compares V with theta's entry by entry
         assert run(["verify", str(out)]) == 0
-        assert built == [protocol.Construction.EXPLICIT]
+        assert built == []
+
+    @pytest.mark.parametrize("flags", [[], ["--emit-table"]], ids=["theta", "emitted"])
+    def test_verify_builds_neither_outcome_grams_nor_the_basis_gram(self, tmp_path, monkeypatch,
+                                                                   flags):
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, *flags, "--out", str(out)]) == 0
+
+        def refuse(*args):
+            raise AssertionError("a Gram beyond the d x d phase Gram was built")
+
+        grams = functools.cached_property(refuse)
+        grams.__set_name__(protocol.ProtocolTable, "grams")
+        monkeypatch.setattr(protocol.ProtocolTable, "grams", grams)
+        monkeypatch.setattr(protocol, "measurement_basis", refuse)  # the s x s Gram's rows
+        assert run(["verify", str(out)]) == 0
 
     def test_simulate_and_verify_build_no_full_unitaries(self, tmp_path, monkeypatch):
         def refuse(*args):

@@ -256,13 +256,15 @@ class TestOutcomeGrams:
 
     @staticmethod
     def broken(table):
-        scaled = np.array(table.V)
-        scaled[0] *= 1 + 1e-6
-        zeroed = np.array(table.V)
-        zeroed[-1, 0, 0] = 0.0
+        """The table with one angle moved by 1e-6, and its angles against the wrong
+        spectrum: both violate the unitarity condition."""
+        theta = np.array(table.phases.theta)
+        theta[-1, 0] = (theta[-1, 0] + 1e-6) % (2 * np.pi)
+        ramp = np.linspace(1, 2, table.n)
+        other = SchmidtSpectrum.from_probs(ramp / ramp.sum())
         return [
-            ProtocolTable(table.spectrum, table.d, V, Construction.EXPLICIT)
-            for V in (scaled, zeroed)
+            ProtocolTable(table.spectrum, PhaseMatrix(theta), table.construction),
+            ProtocolTable(other, table.phases, table.construction),
         ]
 
     def test_equals_the_columns_gram_and_the_weighted_sum(self):
@@ -278,7 +280,7 @@ class TestOutcomeGrams:
                 )
                 weighted = np.einsum(
                     "jmk,jlk,k->jml", candidate.V, candidate.V.conj(),
-                    table.s * table.spectrum.as_array(),
+                    table.s * candidate.spectrum.as_array(),
                 )
                 np.testing.assert_allclose(grams, weighted, rtol=0, atol=1e-15)
 
@@ -293,8 +295,10 @@ class TestOutcomeGrams:
             for candidate in self.broken(table):
                 with pytest.raises(DegenerateColumns):
                     correction_columns(candidate)
-                defect = np.abs(candidate.grams - np.eye(table.d)).max()
-                assert verify_conditions(candidate).unitarity_residual == defect
+                columns = defined_columns(candidate)
+                dense = columns.conj().transpose(0, 2, 1) @ columns
+                defect = np.abs(dense - np.eye(table.d)).max()
+                assert abs(verify_conditions(candidate).unitarity_residual - defect) <= 1e-15
                 assert defect > 1e-8
 
 
@@ -331,7 +335,7 @@ class TestFormulaStructure:
     @given(unsolved_phases(dims=(2, 3, 4, 5)))
     def test_structured_grams_equal_the_dense_ones(self, case):
         # G_j = L_j C L_j^dagger from theta alone, against W_j W_j^dagger from the
-        # dense V, W = V sqrt(s p); and |M_j|^4 = 1 against the rows of V
+        # dense V, W = V sqrt(s p); and |M_j| = 1 against the rows of V
         spectrum, theta = case
         tables = [synthesize_general(spectrum, theta)]
         if theta.d == 2:
@@ -343,7 +347,7 @@ class TestFormulaStructure:
             dense = weighted @ weighted.conj().transpose(0, 2, 1)
             np.testing.assert_allclose(grams, dense, rtol=0, atol=1e-14)
             norms = np.linalg.norm(measurement_basis(table), axis=1)
-            np.testing.assert_allclose(table.fidelity_weights, norms**4, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-14)
             assert verify_conditions(table).orthonormality_residual == 0.0
 
 
@@ -392,10 +396,10 @@ class TestBobUnitaries:
 
     def test_degenerate_columns_detected(self):
         table = golden_table()
-        broken = np.array(table.V)
-        broken[0, 0, 0] = 0.0
+        theta = np.array(table.phases.theta)
+        theta[1, 0] = (theta[1, 0] + 0.1) % (2 * np.pi)
         with pytest.raises(DegenerateColumns):
-            bob_unitaries(ProtocolTable(GOLDEN, 2, broken, Construction.EXPLICIT))
+            bob_unitaries(ProtocolTable(GOLDEN, PhaseMatrix(theta), table.construction))
 
     def test_completion_is_deterministic(self):
         table = golden_table()
@@ -405,21 +409,25 @@ class TestBobUnitaries:
 
 
 class TestVerifyConditions:
-    def test_zeroed_entry_breaks_orthonormality(self):
-        table = golden_table()
-        broken = np.array(table.V)
-        broken[2, 1, 1] = 0.0
-        report = verify_conditions(ProtocolTable(GOLDEN, 2, broken, Construction.EXPLICIT))
-        assert report.orthonormality_residual >= 1 / table.s - 1e-12
-
     def test_wrong_spectrum_breaks_unitarity(self):
         table = golden_table()
         other = SchmidtSpectrum.from_probs([0.4, 0.35, 0.25])
-        report = verify_conditions(ProtocolTable(other, table.d, table.V, table.construction))
-        assert report.orthonormality_residual < 1e-10  # spectrum-independent
+        report = verify_conditions(ProtocolTable(other, table.phases, table.construction))
+        assert report.orthonormality_residual == 0.0  # spectrum-independent
         assert report.unitarity_residual > 1e-6
 
     def test_reports_do_not_raise(self):
-        junk = ProtocolTable(PAIR, 2, np.zeros((4, 2, 2)), Construction.EXPLICIT)
+        # all-zero angles: C is the all-ones matrix, the farthest from I a Gram gets
+        junk = ProtocolTable(PAIR, PhaseMatrix(np.zeros((2, 2))), Construction.GENERAL_FORMULA)
         report = verify_conditions(junk)
-        assert report.orthonormality_residual == 1.0
+        assert report.unitarity_residual == 1.0
+        with pytest.raises(DegenerateColumns):
+            correction_columns(junk)
+
+    def test_table_and_phases_must_agree(self):
+        theta = PhaseMatrix(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="3-term"):
+            ProtocolTable(GOLDEN, theta, Construction.GENERAL_FORMULA)
+        with pytest.raises(ValueError, match=r"\(d, n\) = \(2, 2\)"):
+            ProtocolTable(PAIR, theta, Construction.D2_FORMULA)
+        assert [c.value for c in Construction] == ["GeneralFormula", "D2Formula"]

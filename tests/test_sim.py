@@ -4,16 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qteleport import sim
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qteleport import cli, sim
 from qteleport.errors import DegenerateColumns
-from qteleport.phases import solve_general
+from qteleport.phases import CONDITION_TOL, Partition, PhaseMatrix, phases_from_partition, solve_general
 from qteleport.protocol import (
     Construction,
     ProtocolTable,
     bob_unitaries,
     correction_columns,
+    measurement_basis,
     synthesize_auto,
     synthesize_general,
+    verify_conditions,
 )
 from qteleport.sim import (
     as_input_qudit,
@@ -188,16 +193,14 @@ class TestBranchAlgebra:
 
     def test_conjugating_the_inputs_matches_conjugating_the_table(self, rng):
         # conj(A) B == conj(A conj(B)) bit for bit, so the overlaps, read from V on
-        # demand, conjugate the small operand, for a formula table as for its copy;
-        # the Gram corrections G psi / sqrt(s) match the oracle's D^H o
+        # demand, conjugate the small operand; the Gram corrections G psi / sqrt(s)
+        # match the oracle's D^H o
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
             psi = random_state(rng, d)
             trace = run_protocol(psi, table)
             want = np.einsum("jml,m->jl", table.V.conj(), psi) * np.sqrt(spectrum.as_array())
-            explicit = ProtocolTable(spectrum, d, table.V, Construction.EXPLICIT)
-            np.testing.assert_array_equal(run_protocol(psi, explicit).overlaps, want)
-            np.testing.assert_allclose(trace.overlaps, want, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(trace.overlaps, want)
             overlaps, probs, corrections, fids = (
                 out[0] for out in branches_oracle(psi[None, :], table)
             )
@@ -218,7 +221,7 @@ class TestBranchAlgebra:
     def test_formula_overlaps_from_theta_match_the_table(self, rng, spectrum, d, formula):
         # a run is the quadratic form psi^H G_j psi: it builds neither V nor the
         # (s, n) overlaps, which are read from V on demand and square to the
-        # probabilities; the formula table and its Explicit copy agree with the oracle
+        # probabilities, in agreement with the oracle
         if formula == "general":  # the general formula at d = 2, where synthesize_auto takes the qubit one
             table = synthesize_general(spectrum, solve_general(spectrum, d))
         else:
@@ -226,16 +229,14 @@ class TestBranchAlgebra:
         psis = [random_state(rng, d) for _ in range(3)]
         traces = [run_protocol(psi, table) for psi in psis]
         assert "V" not in vars(table)
-        explicit = ProtocolTable(spectrum, d, table.V, Construction.EXPLICIT)
-        for psi, formula_trace in zip(psis, traces):
+        for psi, trace in zip(psis, traces):
             _, probs, corrections, fids = (out[0] for out in branches_oracle(psi[None, :], table))
-            for trace in (formula_trace, run_protocol(psi, explicit)):
-                assert "overlaps" not in vars(trace)
-                np.testing.assert_allclose(trace.probabilities, probs, rtol=0, atol=1e-15)
-                np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(trace.corrections, corrections, rtol=0, atol=1e-14)
-                squared = np.abs(trace.overlaps) ** 2
-                np.testing.assert_allclose(trace.probabilities, squared.sum(axis=1), rtol=0, atol=1e-15)
+            assert "overlaps" not in vars(trace)
+            np.testing.assert_allclose(trace.probabilities, probs, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(trace.corrections, corrections, rtol=0, atol=1e-14)
+            squared = np.abs(trace.overlaps) ** 2
+            np.testing.assert_allclose(trace.probabilities, squared.sum(axis=1), rtol=0, atol=1e-15)
 
     def test_measurement_states_are_built_on_demand(self, rng):
         table = protocol_table(GOLDEN, 2)
@@ -317,23 +318,6 @@ class TestSweep:
         want = oracle_sweep(table, 12, 11)
         np.testing.assert_allclose(sweep_fields(report), want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES)
-    def test_off_normal_explicit_tables_agree_with_the_oracle(self, rng, spectrum, d):
-        # |M_j| = 1 + 1e-11 passes the column check; the fidelity keeps |M_j|^4
-        # from the table's rows, as the oracle does
-        coeffs = protocol_table(spectrum, d).V * (1 + 1e-11)
-        table = ProtocolTable(spectrum, d, coeffs, Construction.EXPLICIT)
-        report = random_input_sweep(table, trials=12, seed=11)
-        np.testing.assert_allclose(sweep_fields(report), oracle_sweep(table, 12, 11), rtol=0, atol=1e-14)
-        psi = random_state(rng, d)
-        fids = branches_oracle(psi[None, :], table)[3][0]
-        np.testing.assert_allclose(run_protocol(psi, table).fidelities, fids, rtol=0, atol=1e-14)
-        assert abs(report.max_fidelity_deviation - 6e-11) < 1e-13  # |M_j|^4 (1 + 1e-11)^2
-        # at 1 + 1e-9 each Gram is (1 + 1e-9)^2 I, 2e-9 past the identity: past CONDITION_TOL
-        off = ProtocolTable(spectrum, d, protocol_table(spectrum, d).V * (1 + 1e-9), Construction.EXPLICIT)
-        with pytest.raises(DegenerateColumns):
-            random_input_sweep(off, trials=12, seed=11)
-
     def test_memory_does_not_grow_with_trials(self):
         # a formula table's Grams take a few KiB, so a sweep's peak is its own block
         # arrays: two trial counts that both span many blocks peak alike, and below
@@ -359,9 +343,9 @@ class TestSweep:
 
     def test_degenerate_columns_raise(self, rng):
         table = protocol_table(GOLDEN, 2)
-        scaled = np.array(table.V)
-        scaled[0] *= 1 + 1e-6
-        broken = ProtocolTable(GOLDEN, 2, scaled, Construction.EXPLICIT)
+        theta = np.array(table.phases.theta)
+        theta[1, 0] = (theta[1, 0] + 1e-6) % (2 * np.pi)
+        broken = ProtocolTable(GOLDEN, PhaseMatrix(theta), table.construction)
         with pytest.raises(DegenerateColumns):
             run_protocol(random_state(rng, 2), broken)
         with pytest.raises(DegenerateColumns):
@@ -373,7 +357,7 @@ class TestValidation:
         # a table is a protocol only for a spectrum of its own length
         table = protocol_table(GOLDEN, 2)
         with pytest.raises(ValueError, match="2-term"):
-            ProtocolTable(PAIR, table.d, table.V, table.construction)
+            ProtocolTable(PAIR, table.phases, table.construction)
 
     def test_input_must_be_normalized(self):
         with pytest.raises(ValueError):
@@ -409,3 +393,68 @@ class TestGeneralFormulaSimulation:
             assert trace.classical_bits == math.log2(n * d)
             done += 1
         assert done > 0
+
+
+@st.composite
+def formula_tables(draw):
+    """A formula table at d = 2..5 with s <= 96, of either construction at d = 2:
+    for random angles, which almost surely violate the constraint, or for a
+    split spectrum's angles, column-shifted and moved by up to 1e-12."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(d, 96 // d))
+    construction = draw(st.sampled_from(list(Construction) if d == 2 else [Construction.GENERAL_FORMULA]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        spectrum = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
+        theta = rng.uniform(0, 2 * np.pi, (d, n))
+    else:  # d groups of weight 1/d each: the split's angles solve the constraint
+        labels = rng.permutation(np.arange(n) % d)
+        weights = rng.random(n) + 0.1
+        spectrum = SchmidtSpectrum.from_probs(weights / (d * np.bincount(labels, weights)[labels]))
+        theta = phases_from_partition(Partition(tuple(int(g) + 1 for g in labels), d)).theta
+        theta = theta + rng.uniform(0, 2 * np.pi, n) + rng.uniform(-1e-12, 1e-12, (d, n))
+    return ProtocolTable(spectrum, PhaseMatrix(np.mod(theta, 2 * np.pi)), construction)
+
+
+class TestOnePath:
+    @settings(max_examples=80, deadline=None)
+    @given(formula_tables(), st.integers(0, 2**32 - 1))
+    def test_the_phase_gram_agrees_with_the_dense_oracle(self, table, seed):
+        # every figure read from the d x d phase Gram C, against the s x s Gram
+        # and the W_j W_j^dagger built from the dense V
+        s, d = table.s, table.d
+        states = measurement_basis(table)
+        assert np.abs(states.conj() @ states.T - np.eye(s)).max() <= 1e-13
+        assert verify_conditions(table).orthonormality_residual == 0.0
+        weighted = table.V * np.sqrt(s * table.spectrum.as_array())
+        dense = weighted @ weighted.conj().transpose(0, 2, 1)
+        np.testing.assert_allclose(table.grams, dense, rtol=0, atol=1e-13)
+        defect = np.abs(dense - np.eye(d)).max()
+        assert abs(verify_conditions(table).unitarity_residual - defect) <= 1e-13
+        eigenvalues = np.linalg.eigvalsh(table.phase_gram)
+        assert np.abs(np.linalg.eigvalsh(dense) - eigenvalues).max() <= 1e-13
+        psi = random_state(np.random.default_rng(seed), d)
+        if not defect <= CONDITION_TOL:
+            with pytest.raises(DegenerateColumns):
+                run_protocol(psi, table)
+            return
+        trace = run_protocol(psi, table)
+        _, probs, corrections, fids = (out[0] for out in branches_oracle(psi[None, :], table))
+        np.testing.assert_allclose(trace.probabilities, probs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace.corrections, corrections, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace.fidelities, fids, rtol=0, atol=1e-13)
+        report = random_input_sweep(table, trials=8, seed=seed)
+        np.testing.assert_allclose(sweep_fields(report), oracle_sweep(table, 8, seed), rtol=0, atol=1e-13)
+        # and the sweep lies in the bracket verify holds it to
+        ulps = cli.BRACKET_ULPS * d * d * np.finfo(float).eps
+        spread = np.abs(eigenvalues - 1).max()
+        assert eigenvalues[0] - ulps <= report.min_fidelity <= eigenvalues[-1] + ulps
+        assert report.max_fidelity_deviation <= spread + ulps
+        assert report.max_probability_deviation <= (spread + ulps) / s
+        assert report.total_probability_deviation <= spread + ulps
+
+    def test_nan_angles_are_refused(self):
+        # a NaN angle once made a table whose NaN defect passed every `> tol` gate:
+        # run_protocol returned NaN fidelities and a sweep reported min_fidelity 1.0
+        with pytest.raises(ValueError, match="angles must lie in"):
+            PhaseMatrix([[0, 0, 0], [0, 2, np.nan], [0, 4, 1]])
