@@ -318,6 +318,29 @@ class TestSweep:
         want = oracle_sweep(table, 12, 11)
         np.testing.assert_allclose(sweep_fields(report), want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES)
+    def test_off_normal_explicit_tables_agree_with_the_oracle(self, rng, spectrum, d):
+        # explicitly given angles moved by 3e-11 off the solution: the phase Gram
+        # deviates from I by a few 1e-12, inside CONDITION_TOL, and the sweep and
+        # a run read that deviation as the dense oracle does
+        table = protocol_table(spectrum, d)
+        theta = np.array(table.phases.theta)
+        theta[1, 0] = (theta[1, 0] + 3e-11) % (2 * np.pi)
+        off = ProtocolTable(spectrum, PhaseMatrix(theta), table.construction)
+        defect = np.abs(off.phase_gram - np.eye(d)).max()
+        assert 1e-13 < defect <= CONDITION_TOL
+        report = random_input_sweep(off, trials=12, seed=11)
+        np.testing.assert_allclose(sweep_fields(report), oracle_sweep(off, 12, 11), rtol=0, atol=1e-14)
+        psi = random_state(rng, d)
+        fids = branches_oracle(psi[None, :], off)[3][0]
+        np.testing.assert_allclose(run_protocol(psi, off).fidelities, fids, rtol=0, atol=1e-14)
+        eigenvalues = np.linalg.eigvalsh(off.phase_gram)
+        assert 1e-13 < report.max_fidelity_deviation <= np.abs(eigenvalues - 1).max() + 1e-14
+        # moved by 1e-6 the Gram is past CONDITION_TOL
+        theta[1, 0] = (theta[1, 0] + 1e-6) % (2 * np.pi)
+        with pytest.raises(DegenerateColumns):
+            random_input_sweep(ProtocolTable(spectrum, PhaseMatrix(theta), table.construction), trials=12, seed=11)
+
     def test_memory_does_not_grow_with_trials(self):
         # a formula table's Grams take a few KiB, so a sweep's peak is its own block
         # arrays: two trial counts that both span many blocks peak alike, and below
