@@ -54,7 +54,7 @@ sweep = random_input_sweep(table, trials=200, seed=424242)
 print(f"min fidelity:              {sweep.min_fidelity!r}")
 print(f"max |fidelity - 1|:        {sweep.max_fidelity_deviation:.2e}")
 print(f"max |probability - 1/6|:   {sweep.max_probability_deviation:.2e}")
-print(f"max residual Schmidt rank: {sweep.max_residual_schmidt}")
+print(f"max |sum_j p_j - 1|:       {sweep.total_probability_deviation:.2e}")
 
 # ---------------------------------------------------------------------------
 # Partial use of a two-Bell-pair resource

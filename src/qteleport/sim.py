@@ -208,11 +208,9 @@ def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
 class SweepReport:
     """Worst-case deviations over a batch of random input states."""
 
-    classical_bits: float
     min_fidelity: float
     max_fidelity_deviation: float       # worst |fidelity - 1|
     max_probability_deviation: float    # worst |probability - 1/s|
-    max_residual_schmidt: int
     total_probability_deviation: float  # worst |sum_j probability - 1|
 
 
@@ -242,11 +240,9 @@ def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepRep
         max_prob_dev = max(max_prob_dev, float(np.abs(probabilities - 1.0 / table.s).max()))
         max_total_dev = max(max_total_dev, float(np.abs(probabilities.sum(axis=1) - 1.0).max()))
     return SweepReport(
-        classical_bits=math.log2(table.s),
         min_fidelity=min_fid,
         max_fidelity_deviation=max_fid_dev,
         max_probability_deviation=max_prob_dev,
-        max_residual_schmidt=1,  # every corrected branch is a product state
         total_probability_deviation=max_total_dev,
     )
 

@@ -368,7 +368,7 @@ class TestNearPartition:
         problem = cli.parse_problem_doc(near_partition(5e-11, seed))
         theta = phases.phases_from_partition(phases.find_partition(problem.spectrum, 3))
         table = protocol.synthesize_general(problem.spectrum, theta)
-        sections = cli._protocol_sections(problem, theta, table, emit_table=False)
+        sections = cli._protocol_sections(problem, table, emit_table=False)
         assert sections["table"]["unitarityResidual"] < cli.CONDITION_TOL
         out = tmp_path / "report.json"
         cli._write_report(str(out), **sections)
@@ -748,6 +748,60 @@ class TestVerify:
         assert run(["verify", str(out)]) == code
         assert re.search(message, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, value, code, message", [
+        ("d", 7, 6, "violated: stated phases.d 7 lies outside the derived [2, 2]"),
+        ("n", 99, 6, "violated: stated phases.n 99 lies outside the derived [3, 3]"),
+        ("d", "x", 2, "error: report phases field 'd' must be an integer"),
+    ], ids=["d-7", "n-99", "d-not-an-integer"])
+    def test_tampered_phase_dimension_is_refused(self, tmp_path, capsys, key, value, code,
+                                                 message):
+        # phases.d and phases.n were written but never read, so each of these verified
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["phases"][key] = value
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == code
+        assert message in capsys.readouterr().err
+
+    REPORT_INPUTS = {"theta", "V", "construction", "trials", "seed"}  # what a report is built from
+    DIMENSION_ECHOES = {"table.d", "table.n"}  # compared with the echoed problem: exit 2
+
+    def test_every_written_number_is_checked(self, tmp_path, capsys):
+        # the tamper cases come from the report simulate writes, not from a list
+        # kept by hand: a number that is written but never checked fails here
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        written = out.read_text(encoding="utf-8")
+        template = reportio.loads(written)
+        leaves = [
+            (section, key, 0 if isinstance(value, list) else None)
+            for section in ("phases", "table", "simulation")
+            for key, value in template[section].items()
+            if key not in self.REPORT_INPUTS
+            and isinstance(value[0] if isinstance(value, list) else value, (int, float))
+        ]
+        fields = {f"{section}.{key}" for section, key, _ in leaves}
+        assert {f"{section}.{key}" for section, key, _ in self.TAMPERED_CLAIMS} <= fields
+        unchecked = []
+        for section, key, index in leaves:
+            doc = reportio.loads(written)
+            holder, slot = (doc[section], key) if index is None else (doc[section][key], index)
+            holder[slot] += 1  # outside every derived interval, integer or not
+            out.write_text(reportio.dumps(doc), encoding="utf-8")
+            capsys.readouterr()
+            code, err = run(["verify", str(out)]), capsys.readouterr().err
+            field = f"{section}.{key}" + ("" if index is None else f"[{index}]")
+            if field in self.DIMENSION_ECHOES:
+                expected = (2, "error: report table dimensions disagree with the echoed problem")
+            else:
+                expected = (6, f"violated: stated {field} ")
+            if code != expected[0] or expected[1] not in err:
+                unchecked.append((field, code, err))
+        assert unchecked == []
+
     @pytest.mark.parametrize("token", OVERFLOWING_TOKENS)
     def test_claim_past_the_double_range_is_a_violation(self, tmp_path, capsys, token):
         # read as a double, a 401-digit integer is inf: it cannot overflow the comparison
@@ -886,23 +940,31 @@ class TestVerify:
     def test_verify_starts_no_collection(self, tmp_path, capsys):
         # the decoded lists of an emitted (4, 20) table, 6400 [re, im] pairs,
         # are freed before the collector resumes (CPython lowers its count as
-        # each is freed); unpaused they started 9 young collections per verify
-        path = write_problem(tmp_path, {"d": 4, "spectrum": ["1/20"] * 20, "trials": 2})
-        out = tmp_path / "report.json"
-        assert run(["simulate", path, "--emit-table", "--out", str(out)]) == 0
-        started = []
+        # each is freed); unpaused they started 9 young collections per verify.
+        # A default (2, 1024) report's 2048 outcome probabilities once started
+        # 3, one (lowest, highest) tuple made per entry after the collector resumed
+        cases = {
+            "emitted (4, 20)": ({"d": 4, "spectrum": ["1/20"] * 20, "trials": 2}, ["--emit-table"]),
+            "default (2, 1024)": ({"d": 2, "spectrum": ["1/1024"] * 1024, "trials": 2}, []),
+        }
+        started = {}
+        for name, (problem, flags) in cases.items():
+            path = write_problem(tmp_path, problem)
+            out = tmp_path / "report.json"
+            assert run(["simulate", path, *flags, "--out", str(out)]) == 0
+            counts = started[name] = [0, 0, 0]
 
-        def count(phase, info):
-            if phase == "start":
-                started.append(info["generation"])
+            def count(phase, info):
+                if phase == "start":
+                    counts[info["generation"]] += 1
 
-        gc.collect()
-        gc.callbacks.append(count)
-        try:
-            assert run(["verify", str(out)]) == 0
-        finally:
-            gc.callbacks.remove(count)
-        assert started == []
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                assert run(["verify", str(out)]) == 0
+            finally:
+                gc.callbacks.remove(count)
+        assert started == dict.fromkeys(cases, [0, 0, 0])
 
     @pytest.mark.parametrize("source", ["problem", "flag"])
     def test_simulate_refuses_trials_past_the_bound(self, tmp_path, capsys, source):

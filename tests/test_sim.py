@@ -277,7 +277,7 @@ class TestSweep:
         report = random_input_sweep(protocol_table(PAIR, 2), trials=100, seed=7)
         assert report.min_fidelity >= 1 - 1e-10
         assert report.max_probability_deviation < 1e-10
-        assert report.max_residual_schmidt == 1
+        assert report.total_probability_deviation < 1e-10
 
     def test_worked_example_sweep(self):
         report = random_input_sweep(protocol_table(GOLDEN, 2), trials=100, seed=7)
@@ -309,7 +309,6 @@ class TestSweep:
         assert abs(report.max_fidelity_deviation - np.abs(fids - 1).max()) < 1e-14
         assert abs(report.max_probability_deviation - np.abs(probs - 1 / table.s).max()) < 1e-14
         assert abs(report.total_probability_deviation - np.abs(totals - 1).max()) < 1e-14
-        assert report.max_residual_schmidt == 1
 
     @pytest.mark.parametrize("spectrum,d", PROTOCOL_CASES + UNIFORM_SHAPES)
     def test_quadratic_forms_agree_with_the_oracle(self, spectrum, d):
