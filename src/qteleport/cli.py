@@ -9,16 +9,19 @@ Subcommands:
   concentrate  classical-cost budget for copies -> Bell-pairs conversion
 
 A problem file is a JSON object: {"d": 2, "spectrum": ["1/2", "1/3", "1/6"]}
-with optional "inputState" (list of [re, im] pairs), "seed" and "trials"
-(at most 10**6).
+with optional "inputState" (list of [re, im] pairs), "seed" (default 0) and
+"trials" (default 100, at most 10**6).  The problem file is the only place to
+set a sweep's seed and trials: a report echoes its problem, so verify checks
+the ones it states.
 Spectrum entries given as "num/den" strings switch the solvers to exact
 rational arithmetic.
 
 A report's table is its phase factors: verify rebuilds it from phases.theta
 and a formula construction, and certifies it from the d x d phase Gram.  One
 function (_claims) derives every other number a report states but the sampled
-sweep statistics: synthesize and simulate write it, and verify compares each
-stated number with it, and each sweep statistic with the Gram's eigenvalues.
+sweep statistics, from the echoed problem and theta: synthesize and simulate
+write it, and verify compares each stated number with it, and each sweep
+statistic with the Gram's eigenvalues.
 
 Exit codes partition the failure modes: 2 unparseable input, 3 input
 invariant violation, 4 infeasible spectrum, 5 phase factors not found,
@@ -77,11 +80,9 @@ BRACKET_ULPS = 8  # allowed: this many ulps times d^2
 
 # how verify reads the fields of _claims (integers; arrays of s entries; the
 # rest as doubles) and bounds them (exactly; the rest within CONDITION_TOL)
-_INTEGER_CLAIMS = frozenset({"phases.d", "phases.n", "table.s"})
-_LIST_CLAIMS = frozenset({"simulation.outcomeProbabilities", "simulation.residualSchmidtNumbers"})
-_EXACT_CLAIMS = _INTEGER_CLAIMS | {
-    "simulation.classicalBits", "simulation.maxResidualSchmidt", "simulation.residualSchmidtNumbers",
-}
+_INTEGER_CLAIMS = frozenset({"table.d", "table.n", "simulation.trials", "simulation.seed"})
+_LIST_CLAIMS = frozenset({"simulation.outcomeProbabilities"})
+_EXACT_CLAIMS = _INTEGER_CLAIMS | {"simulation.classicalBits"}
 
 DEFAULT_TRIALS = 100
 MAX_TRIALS = 10**6  # the sweep runs every trial: a larger count would not finish
@@ -111,18 +112,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _sweep_count(value, key: str, label: str) -> int:
-    """A sweep's 'trials' or 'seed' from outside, named label in messages:
-    anything but an integer is a parse failure, one out of range an
-    invariant violation."""
+def _sweep_count(value, key: str) -> int:
+    """A problem's 'trials' or 'seed': anything but an integer is a parse
+    failure, one out of range an invariant violation."""
     if not _is_integer(value):
-        raise ParseFailure(f"{label} must be an integer")
+        raise ParseFailure(f"field {key!r} must be an integer")
     if key == "seed" and value < 0:
-        raise InputFailure(f"{label} must be non-negative")
+        raise InputFailure(f"field {key!r} must be non-negative")
     if key == "trials" and value < 1:
-        raise InputFailure(f"{label} must be at least 1")
+        raise InputFailure(f"field {key!r} must be at least 1")
     if key == "trials" and value > MAX_TRIALS:
-        raise InputFailure(f"{label} must be at most {MAX_TRIALS}")
+        raise InputFailure(f"field {key!r} must be at most {MAX_TRIALS}")
     return value
 
 
@@ -205,7 +205,7 @@ def parse_problem_doc(doc) -> Problem:
         input_state = amps
 
     counts = {  # an absent or null count takes its default
-        key: default if doc.get(key) is None else _sweep_count(doc[key], key, f"field {key!r}")
+        key: default if doc.get(key) is None else _sweep_count(doc[key], key)
         for key, default in (("seed", DEFAULT_SEED), ("trials", DEFAULT_TRIALS))
     }
     return Problem(d=d, spectrum=spectrum, raw=doc, input_state=input_state, **counts)
@@ -254,17 +254,16 @@ def _write_report(out_path: str | None, **sections) -> None:
 
 
 def _claims(problem: Problem, table: ProtocolTable, simulated: bool) -> dict:
-    """Every number a report derives from its table, keyed "section.field":
-    what synthesize and simulate write and verify compares.  With simulated,
-    the simulation section's too, from a run at the problem's reference input
-    (its first basis state by default); a table past the tolerance has no run,
-    and outcomeProbabilities None."""
+    """Every number a report derives from its problem and table, keyed
+    "section.field": what synthesize and simulate write and verify compares.
+    With simulated, the simulation section's too: the sweep's settings, and a
+    run at the problem's reference input (its first basis state by default); a
+    table past the tolerance has no run, and outcomeProbabilities None."""
     conditions = verify_conditions(table)
     claims = {
-        "phases.d": table.phases.d,
-        "phases.n": table.phases.n,
         "phases.constraintResidual": table.phases.constraint_residual(problem.spectrum),
-        "table.s": table.s,
+        "table.d": table.d,
+        "table.n": table.n,
         "table.orthonormalityResidual": conditions.orthonormality_residual,
         "table.unitarityResidual": conditions.unitarity_residual,
     }
@@ -275,11 +274,10 @@ def _claims(problem: Problem, table: ProtocolTable, simulated: bool) -> dict:
         except DegenerateColumns:  # verify names such a table by its tolerances
             probabilities = None
         claims |= {
+            "simulation.trials": problem.trials,
+            "simulation.seed": problem.seed,
             "simulation.classicalBits": math.log2(table.s),
             "simulation.outcomeProbabilities": probabilities,
-            # every corrected branch |M_j> (x) |c_j> is a product state
-            "simulation.maxResidualSchmidt": 1,
-            "simulation.residualSchmidtNumbers": [1] * table.s,
         }
     return claims
 
@@ -294,8 +292,6 @@ def _protocol_sections(
         "problem": problem.raw,
         "phases": {"theta": table.phases.theta},
         "table": {
-            "d": table.d,
-            "n": table.n,
             "construction": table.construction.value,
             # V as [re, im] pairs; theta and the construction determine it
             "V": table.V.view(np.float64).reshape(table.s, table.d, table.n, 2) if emit_table else None,
@@ -326,14 +322,9 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    trials = problem.trials if args.trials is None else _sweep_count(args.trials, "trials", "--trials")
-    seed = problem.seed if args.seed is None else _sweep_count(args.seed, "seed", "--seed")
-
     _, table = synthesize_auto(problem.spectrum, problem.d)
-    sweep = random_input_sweep(table, trials, seed)
+    sweep = random_input_sweep(table, problem.trials, problem.seed)
     simulation = {
-        "trials": trials,
-        "seed": seed,
         "minFidelity": sweep.min_fidelity,
         "maxFidelityDeviation": sweep.max_fidelity_deviation,
         "maxProbabilityDeviation": sweep.max_probability_deviation,
@@ -408,7 +399,7 @@ def _table_from_phases(doc: dict, spectrum: SchmidtSpectrum, d: int) -> Protocol
         raise ParseFailure(
             "report holds no phases to build its table from (section 'phases', field 'theta')"
         )
-    if construction not in {c.value for c in Construction}:
+    if construction not in [c.value for c in Construction]:  # any JSON value, hashable or not
         raise ParseFailure(f"report table construction {construction!r} cannot be rebuilt from theta")
     angles = _finite_array(theta, (d, spectrum.n), "report phases", "angles")
     try:
@@ -444,12 +435,13 @@ def _verify_report(doc) -> list[str]:
     number outside the interval derived here: empty when it verifies.  A
     malformed report raises.
 
-    Each number of _claims is derived again from the table theta builds, and
-    the rest is judged by its phase Gram C: over all inputs psi the fidelity
-    psi^H G_j psi and probability psi^H G_j psi / s range over C's
-    eigenvalues, which bracket the sweep statistics.  An emitted V moves each Gram entry by at most eta, so its
-    eigenvalues by d eta and |M_j|^2 by eta: its figures are bounded by C's
-    widened by those, and it passes only if the bounds do."""
+    Each number of _claims is derived again from the echoed problem and the
+    table theta builds, and the rest is judged by its phase Gram C: over all
+    inputs psi the fidelity psi^H G_j psi and probability psi^H G_j psi / s
+    range over C's eigenvalues, which bracket the sweep statistics.  An
+    emitted V moves each Gram entry by at most eta, so its eigenvalues by
+    d eta and |M_j|^2 by eta: its figures are bounded by C's widened by
+    those, and it passes only if the bounds do."""
     if not isinstance(doc, dict):
         raise ParseFailure("report must contain a JSON object")
     for key in ("problem", "table"):
@@ -459,14 +451,8 @@ def _verify_report(doc) -> list[str]:
     table_doc = doc["table"]
     if not isinstance(table_doc, dict):
         raise ParseFailure("report section 'table' must be an object")
-    for key in ("d", "n"):
-        if not _is_integer(table_doc.get(key)):
-            raise ParseFailure(f"report table field {key!r} must be an integer")
-    d, n = table_doc["d"], table_doc["n"]
-    if problem.spectrum.n != n or problem.d != d:
-        raise ParseFailure("report table dimensions disagree with the echoed problem")
-    table = _table_from_phases(doc, problem.spectrum, d)
-    s, violations, eta = table.s, [], 0.0
+    table = _table_from_phases(doc, problem.spectrum, problem.d)
+    d, n, s, violations, eta = table.d, table.n, table.s, [], 0.0
     if table_doc.get("V") is not None:
         pairs = _finite_array(
             table_doc["V"], (s, d, n, 2), "report table", "[re, im] pairs of numbers"
@@ -486,11 +472,8 @@ def _verify_report(doc) -> list[str]:
         # verify judges with its own tolerances: a report cannot loosen them
         raise ParseFailure(f"report tolerances differ from the tool's own, {TOLERANCES}")
     simulated = "simulation" in doc
-    if simulated:
-        if not isinstance(doc["simulation"], dict):
-            raise ParseFailure("report section 'simulation' must be an object")
-        for key in ("trials", "seed"):
-            _sweep_count(doc["simulation"].get(key), key, f"report field 'simulation.{key}'")
+    if simulated and not isinstance(doc["simulation"], dict):
+        raise ParseFailure("report section 'simulation' must be an object")
 
     claims = _claims(problem, table, simulated)
     eigenvalues = np.linalg.eigvalsh(table.phase_gram)  # ascending
@@ -599,10 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_sim = command("simulate", parents=[table], help="synthesize and certify on random inputs")
-    p_sim.add_argument(
-        "--trials", type=int, help=f"random inputs (default {DEFAULT_TRIALS}, at most {MAX_TRIALS})"
-    )
-    p_sim.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED})")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = command("verify", help="re-check an emitted report")

@@ -182,7 +182,7 @@ class TestSynthesize:
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         assert run(["synthesize", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
-        assert doc["table"]["s"] == 6
+        assert (doc["table"]["d"], doc["table"]["n"]) == (2, 3)
         assert doc["table"]["orthonormalityResidual"] < 1e-10
         assert doc["table"]["unitarityResidual"] < 1e-10
         assert doc["phases"]["theta"][1] == [0.0, pytest.approx(math.pi), pytest.approx(math.pi)]
@@ -253,7 +253,7 @@ class TestSimulate:
         assert sim["classicalBits"] == pytest.approx(math.log2(6), abs=0)
         assert sim["minFidelity"] >= 1 - 1e-10
         assert sim["outcomeProbabilities"] == [pytest.approx(1 / 6, abs=1e-10)] * 6
-        assert sim["residualSchmidtNumbers"] == [1] * 6
+        assert (sim["trials"], sim["seed"]) == (20, 11)  # the problem's
 
     def test_deterministic_bytes(self, tmp_path):
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
@@ -262,23 +262,29 @@ class TestSimulate:
         assert run(["simulate", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_flags_override_problem(self, tmp_path, capsys):
+    def test_report_restates_nothing(self, tmp_path, capsys):
+        # theta's shape, s = d n and the residual Schmidt numbers, 1 by
+        # construction, are not written: every stated number is checked
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
-        assert run(["simulate", path, "--trials", "5", "--seed", "99"]) == 0
+        assert run(["simulate", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
-        assert doc["simulation"]["trials"] == 5
-        assert doc["simulation"]["seed"] == 99
+        assert set(doc["phases"]) == {"theta", "constraintResidual"}
+        assert "s" not in doc["table"]
+        assert not {"maxResidualSchmidt", "residualSchmidtNumbers"} & set(doc["simulation"])
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_sweep_flags_are_usage_errors(self, tmp_path, flag):
+        # the problem file is the only place to set a sweep's trials and seed
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", path, flag, "5"])
+        assert exc.value.code == 2
 
     def test_negative_seed_in_problem_is_invariant_violation(self, tmp_path, capsys):
         # numpy's default_rng raised an uncaught ValueError on a negative seed
         path = write_problem(tmp_path, dict(GOLDEN_PROBLEM, seed=-1))
         assert run(["simulate", path]) == 3
         assert "field 'seed'" in capsys.readouterr().err
-
-    def test_negative_seed_flag_is_invariant_violation(self, tmp_path, capsys):
-        path = write_problem(tmp_path, GOLDEN_PROBLEM)
-        assert run(["simulate", path, "--seed", "-5"]) == 3
-        assert "--seed" in capsys.readouterr().err
 
     def test_input_state_reference(self, tmp_path, capsys):
         problem = dict(GOLDEN_PROBLEM)
@@ -329,8 +335,8 @@ class TestSimulate:
             assert reportio.dumps(doc) == text, problem
 
     def test_uniform_pair_hundred_trials(self, tmp_path, capsys):
-        path = write_problem(tmp_path, {"d": 2, "spectrum": ["1/2", "1/2"]})
-        assert run(["simulate", path, "--trials", "100", "--seed", "3"]) == 0
+        path = write_problem(tmp_path, {"d": 2, "spectrum": ["1/2", "1/2"], "trials": 100, "seed": 3})
+        assert run(["simulate", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
         sim = doc["simulation"]
         assert sim["minFidelity"] >= 1 - 1e-10
@@ -383,7 +389,7 @@ class TestTableElision:
         path = write_problem(tmp_path, problem)
         assert run(["synthesize", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
-        assert doc["table"]["s"] == 66
+        assert (doc["table"]["d"], doc["table"]["n"]) == (2, 33)
         assert doc["table"]["V"] is None
         assert doc["table"]["orthonormalityResidual"] < 1e-10
 
@@ -407,7 +413,7 @@ class TestTableElision:
         text = out.read_text(encoding="utf-8")
         assert reportio.loads(text)["table"]["V"] is None
         emitted = reportio.loads(full.read_text(encoding="utf-8"))
-        assert len(emitted["table"]["V"]) == emitted["table"]["s"]
+        assert len(emitted["table"]["V"]) == emitted["table"]["d"] * emitted["table"]["n"]
         emitted["table"]["V"] = None
         assert reportio.dumps(emitted) == text
         assert run(["verify", str(out)]) == 0
@@ -651,11 +657,13 @@ class TestVerify:
         (lambda doc: {k: v for k, v in doc.items() if k != "table"},
          "report is missing section 'table'"),
         (lambda doc: doc | {"table": [doc["table"]]}, "report section 'table' must be an object"),
-        (lambda doc: doc | {"table": doc["table"] | {"d": 3}},
-         "report table dimensions disagree with the echoed problem"),
-        (lambda doc: doc | {"table": doc["table"] | {"n": 4}},
-         "report table dimensions disagree with the echoed problem"),
-    ], ids=["not-an-object", "no-problem", "no-table", "table-not-an-object", "other-d", "other-n"])
+        # an unhashable construction raised an uncaught TypeError
+        (lambda doc: doc | {"table": doc["table"] | {"construction": ["D2Formula"]}},
+         "report table construction ['D2Formula'] cannot be rebuilt from theta"),
+        (lambda doc: doc | {"table": doc["table"] | {"construction": {"a": 1}}},
+         "report table construction {'a': 1} cannot be rebuilt from theta"),
+    ], ids=["not-an-object", "no-problem", "no-table", "table-not-an-object", "construction-list",
+            "construction-object"])
     def test_malformed_report_is_parse_failure(self, tmp_path, capsys, edit, message):
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
@@ -675,7 +683,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("key, value", [
         ("d", 2.9), ("d", "2"), ("d", 2.0), ("d", True), ("n", 3.5), ("n", "3"), ("n", 3.0),
-        ("s", 6.0), ("s", "6"), ("s", None),
     ])
     def test_non_integer_table_dimension_is_parse_failure(self, tmp_path, capsys, key, value):
         # int() once read 2.9 and "2" as 2, so the report verified
@@ -687,7 +694,9 @@ class TestVerify:
         assert f"report table field '{key}' must be an integer" in capsys.readouterr().err
 
     TAMPERED_CLAIMS = [  # one tampered value per claim verify re-derives
-        ("table", "s", 99),
+        # the table's dimensions are the echoed problem's: another is a violation
+        ("table", "d", 3),
+        ("table", "n", 4),
         ("simulation", "classicalBits", 1),
         ("phases", "constraintResidual", 0.7),
         ("table", "unitarityResidual", 3.0),
@@ -717,25 +726,27 @@ class TestVerify:
          r"violated: stated simulation\.totalProbabilityDeviation 0\.9 lies outside"),
         (lambda sim: sim.update(maxFidelityDeviation=-1e-3), 6,
          r"violated: stated simulation\.maxFidelityDeviation -0\.001 lies outside"),
-        (lambda sim: sim.update(maxResidualSchmidt=7), 6,
-         r"violated: stated simulation\.maxResidualSchmidt 7\.0 lies outside the derived \[1, 1\]"),
         (lambda sim: sim["outcomeProbabilities"].__setitem__(1, 0.9), 6,
          r"violated: stated simulation\.outcomeProbabilities\[1\] 0\.9 lies outside the derived \[0\.16"),
-        (lambda sim: sim.update(residualSchmidtNumbers=[7] * 6), 6,
-         r"violated: stated simulation\.residualSchmidtNumbers\[0\] 7\.0 lies outside the derived \[1, 1\]"),
         (lambda sim: sim["outcomeProbabilities"].pop(), 2,
          r"error: report field 'simulation\.outcomeProbabilities' has shape \(5,\), expected \(6,\)"),
-        (lambda sim: sim.update(trials=10**9), 3,
-         r"error: report field 'simulation\.trials' must be at most 1000000"),
-        (lambda sim: sim.update(seed=-4), 3, r"error: report field 'simulation\.seed' must be non-negative"),
-        (lambda sim: sim.update(seed=0.5), 2, r"error: report field 'simulation\.seed' must be an integer"),
+        # the sweep's settings are the echoed problem's: each of these once verified
+        (lambda sim: sim.update(trials=5), 6,
+         r"violated: stated simulation\.trials 5 lies outside the derived \[20, 20\]"),
+        (lambda sim: sim.update(seed=12345), 6,
+         r"violated: stated simulation\.seed 12345 lies outside the derived \[11, 11\]"),
+        # out of range too, they are other settings than the problem's
+        (lambda sim: sim.update(trials=10**9), 6,
+         r"violated: stated simulation\.trials 1000000000 lies outside the derived \[20, 20\]"),
+        (lambda sim: sim.update(seed=-4), 6,
+         r"violated: stated simulation\.seed -4 lies outside the derived \[11, 11\]"),
+        (lambda sim: sim.update(seed=0.5), 2, r"error: report simulation field 'seed' must be an integer"),
     ]
 
     @pytest.mark.parametrize("edit, code, message", TAMPERED_SIMULATION, ids=[
         "minFidelity", "maxFidelityDeviation", "maxProbabilityDeviation",
-        "totalProbabilityDeviation", "negative-deviation", "maxResidualSchmidt",
-        "outcomeProbabilities", "residualSchmidtNumbers", "short-probabilities", "trials", "seed",
-        "fractional-seed",
+        "totalProbabilityDeviation", "negative-deviation", "outcomeProbabilities",
+        "short-probabilities", "other-trials", "other-seed", "trials", "seed", "fractional-seed",
     ])
     def test_tampered_simulation_claim_is_refused(self, tmp_path, capsys, edit, code, message):
         # each of these verified before the simulation section was checked
@@ -748,25 +759,7 @@ class TestVerify:
         assert run(["verify", str(out)]) == code
         assert re.search(message, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("key, value, code, message", [
-        ("d", 7, 6, "violated: stated phases.d 7 lies outside the derived [2, 2]"),
-        ("n", 99, 6, "violated: stated phases.n 99 lies outside the derived [3, 3]"),
-        ("d", "x", 2, "error: report phases field 'd' must be an integer"),
-    ], ids=["d-7", "n-99", "d-not-an-integer"])
-    def test_tampered_phase_dimension_is_refused(self, tmp_path, capsys, key, value, code,
-                                                 message):
-        # phases.d and phases.n were written but never read, so each of these verified
-        path = write_problem(tmp_path, GOLDEN_PROBLEM)
-        out = tmp_path / "report.json"
-        assert run(["simulate", path, "--out", str(out)]) == 0
-        doc = reportio.loads(out.read_text(encoding="utf-8"))
-        doc["phases"][key] = value
-        out.write_text(reportio.dumps(doc), encoding="utf-8")
-        assert run(["verify", str(out)]) == code
-        assert message in capsys.readouterr().err
-
-    REPORT_INPUTS = {"theta", "V", "construction", "trials", "seed"}  # what a report is built from
-    DIMENSION_ECHOES = {"table.d", "table.n"}  # compared with the echoed problem: exit 2
+    REPORT_INPUTS = {"theta", "V", "construction"}  # what a report is built from
 
     def test_every_written_number_is_checked(self, tmp_path, capsys):
         # the tamper cases come from the report simulate writes, not from a list
@@ -794,13 +787,46 @@ class TestVerify:
             capsys.readouterr()
             code, err = run(["verify", str(out)]), capsys.readouterr().err
             field = f"{section}.{key}" + ("" if index is None else f"[{index}]")
-            if field in self.DIMENSION_ECHOES:
-                expected = (2, "error: report table dimensions disagree with the echoed problem")
-            else:
-                expected = (6, f"violated: stated {field} ")
-            if code != expected[0] or expected[1] not in err:
+            if code != 6 or f"violated: stated {field} " not in err:
                 unchecked.append((field, code, err))
         assert unchecked == []
+
+    WRONG_VALUES = [[1], {"a": 1}, None, "x", True, 10**30, -1, 0.5]
+
+    def test_no_edit_crashes_or_verifies(self, tmp_path, capsys):
+        # every leaf of a default and of an emitted report, lists entered
+        # through their first entry, replaced by values of every JSON type:
+        # verify exits with a documented code, and exits 0 only on an edit
+        # outside the sections it derives
+        def leaves(value, path=()):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, (*path, key))
+            elif isinstance(value, list) and value:
+                yield from leaves(value[0], (*path, 0))
+            else:
+                yield path, value
+
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        accepted = []
+        for flags in ([], ["--emit-table"]):
+            assert run(["simulate", path, *flags, "--out", str(out)]) == 0
+            written = out.read_text(encoding="utf-8")
+            for where, original in leaves(reportio.loads(written)):
+                for value in self.WRONG_VALUES:
+                    if exact(value) == exact(original):
+                        continue
+                    doc = reportio.loads(written)
+                    holder = functools.reduce(lambda node, key: node[key], where[:-1], doc)
+                    holder[where[-1]] = value
+                    out.write_text(reportio.dumps(doc), encoding="utf-8")
+                    code = run(["verify", str(out)])
+                    assert code in (0, 2, 3, 4, 5, 6), (where, value, code)
+                    if code == 0 and where[0] in ("phases", "table", "simulation"):
+                        accepted.append((flags, where, value))
+        capsys.readouterr()
+        assert accepted == []
 
     @pytest.mark.parametrize("token", OVERFLOWING_TOKENS)
     def test_claim_past_the_double_range_is_a_violation(self, tmp_path, capsys, token):
@@ -812,7 +838,7 @@ class TestVerify:
         assert run(["verify", str(out)]) == 6
         assert "violated: stated table.unitarityResidual inf lies outside" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [claim[:2] for claim in TAMPERED_CLAIMS[1:]])
+    @pytest.mark.parametrize("section, key", [claim[:2] for claim in TAMPERED_CLAIMS[2:]])
     @pytest.mark.parametrize("value", ["0.0", True, None])
     def test_claim_that_is_not_a_number_is_parse_failure(self, tmp_path, capsys, section, key,
                                                           value):
@@ -966,15 +992,9 @@ class TestVerify:
                 gc.callbacks.remove(count)
         assert started == dict.fromkeys(cases, [0, 0, 0])
 
-    @pytest.mark.parametrize("source", ["problem", "flag"])
-    def test_simulate_refuses_trials_past_the_bound(self, tmp_path, capsys, source):
-        problem = {"d": 2, "spectrum": ["1/2", "1/2"]}
-        if source == "problem":
-            problem["trials"] = cli.MAX_TRIALS + 1
-        argv = ["simulate", write_problem(tmp_path, problem)]
-        if source == "flag":
-            argv += ["--trials", str(cli.MAX_TRIALS + 1)]
-        assert run(argv) == 3
+    def test_simulate_refuses_trials_past_the_bound(self, tmp_path, capsys):
+        problem = {"d": 2, "spectrum": ["1/2", "1/2"], "trials": cli.MAX_TRIALS + 1}
+        assert run(["simulate", write_problem(tmp_path, problem)]) == 3
         assert f"must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
 
 
@@ -1177,13 +1197,13 @@ class TestParser:
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
-        argv = ["simulate", path, "--trials", "3"]
+        argv = ["simulate", path, "--emit-table"]
         first = cli.build_parser().parse_args(argv)
         assert run(["bounds", path]) == 0
         assert vars(cli.build_parser().parse_args(argv)) == vars(first)
 
     @pytest.mark.parametrize("argv", [
-        ["--vers"], ["simulate", "{path}", "--tri", "3"], ["synthesize", "{path}", "--emit"],
+        ["--vers"], ["simulate", "{path}", "--emit"], ["synthesize", "{path}", "--emit"],
         ["synthesize", "{path}", "--ou", "report.json"],
         # main binds only the full --spectrum to a value beginning with "-", so
         # an accepted --spec made these three exit 2, 3 and 0
