@@ -1,8 +1,10 @@
 """Entanglement measures and classical-communication-cost bounds.
 
 Quantities in bits are carried as a float plus, where representable, an exact
-symbolic form coef * log2(arg) with rational coef and arg.  That keeps golden
-values like log2(6) free of tolerance games while the floats stay convenient.
+symbolic form coef * log2(arg) + offset with rational coef and arg and an
+integer offset.  That keeps golden values like log2(6) free of tolerance games
+while the floats stay convenient, and a concentration budget over many copies
+exact in a few small integers.
 
 The teleportation bounds revolve around two measures of an n-term spectrum:
 
@@ -27,20 +29,21 @@ CONCENTRATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Bits:
-    """A quantity in bits: float value plus optional exact form coef*log2(arg)."""
+    """A quantity in bits: float value plus optional exact form coef*log2(arg) + offset."""
 
     value: float
     coefficient: Fraction | None = None
     argument: Fraction | None = None
+    offset: int = 0
 
     @classmethod
-    def log2(cls, coefficient, argument) -> "Bits":
+    def log2(cls, coefficient, argument, offset: int = 0) -> "Bits":
         coef = Fraction(coefficient)
         arg = Fraction(argument)
         if arg <= 0:
             raise ValueError("log2 argument must be positive")
-        value = float(coef) * (math.log2(arg.numerator) - math.log2(arg.denominator))
-        return cls(value=value, coefficient=coef, argument=arg)
+        value = float(coef) * (math.log2(arg.numerator) - math.log2(arg.denominator)) + offset
+        return cls(value=value, coefficient=coef, argument=arg, offset=offset)
 
     @classmethod
     def inexact(cls, value: float) -> "Bits":
@@ -173,10 +176,8 @@ def concentration_bounds(
         raise ValueError("n_copies must be at least 1")
     if m_bells < 0:
         raise ValueError("m_bells must be non-negative")
-    rank = spectrum.n
     m_max = _max_bells(spectrum, n_copies)
-    # C1 >= n*log2(rank) - m = log2(rank^n / 2^m)
-    c1 = Bits.log2(1, Fraction(rank**n_copies, 2**m_bells))
+    c1 = Bits.log2(n_copies, spectrum.n, -m_bells)
     c2 = Bits.log2(2 * m_bells, 2)
     return ConcentrationBounds(
         n_copies=n_copies,

@@ -78,10 +78,15 @@ TOLERANCES = dict.fromkeys(
 # the sampled minimum fidelity was 1 - 5.6e-16 against lambda_min = 1 - 2.2e-16).
 BRACKET_ULPS = 8  # allowed: this many ulps times d^2
 
-# how verify reads the fields of _claims (integers; arrays of s entries; the
-# rest as doubles) and bounds them (exactly; the rest within CONDITION_TOL)
-_INTEGER_CLAIMS = frozenset({"table.d", "table.n", "simulation.trials", "simulation.seed"})
-_LIST_CLAIMS = frozenset({"simulation.outcomeProbabilities"})
+# how verify reads the fields of _claims, and the retired fields older reports
+# state (integers; arrays of s entries, of integers for one in both sets; the
+# rest as doubles), and bounds them (exactly; the rest within CONDITION_TOL)
+_INTEGER_CLAIMS = frozenset({
+    "table.d", "table.n", "simulation.trials", "simulation.seed",
+    "phases.d", "phases.n", "table.s", "simulation.maxResidualSchmidt",
+    "simulation.residualSchmidtNumbers",
+})
+_LIST_CLAIMS = frozenset({"simulation.outcomeProbabilities", "simulation.residualSchmidtNumbers"})
 _EXACT_CLAIMS = _INTEGER_CLAIMS | {"simulation.classicalBits"}
 
 DEFAULT_TRIALS = 100
@@ -420,7 +425,10 @@ def _stated(doc: dict, field: str, s: int):
     section, key = field.split(".")
     value = doc[section].get(key)
     if field in _LIST_CLAIMS:
-        return _finite_array(value, (s,), f"report field '{field}'", "numbers")
+        array = _finite_array(value, (s,), f"report field '{field}'", "numbers")
+        if field in _INTEGER_CLAIMS and not all(map(_is_integer, value)):
+            raise ParseFailure(f"report field '{field}' is malformed: entries must be integers")
+        return array
     if field in _INTEGER_CLAIMS:
         if not _is_integer(value):
             raise ParseFailure(f"report {section} field {key!r} must be an integer")
@@ -435,8 +443,9 @@ def _verify_report(doc) -> list[str]:
     number outside the interval derived here: empty when it verifies.  A
     malformed report raises.
 
-    Each number of _claims is derived again from the echoed problem and the
-    table theta builds, and the rest is judged by its phase Gram C: over all
+    Each number of _claims, and each retired field the report states, is
+    derived again from the echoed problem and the table theta
+    builds, and the rest is judged by its phase Gram C: over all
     inputs psi the fidelity psi^H G_j psi and probability psi^H G_j psi / s
     range over C's eigenvalues, which bracket the sweep statistics.  An
     emitted V moves each Gram entry by at most eta, so its eigenvalues by
@@ -476,6 +485,16 @@ def _verify_report(doc) -> list[str]:
         raise ParseFailure("report section 'simulation' must be an object")
 
     claims = _claims(problem, table, simulated)
+    # the fields reports no longer write: checked where one written before states them
+    retired = {"phases.d": d, "phases.n": n, "table.s": s}
+    if simulated:  # every residual state is a product state
+        retired |= {
+            "simulation.maxResidualSchmidt": 1, "simulation.residualSchmidtNumbers": np.ones(s),
+        }
+    for field, value in retired.items():
+        section, key = field.split(".")
+        if key in doc[section]:
+            claims[field] = value
     eigenvalues = np.linalg.eigvalsh(table.phase_gram)  # ascending
     spread = float(np.abs(eigenvalues - 1.0).max())
     intervals = {  # field: (lowest, highest) value it may state; None, read but not compared

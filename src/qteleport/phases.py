@@ -19,9 +19,11 @@ inputs, each outcome's deviation in fidelity and in probability (times s).
 The split is found by first-fit backtracking (find_partition), kept bounded
 without changing which split it returns: a dead-gap prune drops placements
 that leave a subgroup impossible to complete, a meet-in-the-middle subset-sum
-test proves most hopeless spectra hopeless at once, and PARTITION_NODE_BUDGET
-caps the placements.  The subset-sum test runs once, for n <=
-SUBSET_SUM_MAX_N, when the placements spent reach its own cost of about
+test proves most hopeless spectra hopeless at once, and a budget caps the
+placements: PARTITION_NODE_BUDGET for an exact spectrum, and the much smaller
+FLOAT_PARTITION_BUDGET for a float one, whose search is the cheap path.  The
+subset-sum test runs once, for n <= SUBSET_SUM_MAX_N (FLOAT_SUBSET_SUM_MAX_N
+for a float spectrum), when the placements spent reach its own cost of about
 2 * 2**ceil(n/2) sums (SUBSET_SUM_AFTER at most), so a split first fit finds
 quickly never pays for it and a hopeless one never backtracks far past it.
 When no split is found, for whichever reason, solve_general falls through to
@@ -62,8 +64,16 @@ CONDITION_TOL = 1e-10       # largest eigenvalue defect of the phase Gram of an 
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_NFEV = 100_000
 PARTITION_NODE_BUDGET = 1_000_000  # first-fit placements before find_partition gives up
+# A float spectrum's search solves in milliseconds what its first fit could
+# spend seconds of the exact budget on; a split found within this many
+# placements still gives the partition's theta
+FLOAT_PARTITION_BUDGET = 4096
 SUBSET_SUM_AFTER = 4096     # most placements before the lazy subset-sum test runs
 SUBSET_SUM_MAX_N = 40       # largest n given the subset-sum test (2 * 2**(n/2) sums)
+# With 2**n subset sums in [0, 1], one within the float test's window of
+# 2 * (CONDITION_TOL + SUBSET_SUM_MARGIN) about 1/d is all but certain from
+# about n = 34 on, so past this the float test costs much and proves nothing
+FLOAT_SUBSET_SUM_MAX_N = 32
 # Float rounding allowance of the subset-sum test.  A k-term sum of positive
 # values, added in any order, is off its exact value by at most (k-1)*u*S
 # (u = 2**-53, S the sum), since every partial sum is at most S.  First fit
@@ -255,12 +265,13 @@ def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
     * dead-gap prune: a placement that leaves its subgroup neither full nor
       able to take the smallest value is dropped, since every later value is
       at least that large;
-    * lazy subset-sum test: for n <= SUBSET_SUM_MAX_N, once the placements
-      without success reach the test's own cost, about 2 * 2**ceil(n/2) sums
-      (or SUBSET_SUM_AFTER, whichever is less), a meet-in-the-middle test
-      asks whether any subset sums to 1/d at all; if none does, no split
-      exists;
-    * node budget: after PARTITION_NODE_BUDGET placements the search stops.
+    * lazy subset-sum test: for n <= SUBSET_SUM_MAX_N (FLOAT_SUBSET_SUM_MAX_N
+      for a float spectrum), once the placements without success reach the
+      test's own cost, about 2 * 2**ceil(n/2) sums (or SUBSET_SUM_AFTER,
+      whichever is less), a meet-in-the-middle test asks whether any subset
+      sums to 1/d at all; if none does, no split exists;
+    * node budget: after PARTITION_NODE_BUDGET placements the search stops,
+      after FLOAT_PARTITION_BUDGET for a float spectrum.
 
     Raises NoPartition when no split exists or the budget runs out (the
     message says which); solve_general then falls through to the numerical
@@ -276,24 +287,27 @@ def find_partition(spectrum: SchmidtSpectrum, d: int) -> Partition:
         scale = math.lcm(d, *(f.denominator for f in spectrum.exact))
         values = [f.numerator * (scale // f.denominator) for f in spectrum.exact]
         target, tol = scale // d, 0
+        budget, test_max_n = PARTITION_NODE_BUDGET, SUBSET_SUM_MAX_N
     else:
         values = list(spectrum.probs)
         target, tol = 1.0 / d, CONDITION_TOL
+        budget, test_max_n = FLOAT_PARTITION_BUDGET, FLOAT_SUBSET_SUM_MAX_N
 
     order = sorted(range(n), key=lambda i: (-values[i], i))
-    groups = _first_fit([values[i] for i in order], d, target, tol)
+    groups = _first_fit([values[i] for i in order], d, target, tol, budget, n <= test_max_n)
     assignment = [0] * n
     for idx, g in zip(order, groups):
         assignment[idx] = g + 1
     return Partition(tuple(assignment), d)
 
 
-def _first_fit(vals: list, d: int, target, tol) -> list[int]:
+def _first_fit(vals: list, d: int, target, tol, budget: int, testable: bool) -> list[int]:
     """Subgroup index of each of `vals` (descending) in the first complete split.
 
     A subgroup sum `acc` fits value v when acc + v <= target + tol and is
     full when |acc - target| <= tol; with integer values and tol = 0 both
-    tests are exact.
+    tests are exact.  At most `budget` placements are made, and the
+    subset-sum test runs only when `testable`.
     """
     n = len(vals)
     hi = target + tol
@@ -304,9 +318,7 @@ def _first_fit(vals: list, d: int, target, tol) -> list[int]:
     used = 0              # non-empty subgroups; they are always 0..used-1
     # the subset-sum test costs about 2 * 2**ceil(n/2) sums: run it once the
     # placements spent reach that, or SUBSET_SUM_AFTER if that comes first
-    checkpoint = (
-        min(SUBSET_SUM_AFTER, 2 << (n + 1) // 2) if n <= SUBSET_SUM_MAX_N else PARTITION_NODE_BUDGET
-    )
+    checkpoint = min(SUBSET_SUM_AFTER, 2 << (n + 1) // 2, budget) if testable else budget
     nodes = pos = g = 0
     while True:
         v = vals[pos]
@@ -326,17 +338,17 @@ def _first_fit(vals: list, d: int, target, tol) -> list[int]:
             if pos == n and all(abs(acc - target) <= tol for acc in sums):
                 return groups
             if nodes == checkpoint:
-                if nodes == PARTITION_NODE_BUDGET:
-                    raise NoPartition(
-                        f"partition search stopped at its budget of {nodes} placements; "
-                        f"a split into {d} subgroups of weight 1/{d} may still exist"
-                    )
-                if not _some_subset_reaches(vals, target, tol):
+                if testable and not _some_subset_reaches(vals, target, tol):
                     raise NoPartition(
                         f"no subset of the spectrum sums to 1/{d}, "
                         f"so no partition into {d} subgroups exists"
                     )
-                checkpoint = PARTITION_NODE_BUDGET
+                if nodes == budget:
+                    raise NoPartition(
+                        f"partition search stopped at its budget of {nodes} placements; "
+                        f"a split into {d} subgroups of weight 1/{d} may still exist"
+                    )
+                testable, checkpoint = False, budget
             if pos < n:
                 g = 0
                 continue

@@ -3,12 +3,14 @@
 Reports are plain JSON objects with sorted keys.  Objects are laid out one
 key per line with two-space indent; a list of numbers (or of short lists of
 numbers, such as the [re, im] pairs of a table row) sits on one line, and any
-other list has one element per line.  Every scalar in a list or object is
-written by the standard library's C encoder, so floats print in Python's
-shortest round-trip form, identical inputs produce byte-identical documents
-and parse(serialize(x)) == x.  Apart from whitespace, the text equals
-json.dumps(x, sort_keys=True).  NaN and infinities are refused in both
-directions.
+other list has one element per line.  Every scalar is written as the standard
+library's C encoder writes it: a str, int, float, bool or None directly, by
+the function that encoder calls for its exact type, and anything else (a
+subclass such as an IntEnum, a one-line list) by the encoder itself.  So
+floats print in Python's shortest round-trip form, identical inputs produce
+byte-identical documents and parse(serialize(x)) == x.  Apart from
+whitespace, the text equals json.dumps(x, sort_keys=True).  NaN and
+infinities are refused in both directions.
 
 An object's value may also be a float64 numpy array, such as a report's
 coefficient table.  It is written exactly as its .tolist() would be, but
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -35,6 +38,23 @@ from .bounds import Bits, BoundsReport, CccBound, ConcentrationBounds
 
 _INLINE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # the C encoder: no indent
 _SCALARS = (str, int, float, type(None))  # bool is an int
+_quote = json.encoder.encode_basestring_ascii  # the C encoder's str writer
+
+
+def _float_text(value: float) -> str:
+    # a non-finite value goes to the encoder, which refuses it with its own ValueError
+    return float.__repr__(value) if math.isfinite(value) else _INLINE(value)
+
+
+# the function the C encoder calls for each scalar type, keyed on the exact
+# type: JSONEncoder.encode would build a fresh C encoder for every number
+_WRITE_SCALAR = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def dumps(obj) -> str:
@@ -55,10 +75,13 @@ def _key(key) -> str:
     """Object keys as the standard encoder coerces them: str, int, float, bool or None."""
     if not isinstance(key, _SCALARS):
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _INLINE(key if isinstance(key, str) else _INLINE(key))
+    return _quote(key if isinstance(key, str) else _encode(key, ""))
 
 
 def _encode(obj, pad: str) -> str:
+    write = _WRITE_SCALAR.get(type(obj))
+    if write is not None:
+        return write(obj)
     if isinstance(obj, np.ndarray):
         return _encode_array(obj, pad)
     inner = pad + "  "
@@ -117,10 +140,11 @@ def loads(text: str):
 
 
 def bits_doc(bits: Bits | None) -> dict | None:
-    """{"bits": float, "exact": [coefNum, coefDen, argNum, argDen] | null}."""
+    """{"bits": float, "exact": [coefNum, coefDen, argNum, argDen] | null}, and
+    "offset": int after exact when the exact form has a nonzero one."""
     if bits is None:
         return None
-    exact = None
+    doc = {"bits": bits.value, "exact": None}
     if bits.is_exact:
         exact = [
             bits.coefficient.numerator,
@@ -129,11 +153,14 @@ def bits_doc(bits: Bits | None) -> dict | None:
             bits.argument.denominator,
         ]
         try:
-            for k in exact:
+            for k in (*exact, bits.offset):
                 str(k)
         except ValueError:  # beyond sys.get_int_max_str_digits(): no exact form
-            exact = None
-    return {"bits": bits.value, "exact": exact}
+            return doc
+        doc["exact"] = exact
+        if bits.offset:
+            doc["offset"] = bits.offset
+    return doc
 
 
 def ccc_doc(bound: CccBound | None) -> dict | None:

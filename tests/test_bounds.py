@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -164,7 +165,8 @@ class TestConcentration:
         conc = concentration_bounds(GOLDEN, 4, 4)
         assert conc.feasible
         assert abs(conc.c1_lower_bound.value - (4 * math.log2(3) - 4)) < 1e-12
-        assert conc.c1_lower_bound.argument == Fraction(81, 16)
+        c1 = conc.c1_lower_bound
+        assert (c1.coefficient, c1.argument, c1.offset) == (Fraction(4), Fraction(3), -4)
         assert conc.c2.value == 8.0
 
     def test_infeasible_above_budget(self):
@@ -198,9 +200,14 @@ class TestConcentration:
                 assert conc.feasible == (1 <= m)
 
     def test_million_copies_return(self):
+        start = time.perf_counter()
         conc = concentration_bounds(GOLDEN, 10**6, 10**6)
+        assert time.perf_counter() - start < 0.1
         assert conc.m_max == 10**6
         assert conc.feasible
+        c1 = conc.c1_lower_bound  # 10**6 * log2(3) - 10**6, exact in three integers
+        assert (c1.coefficient, c1.argument, c1.offset) == (Fraction(10**6), Fraction(3), -(10**6))
+        assert abs(c1.value - 10**6 * (math.log2(3) - 1)) < 1e-6
 
     def test_exact_feasibility_at_boundary(self):
         s = SchmidtSpectrum.from_rationals(["1/2", "1/4", "1/8", "1/8"])  # E_t = 1 exactly

@@ -1,3 +1,4 @@
+import enum
 import functools
 import gc
 import json
@@ -54,6 +55,26 @@ FLOAT_TEXTS = st.one_of(  # heavy repetition: a few literals, drawn many times
     st.lists(st.tuples(FLOAT_LITERALS, FLOAT_LITERALS), max_size=30).map(
         lambda pairs: "[" + ", ".join(f"[{re}, {im}]" for re, im in pairs) + "]"
     ),
+)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    pass
+
+
+# the least integer past the int-to-str digit limit (4300 digits by default)
+LIMIT_INT = 10 ** (sys.get_int_max_str_digits() or 4300)
+WRITER_SCALARS = (  # what the report writer formats itself, and subclasses it leaves to json
+    st.none() | st.booleans() | st.integers() | st.sampled_from(Level)
+    | st.sampled_from([k * sign for k in (LIMIT_INT - 1, LIMIT_INT) for sign in (1, -1)])
+    | st.text() | st.text(alphabet="\x00\x1f\"\\\u00e9\u2028\U0001f600 a").map(Tag)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0])
 )
 OUTSIDE_STRINGS_WHITESPACE = re.compile(r'("(?:[^"\\]|\\.)*")|\s+')
 
@@ -759,6 +780,35 @@ class TestVerify:
         assert run(["verify", str(out)]) == code
         assert re.search(message, capsys.readouterr().err)
 
+    RETIRED = [  # (section, key, true value, wrong value) of the GOLDEN report
+        ("phases", "d", 2, 7),
+        ("phases", "n", 3, 99),
+        ("table", "s", 6, 99),
+        ("simulation", "maxResidualSchmidt", 1, 7),
+        ("simulation", "residualSchmidtNumbers", [1] * 6, [5] * 6),
+    ]
+
+    @pytest.mark.parametrize("section, key, true, wrong", RETIRED,
+                             ids=[f"{section}.{key}" for section, key, _, _ in RETIRED])
+    def test_retired_field_is_checked_where_stated(self, tmp_path, capsys, section, key, true, wrong):
+        # reports no longer write these fields; one written before states the
+        # true value and verifies, and a wrong one, which once verified, exits 6
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        assert key not in doc[section]
+        non_integer = [float(x) for x in true] if isinstance(true, list) else float(true)
+        for value, code in ((true, 0), (wrong, 6), (non_integer, 2)):
+            doc[section][key] = value
+            out.write_text(reportio.dumps(doc), encoding="utf-8")
+            capsys.readouterr()
+            assert run(["verify", str(out)]) == code, value
+            if code == 6:
+                assert f"stated {section}.{key}" in capsys.readouterr().err
+            if code == 2:
+                assert "integer" in capsys.readouterr().err
+
     REPORT_INPUTS = {"theta", "V", "construction"}  # what a report is built from
 
     def test_every_written_number_is_checked(self, tmp_path, capsys):
@@ -1013,7 +1063,8 @@ class TestConcentrate:
         conc = doc["concentration"]
         assert conc["feasible"] is True
         assert abs(conc["C1LowerBound"]["bits"] - (4 * math.log2(3) - 4)) < 1e-12
-        assert conc["C1LowerBound"]["exact"] == [1, 1, 81, 16]
+        assert conc["C1LowerBound"]["exact"] == [4, 1, 3, 1]  # 4 * log2(3) - 4
+        assert conc["C1LowerBound"]["offset"] == -4
         assert conc["C2"]["bits"] == 8.0
 
     def test_over_budget_is_infeasible(self, capsys):
@@ -1048,19 +1099,24 @@ class TestConcentrate:
             assert run(["concentrate", "--spectrum", spectrum, "--copies", "2", "--bells", "1"]) == 3
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spectrum, copies, bells", [
-        ("1/2,1/2", 20000, 10),
-        ("1/2,1/3,1/6", 9100, 3000),
+    @pytest.mark.parametrize("spectrum, copies, bells, m_max", [
+        ("1/2,1/2", 20000, 10, 20000),  # p_max = 1/2
+        ("1/2,1/3,1/6", 9100, 3000, 9100),
+        # the largest m with 7^n 2^m <= 16^n: 4n minus the bit length of 7^n
+        ("7/16,27/64,9/64", 10**6, 300000, 4 * 10**6 - 2807355),
     ])
-    def test_exact_form_beyond_digit_limit_is_null(self, capsys, spectrum, copies, bells):
-        # the exact C1 integers exceed Python's int-to-str digit limit
+    def test_exact_form_at_any_copy_count(self, capsys, spectrum, copies, bells, m_max):
+        # C1 = copies * log2(rank) - bells, three integers however many the copies;
+        # rank**copies would pass Python's int-to-str digit limit in all three
         assert run(
             ["concentrate", "--spectrum", spectrum, "--copies", str(copies), "--bells", str(bells)]
         ) == 0
         conc = reportio.loads(capsys.readouterr().out)["concentration"]
-        assert conc["C1LowerBound"]["exact"] is None
-        assert math.isfinite(conc["C1LowerBound"]["bits"])
-        assert conc["mMax"] == (2**copies).bit_length() - 1  # p_max = 1/2
+        rank = spectrum.count(",") + 1
+        c1 = conc["C1LowerBound"]
+        assert (c1["exact"], c1["offset"]) == ([copies, 1, rank, 1], -bells)
+        assert abs(c1["bits"] - (copies * math.log2(rank) - bells)) <= 1e-9 * copies
+        assert conc["mMax"] == m_max
 
 
 class TestReportEncoding:
@@ -1075,8 +1131,31 @@ class TestReportEncoding:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_float_raises_value_error(self, value):
-        with pytest.raises(ValueError):
-            reportio.dumps({"x": [value]})
+        # in a row, as a value or as a key: the standard encoder's own error
+        for doc in ({"x": [value]}, {"x": value}, {value: 1}):
+            with pytest.raises(ValueError) as stdlib:
+                json.dumps(doc, sort_keys=True, allow_nan=False)
+            with pytest.raises(ValueError) as ours:
+                reportio.dumps(doc)
+            assert str(ours.value) == str(stdlib.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.dictionaries(st.text(), WRITER_SCALARS | st.dictionaries(st.text(), WRITER_SCALARS)
+                        | st.lists(WRITER_SCALARS, max_size=4), max_size=8),
+        st.dictionaries(st.integers(), WRITER_SCALARS, max_size=4),
+        st.dictionaries(st.floats(allow_nan=False, allow_infinity=False), WRITER_SCALARS, max_size=4),
+        st.dictionaries(st.booleans() | st.none(), WRITER_SCALARS, max_size=1),
+    ))
+    def test_scalars_are_written_as_the_encoder_writes_them(self, doc):
+        # past the int-to-str digit limit both writers raise
+        try:
+            expected = json.dumps(doc, sort_keys=True, allow_nan=False)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                reportio.dumps(doc)
+            return
+        assert without_whitespace(reportio.dumps(doc)) == without_whitespace(expected)
 
     @pytest.mark.parametrize("value", [1j, np.int64(3)])
     def test_unsupported_type_raises_type_error(self, value):

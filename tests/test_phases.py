@@ -347,6 +347,14 @@ class TestPartitionSearch:
             with pytest.raises(NoPartition, match="no subset"):
                 find_partition(near_uniform(14, seed), 3)
 
+    def test_float_budget_stops_near_uniform_searches(self):
+        # at n = 40 subsets within the float window about 1/3 are all but certain,
+        # so the subset-sum test is skipped and the float budget stops first fit
+        start = time.perf_counter()
+        with pytest.raises(NoPartition, match="budget of 4096 placements"):
+            find_partition(near_uniform(40, 5), 3)
+        assert time.perf_counter() - start < 0.25
+
     def test_budget_bounds_large_searches(self):
         # past SUBSET_SUM_MAX_N, and with subsets of weight 1/3 aplenty, only
         # the node budget stops the search
