@@ -25,6 +25,9 @@ from .errors import RankOrder
 from .spectrum import SchmidtSpectrum
 
 CONCENTRATION_TOL = 1e-12
+# most bits of an exact p_max's denominator times copies that _max_bells raises
+# to that power: 2**23 (1.68 million copies of 7/16) takes about a third of a second
+MAX_POWER_BITS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,15 @@ def residual_cap_integer(n: int, d: int) -> Bits:
 
 
 def _max_bells(spectrum: SchmidtSpectrum, n_copies: int) -> int:
-    """Largest m with m <= n_copies * E_t, exact when the spectrum is exact."""
+    """Largest m with m <= n_copies * E_t, exact (within MAX_POWER_BITS) when the spectrum is."""
     if spectrum.exact is not None:
         # m <= n*E_t  <=>  2^m * r^n <= q^n with p_max = r/q, so m is the bit
         # length of q^n // r^n minus one; comparing one shifted candidate
         # gives that without the quadratic-time long division
         p = spectrum.p_max_exact
+        bits = n_copies * p.denominator.bit_length()  # r <= q
+        if bits > MAX_POWER_BITS:
+            raise ValueError(f"{n_copies} copies need {bits}-bit powers of p_max, past {MAX_POWER_BITS}")
         num, den = p.denominator**n_copies, p.numerator**n_copies
         m = num.bit_length() - den.bit_length()
         return m if den << m <= num else m - 1

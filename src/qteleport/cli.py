@@ -17,11 +17,12 @@ Spectrum entries given as "num/den" strings switch the solvers to exact
 rational arithmetic.
 
 A report's table is its phase factors: verify rebuilds it from phases.theta
-and a formula construction, and certifies it from the d x d phase Gram.  One
-function (_claims) derives every other number a report states but the sampled
-sweep statistics, from the echoed problem and theta: synthesize and simulate
-write it, and verify compares each stated number with it, and each sweep
-statistic with the Gram's eigenvalues.
+and a formula construction, and certifies it by solve_general's rule: every
+eigenvalue of the d x d phase Gram C lies within CONDITION_TOL of 1.  One
+function (_claims) derives every other number a report states but the two
+sampled sweep statistics, from the echoed problem and theta: synthesize and
+simulate write it, and verify compares each stated number with it, each
+sweep statistic with C's eigenvalues, and each retired field where stated.
 
 Exit codes partition the failure modes: 2 unparseable input, 3 input
 invariant violation, 4 infeasible spectrum, 5 phase factors not found,
@@ -80,7 +81,7 @@ BRACKET_ULPS = 8  # allowed: this many ulps times d^2
 
 # how verify reads the fields of _claims, and the retired fields older reports
 # state (integers; arrays of s entries, of integers for one in both sets; the
-# rest as doubles), and bounds them (exactly; the rest within CONDITION_TOL)
+# rest as doubles), and bounds those of _claims (exactly; the rest within CONDITION_TOL)
 _INTEGER_CLAIMS = frozenset({
     "table.d", "table.n", "simulation.trials", "simulation.seed",
     "phases.d", "phases.n", "table.s", "simulation.maxResidualSchmidt",
@@ -89,6 +90,7 @@ _INTEGER_CLAIMS = frozenset({
 _LIST_CLAIMS = frozenset({"simulation.outcomeProbabilities", "simulation.residualSchmidtNumbers"})
 _EXACT_CLAIMS = _INTEGER_CLAIMS | {"simulation.classicalBits"}
 
+MAX_COUNT = 2**53  # concentrate's counts: C1 and C2 are doubles too, exact up to here
 DEFAULT_TRIALS = 100
 MAX_TRIALS = 10**6  # the sweep runs every trial: a larger count would not finish
 DEFAULT_SEED = 0
@@ -266,7 +268,6 @@ def _claims(problem: Problem, table: ProtocolTable, simulated: bool) -> dict:
     table past the tolerance has no run, and outcomeProbabilities None."""
     conditions = verify_conditions(table)
     claims = {
-        "phases.constraintResidual": table.phases.constraint_residual(problem.spectrum),
         "table.d": table.d,
         "table.n": table.n,
         "table.orthonormalityResidual": conditions.orthonormality_residual,
@@ -329,12 +330,7 @@ def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     _, table = synthesize_auto(problem.spectrum, problem.d)
     sweep = random_input_sweep(table, problem.trials, problem.seed)
-    simulation = {
-        "minFidelity": sweep.min_fidelity,
-        "maxFidelityDeviation": sweep.max_fidelity_deviation,
-        "maxProbabilityDeviation": sweep.max_probability_deviation,
-        "totalProbabilityDeviation": sweep.total_probability_deviation,
-    }
+    simulation = {"minFidelity": sweep.min_fidelity, "maxFidelityDeviation": sweep.max_fidelity_deviation}
     _write_report(args.out, **_protocol_sections(problem, table, args.emit_table, simulation))
     return EXIT_OK
 
@@ -342,11 +338,13 @@ def cmd_simulate(args) -> int:
 def cmd_concentrate(args) -> int:
     items = [part.strip() for part in args.spectrum.split(",") if part.strip()]
     spectrum = parse_spectrum_items(items)
-    if args.copies < 1:
-        raise InputFailure("--copies must be at least 1")
-    if args.bells < 0:
-        raise InputFailure("--bells must be non-negative")
-    conc = concentration_bounds(spectrum, args.copies, args.bells)
+    for option, count, least in (("--copies", args.copies, 1), ("--bells", args.bells, 0)):
+        if not least <= count <= MAX_COUNT:
+            raise InputFailure(f"{option} must lie in [{least}, 2**53]")
+    try:
+        conc = concentration_bounds(spectrum, args.copies, args.bells)
+    except ValueError as err:  # an exact p_max^copies past the bit budget
+        raise InputFailure(str(err))
     _write_report(
         args.out,
         concentrate={
@@ -444,13 +442,13 @@ def _verify_report(doc) -> list[str]:
     malformed report raises.
 
     Each number of _claims, and each retired field the report states, is
-    derived again from the echoed problem and the table theta
-    builds, and the rest is judged by its phase Gram C: over all
-    inputs psi the fidelity psi^H G_j psi and probability psi^H G_j psi / s
-    range over C's eigenvalues, which bracket the sweep statistics.  An
-    emitted V moves each Gram entry by at most eta, so its eigenvalues by
-    d eta and |M_j|^2 by eta: its figures are bounded by C's widened by
-    those, and it passes only if the bounds do."""
+    derived again from the echoed problem and the table theta builds, and
+    the rest is judged by its phase Gram C's eigenvalues: over all inputs psi
+    the fidelity psi^H G_j psi and probability psi^H G_j psi / s range over
+    them, and none may be more than CONDITION_TOL from 1.  An emitted V
+    moves each Gram entry by at most eta, so its eigenvalues by d eta and
+    |M_j|^2 by eta: its figures are bounded by C's widened by those, and it
+    passes only if the bounds do."""
     if not isinstance(doc, dict):
         raise ParseFailure("report must contain a JSON object")
     for key in ("problem", "table"):
@@ -485,18 +483,10 @@ def _verify_report(doc) -> list[str]:
         raise ParseFailure("report section 'simulation' must be an object")
 
     claims = _claims(problem, table, simulated)
-    # the fields reports no longer write: checked where one written before states them
-    retired = {"phases.d": d, "phases.n": n, "table.s": s}
-    if simulated:  # every residual state is a product state
-        retired |= {
-            "simulation.maxResidualSchmidt": 1, "simulation.residualSchmidtNumbers": np.ones(s),
-        }
-    for field, value in retired.items():
-        section, key = field.split(".")
-        if key in doc[section]:
-            claims[field] = value
-    eigenvalues = np.linalg.eigvalsh(table.phase_gram)  # ascending
+    eigenvalues = table.gram_eigenvalues  # ascending
+    lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
     spread = float(np.abs(eigenvalues - 1.0).max())
+    ulps = BRACKET_ULPS * d * d * sys.float_info.epsilon
     intervals = {  # field: (lowest, highest) value it may state; None, read but not compared
         field: (
             None if value is None
@@ -505,17 +495,27 @@ def _verify_report(doc) -> list[str]:
         )
         for field, value in claims.items()
     }
-    if simulated:
-        # every fidelity psi^H G_j psi lies in [lo, hi], every probability is that
-        # over s, and so does their average over outcomes, the total probability
-        lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
-        ulps = BRACKET_ULPS * d * d * sys.float_info.epsilon
+    if simulated:  # every fidelity psi^H G_j psi lies in [lo, hi]
         intervals |= {
             "simulation.minFidelity": (lo - ulps, hi + ulps),
             "simulation.maxFidelityDeviation": (0.0, spread + ulps),
-            "simulation.maxProbabilityDeviation": (0.0, (spread + ulps) / s),
-            "simulation.totalProbabilityDeviation": (0.0, spread + ulps),
         }
+    # the fields reports no longer write, checked where one written before states
+    # them: every residual state is a product state, and every probability a
+    # fidelity over s, as is their average over outcomes, the total probability
+    residual = table.phases.constraint_residual(problem.spectrum)  # C's off-diagonal maximum
+    retired = {
+        "phases.d": (d, d), "phases.n": (n, n), "table.s": (s, s),
+        "phases.constraintResidual": (residual - CONDITION_TOL, residual + CONDITION_TOL),
+        "simulation.maxResidualSchmidt": (1, 1),
+        "simulation.residualSchmidtNumbers": (np.ones(s), np.ones(s)),
+        "simulation.maxProbabilityDeviation": (0.0, (spread + ulps) / s),
+        "simulation.totalProbabilityDeviation": (0.0, spread + ulps),
+    }
+    intervals |= {  # a report without a simulation section states none of its fields
+        field: interval for field, interval in retired.items()
+        if field.split(".")[1] in doc.get(field.split(".")[0], ())
+    }
     for field, interval in intervals.items():
         stated = _stated(doc, field, s)
         if interval is None:
@@ -536,10 +536,10 @@ def _verify_report(doc) -> list[str]:
     # an emitted V's own figures are bounded by C's widened by eta: V passes only if
     # those bounds do.  Its |M_j|^2 is within eta of 1 and its G_j's eigenvalues within
     # d eta of C's, so its fidelity |M_j|^4 psi^H G_j psi is at least min_fidelity
-    min_fidelity = max(1.0 - eta, 0.0) ** 2 * float(eigenvalues[0] - d * eta)
+    min_fidelity = max(1.0 - eta, 0.0) ** 2 * (lo - d * eta)
     worst = {  # tolerance: (what, worst deviation)
         "orthonormality": ("orthonormality residual", claims["table.orthonormalityResidual"] + eta),
-        "unitarity": ("spectrum-unitarity residual", claims["table.unitarityResidual"] + eta),
+        "unitarity": ("spectrum-unitarity eigenvalue defect", spread + d * eta),
         "fidelity": ("worst-case fidelity's deficit from 1", 1.0 - min_fidelity),
         "probabilityUniformity": (
             f"outcome probabilities' deviation from 1/{s}", (spread + d * eta) / s

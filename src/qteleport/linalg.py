@@ -77,21 +77,22 @@ def schmidt_decompose(
     """Schmidt decomposition of a normalized bipartite pure state.
 
     Returns (spectrum, bases_a, bases_b) with the probabilities sorted in
-    descending order and truncated at the rank threshold.  Row k of bases_a /
-    bases_b is the k-th Schmidt vector of the respective side, and
+    descending order, one per coefficient schmidt_number counts, scaled to sum
+    to 1.  Row k of bases_a / bases_b is the k-th Schmidt vector of each side, and
 
         state == sum_k sqrt(p_k) * tensor(bases_a[k], bases_b[k])
 
-    holds to machine precision.  The Schmidt coefficients sqrt(p_k) are real
-    and non-negative; all phases are absorbed into bases_b.
+    holds to machine precision, or within sqrt(w + w^2) in norm when weight
+    w < min(dim_a, dim_b) * RANK_TOL is dropped.  The Schmidt coefficients
+    sqrt(p_k) are real and non-negative; all phases are absorbed into bases_b.
     """
     mat = _as_bipartite_matrix(state, shape)
     if not is_normalized(state):
         raise ValueError("state must be normalized before decomposition")
     u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
     keep = sigma**2 > RANK_TOL
-    sigma = sigma[keep]
-    spectrum = SchmidtSpectrum.from_probs(sigma**2)
+    probs = sigma[keep] ** 2
+    spectrum = SchmidtSpectrum.from_probs(probs / probs.sum())
     return spectrum, u[:, keep].T.copy(), vh[keep, :].copy()
 
 

@@ -107,11 +107,12 @@ class SchmidtSpectrum:
     def admits(self, d: int) -> bool:
         """Whether a d-level state can be teleported faithfully: p_max <= 1/d.
 
-        Exact spectra compare exactly; only float spectra get FEASIBILITY_SLACK.
+        Exact spectra compare exactly; only float spectra get FEASIBILITY_SLACK
+        (1 / d of two integers is 0.0 for a d past the double range).
         """
         if self.exact is not None:
             return self.p_max_exact <= Fraction(1, d)
-        return self.p_max <= 1.0 / d + FEASIBILITY_SLACK
+        return self.p_max <= 1 / d + FEASIBILITY_SLACK
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)

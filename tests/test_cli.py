@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qteleport
-from qteleport import cli, phases, protocol, reportio
+from qteleport import bounds, cli, phases, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
 from qteleport.spectrum import SUM_TOL, parse_rational
+
+from conftest import STRETCHED_SPECTRUM, STRETCHED_THETA
 
 GOLDEN_PROBLEM = {"d": 2, "spectrum": ["1/2", "1/3", "1/6"], "seed": 11, "trials": 20}
 OVERFLOWING_TOKENS = ["1e400", "1" + "0" * 400]  # a float literal and an integer past the double range
@@ -121,6 +123,14 @@ class TestBounds:
         assert run(["bounds", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
         assert doc["bounds"]["teleportFeasible"] is False
+
+    @pytest.mark.parametrize("spectrum", [[0.5, 0.5], ["1/2", "1/2"]], ids=["float", "exact"])
+    def test_dimension_past_the_double_range_is_infeasible(self, tmp_path, capsys, spectrum):
+        # 1.0 / d overflowed for a float spectrum, and bounds ended in a traceback
+        path = write_problem(tmp_path, {"d": 10**400, "spectrum": spectrum})
+        assert run(["bounds", path]) == 0
+        assert reportio.loads(capsys.readouterr().out)["bounds"]["teleportFeasible"] is False
+        assert run(["synthesize", path]) == 4
 
     def test_fewer_terms_than_d_reports_null_bounds(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/2", "1/2"]})
@@ -284,14 +294,19 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_report_restates_nothing(self, tmp_path, capsys):
-        # theta's shape, s = d n and the residual Schmidt numbers, 1 by
-        # construction, are not written: every stated number is checked
+        # theta's shape, s = d n, the residual Schmidt numbers (1 by construction),
+        # C's off-diagonal maximum (at most unitarityResidual) and the probability
+        # statistics (a fidelity over s, and diag C) are not written: every stated
+        # number is checked
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         assert run(["simulate", path]) == 0
         doc = reportio.loads(capsys.readouterr().out)
-        assert set(doc["phases"]) == {"theta", "constraintResidual"}
+        assert set(doc["phases"]) == {"theta"}
         assert "s" not in doc["table"]
-        assert not {"maxResidualSchmidt", "residualSchmidtNumbers"} & set(doc["simulation"])
+        assert set(doc["simulation"]) == {
+            "classicalBits", "maxFidelityDeviation", "minFidelity", "outcomeProbabilities",
+            "seed", "trials",
+        }
 
     @pytest.mark.parametrize("flag", ["--trials", "--seed"])
     def test_sweep_flags_are_usage_errors(self, tmp_path, flag):
@@ -563,6 +578,26 @@ class TestVerify:
         assert run(["verify", str(out)]) == 6
         assert "unitarity" in capsys.readouterr().err
 
+    def test_eigenvalue_defect_past_the_tolerance_fails_unitarity(self, tmp_path, capsys):
+        # a theta whose phase Gram is within CONDITION_TOL of I entrywise, with an
+        # eigenvalue 1.9e-10 from 1: verify judged unitarity entrywise and passed
+        # it, though solve_general refuses such a theta
+        path = write_problem(tmp_path, {"d": 3, "spectrum": STRETCHED_SPECTRUM, "trials": 5})
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["phases"]["theta"] = STRETCHED_THETA
+        probs = np.full(6, 1 / 6)
+        residual = np.abs(phases.phase_gram(probs, np.array(STRETCHED_THETA)) - np.eye(3)).max()
+        assert residual <= phases.CONDITION_TOL
+        doc["table"]["unitarityResidual"] = float(residual)
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"violated: spectrum-unitarity eigenvalue defect 1\.89\d+e-10 exceeds 1\.0e-10\n", err
+        ), err
+
     def test_slightly_scaled_outcome_is_reported_not_raised(self, tmp_path, capsys):
         # |M_1| = 1 + 5e-10 once broke the normalization check of the
         # corrected state inside the simulation instead of failing verification
@@ -810,15 +845,36 @@ class TestVerify:
                 assert "integer" in capsys.readouterr().err
 
     REPORT_INPUTS = {"theta", "V", "construction"}  # what a report is built from
+    DROPPED = {  # fields reports stopped writing: their true value, from the report's table
+        # C's off-diagonal maximum, never above table.unitarityResidual
+        "phases.constraintResidual": lambda table, sim: table.phases.constraint_residual(table.spectrum),
+        # every probability is a fidelity over s
+        "simulation.maxProbabilityDeviation": lambda table, sim: sim["maxFidelityDeviation"] / table.s,
+        # the probabilities of one input sum to the mean of diag C, sum_k p_k
+        "simulation.totalProbabilityDeviation": lambda table, sim: abs(sum(table.spectrum.probs) - 1),
+    }
 
     def test_every_written_number_is_checked(self, tmp_path, capsys):
         # the tamper cases come from the report simulate writes, not from a list
-        # kept by hand: a number that is written but never checked fails here
+        # kept by hand: a number that is written but never checked fails here.
+        # A dropped field is checked where an older report states it: the report
+        # verifies without it and with its true value, and not with a tampered one
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         out = tmp_path / "report.json"
         assert run(["simulate", path, "--out", str(out)]) == 0
-        written = out.read_text(encoding="utf-8")
-        template = reportio.loads(written)
+        assert run(["verify", str(out)]) == 0
+        template = reportio.loads(out.read_text(encoding="utf-8"))
+        _, table = protocol.synthesize_auto(cli.parse_problem_doc(GOLDEN_PROBLEM).spectrum, 2)
+        for field, true in self.DROPPED.items():
+            section, key = field.split(".")
+            assert key not in template[section]
+            doc = reportio.loads(reportio.dumps(template))
+            doc[section][key] = template[section][key] = true(table, template["simulation"])
+            out.write_text(reportio.dumps(doc), encoding="utf-8")
+            assert run(["verify", str(out)]) == 0, field
+        written = reportio.dumps(template)
+        out.write_text(written, encoding="utf-8")
+        assert run(["verify", str(out)]) == 0
         leaves = [
             (section, key, 0 if isinstance(value, list) else None)
             for section in ("phases", "table", "simulation")
@@ -1049,6 +1105,24 @@ class TestVerify:
 
 
 class TestConcentrate:
+    @pytest.mark.parametrize("spectrum", ["0.5,0.5", "1/2,1/2"], ids=["float", "exact"])
+    @pytest.mark.parametrize("option", ["--copies", "--bells"])
+    def test_count_past_the_double_range_is_invariant_violation(self, capsys, spectrum, option):
+        # a float spectrum's budget overflowed a double (a traceback), and an
+        # exact one would raise p_max to that power first
+        counts = {"--copies": "4", "--bells": "2", option: str(10**400)}
+        argv = ["concentrate", "--spectrum", spectrum]
+        assert run(argv + [arg for pair in counts.items() for arg in pair]) == 3
+        assert re.search(rf"error: {option} must lie in \[[01], 2\*\*53\]", capsys.readouterr().err)
+
+    def test_exact_power_past_the_bit_budget_is_invariant_violation(self, capsys):
+        # 7/16 to the power copies needs 5 bits a copy: one copy past the budget
+        # is refused before any power is built
+        copies = bounds.MAX_POWER_BITS // 5 + 1
+        argv = ["concentrate", "--spectrum", "7/16,27/64,9/64", "--copies", str(copies), "--bells", "1"]
+        assert run(argv) == 3
+        assert f"need {5 * copies}-bit powers of p_max, past {bounds.MAX_POWER_BITS}" in capsys.readouterr().err
+
     def test_uniform_budget(self, capsys):
         assert run(["concentrate", "--spectrum", "1/2,1/2", "--copies", "3", "--bells", "3"]) == 0
         doc = reportio.loads(capsys.readouterr().out)

@@ -154,6 +154,18 @@ class TestSchmidtDecompose:
         with pytest.raises(ValueError):
             schmidt_decompose(2.0 * BELL, BipartiteShape(2, 2))
 
+    def test_weight_below_the_rank_threshold_is_dropped_not_refused(self):
+        # the kept 1 - 5e-11 was handed on unscaled, and the spectrum refused
+        # it: "probabilities sum to 0.99999999995, not 1"
+        weak = 5e-11
+        state = np.sqrt(1 - weak) * tensor([1, 0], [1, 0]) + np.sqrt(weak) * tensor([0, 1], [0, 1])
+        shape = BipartiteShape(2, 2)
+        spectrum, bases_a, bases_b = schmidt_decompose(state, shape)
+        assert spectrum.n == schmidt_number(state, shape) == 1
+        assert spectrum.probs == (1.0,)
+        rebuilt = tensor(bases_a[0], bases_b[0])
+        assert np.linalg.norm(rebuilt - state) <= np.sqrt(weak + weak**2) + 1e-15
+
 
 class TestSchmidtNumber:
     def test_bell(self):
