@@ -8,20 +8,23 @@ teleported state, so the simulator never builds the full n x n unitaries.
 Because nothing is sampled, "fidelity 1 on every outcome" is a certificate,
 not a statistic.
 
-The last section teleports a qubit through ONE Bell pair of a two-Bell-pair
-resource: two classical bits suffice, but a full Bell pair of entanglement
-survives on every outcome (residual Schmidt number 2), which is exactly the
-trade-off the communication bounds talk about.
+Every residual rank below is measured: the SVD Schmidt number of the
+corrected state across the Alice|Bob cut.  The last section teleports a qubit
+through ONE Bell pair of a two-Bell-pair resource: the Bell-pair run, joined
+with the idle second pair.  Two classical bits suffice, but a full Bell pair of
+entanglement survives on every outcome (residual Schmidt number 2), which is
+exactly the trade-off the communication bounds talk about.
 """
 
 import numpy as np
 
 from qteleport import (
+    BipartiteShape,
     SchmidtSpectrum,
     haar_random_state,
-    one_pair_double_bell_trace,
     random_input_sweep,
     run_protocol,
+    schmidt_number,
     solve_d2,
     synthesize_d2,
 )
@@ -40,8 +43,10 @@ psi = haar_random_state(2, rng)
 trace = run_protocol(psi, table)
 print(f"input amplitudes: {np.round(psi, 4)}")
 print(f"{'j':>3} {'probability':>14} {'fidelity':>20} {'residual rank':>14}")
+cut = BipartiteShape(table.d * table.n, table.n)  # (input, Alice's half | Bob's half)
 for rec in trace.outcomes:
-    print(f"{rec.j:>3} {rec.probability:>14.10f} {rec.fidelity:>20.16f} {rec.residual_schmidt:>14}")
+    rank = schmidt_number(rec.corrected_state, cut)
+    print(f"{rec.j:>3} {rec.probability:>14.10f} {rec.fidelity:>20.16f} {rank:>14}")
 print(f"total probability: {trace.total_probability:.12f}")
 print(f"classical bits sent: log2({table.s}) = {trace.classical_bits:.6f}")
 
@@ -62,10 +67,15 @@ print(f"sum_j p_j of the run above: {trace.total_probability!r}")
 # ---------------------------------------------------------------------------
 print("\nTeleporting through one Bell pair of a two-Bell-pair resource")
 print("=" * 70)
-trace2 = one_pair_double_bell_trace(haar_random_state(2, rng))
+pair = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
+trace2 = run_protocol(haar_random_state(2, rng), synthesize_d2(pair, solve_d2(pair)))
+idle = np.eye(2) / np.sqrt(2)  # the idle pair, as its (A2, B2) amplitude matrix
 print(f"{'j':>3} {'probability':>14} {'fidelity':>20} {'residual rank':>14}")
 for rec in trace2.outcomes:
-    print(f"{rec.j:>3} {rec.probability:>14.10f} {rec.fidelity:>20.16f} {rec.residual_schmidt:>14}")
+    # (input, A1 | B1) joined with (A2 | B2): the (input, A1, A2 | B1, B2) cut is 8 x 4
+    joined = np.kron(rec.corrected_state.reshape(4, 2), idle)
+    rank = schmidt_number(joined.ravel(), BipartiteShape(8, 4))
+    print(f"{rec.j:>3} {rec.probability:>14.10f} {rec.fidelity:>20.16f} {rank:>14}")
 print(f"classical bits sent: {trace2.classical_bits:.1f}")
 print("every branch keeps Schmidt rank 2 across the Alice|Bob cut: the")
 print("second pair survives, bought by NOT compressing to the 3-bit message")

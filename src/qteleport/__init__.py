@@ -46,7 +46,6 @@ from .phases import (
     solve_general,
 )
 from .protocol import (
-    ConditionReport,
     Construction,
     ProtocolTable,
     bob_unitaries,
@@ -62,9 +61,7 @@ from .sim import (
     SimulationTrace,
     SweepReport,
     haar_random_state,
-    one_pair_double_bell_trace,
     random_input_sweep,
-    residual_schmidt,
     run_protocol,
 )
 from .spectrum import SchmidtSpectrum

@@ -117,10 +117,12 @@ def teleport_ccc_bound(n: int, d: int, assume_zero_residual: bool) -> CccBound:
     """Lower bound on the classical bits for faithful d-level teleportation.
 
     log2(n*d) applies to any protocol when d > n/2, or when no entanglement
-    may survive the teleportation.  Without either assumption only the
+    may survive the teleportation.  It bounds log2 of the number of distinct
+    messages, not the Shannon entropy of the message: a faithful protocol need
+    not send its messages uniformly.  Without either assumption only the
     d-maximally-entangled floor of 2*log2(d) is claimed, tagged not-tight:
     retaining residual entanglement can genuinely cost less, as teleporting
-    through one Bell pair of a two-pair resource shows.
+    through one Bell pair of a two-pair resource shows (demo 04).
     """
     if not n >= d >= 2:
         raise ValueError(f"need n >= d >= 2, got n={n}, d={d}")
@@ -135,7 +137,9 @@ def residual_cap(n: int, d: int) -> Bits:
     """Upper bound on surviving entanglement: log2(n) - log2(d), zero for d > n/2.
 
     Bob's n-level system must host the d teleported levels alongside n_s
-    entangled ones, so n >= n_s * d; for d > n/2 that forces n_s = 1.
+    entangled ones, so n >= n_s * d; for d > n/2 that forces n_s = 1.  The
+    source writes the residual entanglement as -log2(n_s), which is negative
+    for a Schmidt number n_s >= 1; this package reports +log2(n_s).
     """
     if not n >= d >= 1:
         raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")

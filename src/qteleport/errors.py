@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages name an integer."""
+
+
+def int_text(value: int) -> str:
+    """An integer for an error message: in full up to 20 digits, past that by its
+    digit count, so that a huge d cannot make a message thousands of bytes long."""
+    text = str(value)
+    return text if len(text) <= 20 else f"<{len(text)}-digit integer>"
 
 
 class QTeleportError(Exception):
@@ -24,7 +31,8 @@ class NoPartition(QTeleportError):
 class PhaseFactorsNotFound(QTeleportError):
     """No phase factors were found.
 
-    `proved` is True when it was proved that none exist; no search ran then,
+    `proved` is True when it was proved that none exist, so that no protocol
+    of the phase form exists (one of another form may); no search ran then,
     and `best_residual` is inf.  Otherwise every strategy failed and
     `best_residual` is the least eigenvalue defect max |lambda - 1| of the
     phase Gram that any restart of the search reached.

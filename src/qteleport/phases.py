@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound
+from .errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound, int_text
 from .spectrum import SchmidtSpectrum
 
 TWO_PI = 2.0 * np.pi
@@ -197,8 +197,8 @@ class Partition:
 def _feasibility_gate(spectrum: SchmidtSpectrum, d: int) -> None:
     if not spectrum.admits(d):
         raise InfeasibleSpectrum(
-            f"max probability {spectrum.p_max!r} exceeds 1/{d}; "
-            f"a {d}-level state cannot be teleported through this resource"
+            f"max probability {spectrum.p_max!r} exceeds 1/{int_text(d)}; "
+            f"a {int_text(d)}-level state cannot be teleported through this resource"
         )
 
 

@@ -149,14 +149,6 @@ class ProtocolTable:
         return _read_only(lam[:, :, None] * self.phase_gram * lam.conj()[:, None, :])
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Worst-case deviations of the two defining conditions from their deltas."""
-
-    orthonormality_residual: float
-    unitarity_residual: float
-
-
 def _roots_of_unity(count: int) -> np.ndarray:
     """exp(2 pi i r / count) for r = 0 .. count-1, every argument below 2 pi."""
     return np.exp(1j * (TWO_PI / count) * np.arange(count))
@@ -277,9 +269,8 @@ def bob_unitaries(table: ProtocolTable) -> np.ndarray:
     return unitaries
 
 
-def verify_conditions(table: ProtocolTable) -> ConditionReport:
-    """Worst-case residuals of the two defining conditions; reports, never raises:
-    0 for orthonormality, which holds for every theta, and max |G_j - I| =
-    max |C - I| for unitarity, since every L_j is diagonal and unimodular."""
-    unit = float(np.abs(table.phase_gram - np.eye(table.d)).max())
-    return ConditionReport(orthonormality_residual=0.0, unitarity_residual=unit)
+def verify_conditions(table: ProtocolTable) -> float:
+    """The unitarity residual max |G_j - I| = max |C - I|, since every L_j is
+    diagonal and unimodular; reports, never raises.  Orthonormality holds for
+    every theta, so it has no residual to compute."""
+    return float(np.abs(table.phase_gram - np.eye(table.d)).max())

@@ -23,30 +23,20 @@ run nor a sweep builds V, and both refuse C as `protocol.checked_phase_gram`
 does.  `random_input_sweep` certifies T inputs as these quadratic forms in
 O(T*s*d^2), one GEMM per block of trials against the Grams
 (`ProtocolTable.grams`), keeping the least fidelity and the worst
-|fidelity - 1|.  `run_protocol` is the same quadratic form
-at one input: q_j = sqrt(s) Re(c_j . conj(psi)) from the corrections
-c_j = L_j C L_j^dagger psi / sqrt(s), in O(s*d^2) with neither the Grams nor
-an (s, n) array.  The `SimulationTrace` holds
-the input; the overlaps o_j (one einsum over V), the measurement states (a
-view of V), the `OutcomeRecord`s and the d*n^2 branch states are built only
-when read (`SimulationTrace.overlaps`, `SimulationTrace.measurement_states`,
-`SimulationTrace.outcomes`, `OutcomeRecord.post_state`,
-`OutcomeRecord.corrected_state`).
+|fidelity - 1|.  `run_protocol` is the same quadratic form at one input:
+q_j = sqrt(s) Re(c_j . conj(psi)) from the corrections c_j = L_j C L_j^dagger
+psi / sqrt(s), in O(s*d^2) with neither the Grams nor an (s, n) array.  The
+`SimulationTrace` holds the input; the overlaps o_j (one einsum over V), the
+measurement states (a view of V), the `OutcomeRecord`s and the d*n^2 branch
+states are built only when read (`SimulationTrace.overlaps`,
+`SimulationTrace.measurement_states`, `SimulationTrace.outcomes`,
+`OutcomeRecord.post_state`, `OutcomeRecord.corrected_state`).
 Every outcome is enumerated (no sampling), so a fidelity-1 report is an exact
 certificate at machine precision rather than a statistical statement.
 
-Residual entanglement is quantified by the Schmidt number n_s of the
-corrected state across the (1,2)|(3) cut; the amount left is log2(n_s) bits,
-capped by log2(n) - log2(d) since Bob's n-level system must host both the
-n_s-dimensional entangled part and the d-dimensional teleported state
-(n >= n_s * d).  In `run_protocol` the corrected state is the product
-|M_j> (x) |c_j>, so n_s = 1 by construction and is recorded without an SVD.
-`residual_schmidt()` is the SVD reference measurement; the one-pair
-teleport through a two-Bell-pair resource (`one_pair_double_bell_trace`) is
-where n_s is actually measured, and there it is 2.  Note: the source
-material writes this residual entanglement with a minus sign (-log2 n_s),
-which is inconsistent with a logarithm of a Schmidt number (n_s >= 1); this
-package reports n_s and +log2(n_s).
+A run leaves no residual entanglement: every corrected state is the product
+|M_j> (x) |c_j>, so its Schmidt number across the (1,2)|(3) cut is 1 and no
+run computes it.  The tests and demo 04 measure it with `linalg.schmidt_number`.
 """
 
 from __future__ import annotations
@@ -58,11 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phases as _phases
 from . import protocol as _protocol
-from .linalg import BipartiteShape, as_state, is_normalized, schmidt_number
+# schmidt_number is unused here but stays importable:
+# bench/tracing.py wraps it by this name.
+from .linalg import as_state, is_normalized, schmidt_number  # noqa: F401
 from .protocol import ProtocolTable
-from .spectrum import SchmidtSpectrum
 
 SWEEP_BLOCK_BYTES = 1 << 16  # quadratic forms per sweep block: memory stays flat in trials,
 # and each block array stays below malloc's default 128 KiB mmap threshold
@@ -78,9 +68,6 @@ class OutcomeRecord:
     overlap: np.ndarray             # Bob's factor of the projected branch, unnormalized
     correction: np.ndarray          # u_j^dagger applied to the overlap, unnormalized
     fidelity: float                 # squared overlap with |M_j> (x) |psi>
-    residual_schmidt: int           # Schmidt number across the (1,2)|(3) cut
-    d: int
-    n: int
 
     @property
     def post_state(self) -> np.ndarray:
@@ -97,32 +84,32 @@ class OutcomeRecord:
 class SimulationTrace:
     """All outcome branches of one protocol run, held as arrays over outcomes j."""
 
-    d: int
-    n: int
     psi: np.ndarray                 # (d,) the input state
     probabilities: np.ndarray       # (s,) squared norms of the projected branches
     fidelities: np.ndarray          # (s,)
     corrections: np.ndarray         # (s, d) u_j^dagger o_j, trailing zeros dropped
-    residual_schmidts: tuple[int, ...]
-    classical_bits: float           # log2 of the number of outcomes
     table: ProtocolTable = dataclasses.field(repr=False, compare=False)
-    idle: np.ndarray | None = None  # Schmidt matrix (Alice's half, Bob's half) of an idle factor
 
-    def _with_idle(self, bob: np.ndarray) -> np.ndarray:
-        """Branch factors (s, table.n) of the measured resource, joined with the
-        idle factor if there is one: (s, b1) -> (s, a2 b1 b2)."""
-        if self.idle is None:
-            return bob
-        return np.einsum("ac,jb->jabc", self.idle, bob).reshape(len(bob), -1)
+    @property
+    def d(self) -> int:
+        return self.table.d
+
+    @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
+    def classical_bits(self) -> float:
+        """log2 of the number of outcomes."""
+        return math.log2(self.table.s)
 
     @functools.cached_property
     def overlaps(self) -> np.ndarray:
-        """(s, Bob's dim) projected branch factors o_j, unnormalized, built on first
+        """(s, n) projected branch factors o_j, unnormalized, built on first
         access by one einsum over V (a formula table builds V then)."""
         # conj(A) B == conj(A conj(B)) exactly, so conjugate the small operand, not the table
         overlaps = np.einsum("jml,m->jl", self.table.V, self.psi.conj()).conj()
-        overlaps *= np.sqrt(self.table.spectrum.as_array())
-        return self._with_idle(overlaps)
+        return overlaps * np.sqrt(self.table.spectrum.as_array())
 
     @functools.cached_property
     def measurement_states(self) -> np.ndarray:
@@ -141,10 +128,8 @@ class SimulationTrace:
     @functools.cached_property
     def outcomes(self) -> tuple[OutcomeRecord, ...]:
         """One record per outcome, built on first access; each correction is
-        zero-padded to the table's n and joined with the idle factor, so that it
-        has the overlap's length."""
-        padded = np.pad(self.corrections, ((0, 0), (0, self.table.n - self.d)))
-        corrections = self._with_idle(padded)
+        zero-padded to the table's n, the overlap's length."""
+        corrections = np.pad(self.corrections, ((0, 0), (0, self.n - self.d)))
         return tuple(
             OutcomeRecord(
                 j=j + 1,
@@ -153,9 +138,6 @@ class SimulationTrace:
                 overlap=self.overlaps[j],
                 correction=corrections[j],
                 fidelity=float(self.fidelities[j]),
-                residual_schmidt=self.residual_schmidts[j],
-                d=self.d,
-                n=self.n,
             )
             for j in range(self.probabilities.size)
         )
@@ -175,17 +157,11 @@ def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def residual_schmidt(record: OutcomeRecord) -> int:
-    """Schmidt number of the corrected final state across the (1,2)|(3) cut."""
-    shape = BipartiteShape(record.d * record.n, record.n)
-    return schmidt_number(record.corrected_state, shape)
-
-
 def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
     """Simulate all s outcomes of the protocol for one input state: the sweep's
     quadratic forms q_j = psi^dagger G_j psi at this one input, in O(s*d^2)."""
-    d, n, s = table.d, table.n, table.s
-    psi = as_input_qudit(psi, d)
+    s = table.s
+    psi = as_input_qudit(psi, table.d)
     # u_j^dagger o_j = D_j^dagger D_j psi / sqrt(s): o_j lies in the span of the
     # defined columns D_j and the QR completion of u_j is orthogonal to that span,
     # so the correction is zero past entry d and only its first d entries are kept;
@@ -194,14 +170,10 @@ def run_protocol(psi, table: ProtocolTable) -> SimulationTrace:
     corrections = lam * ((lam.conj() * psi) @ _protocol.checked_phase_gram(table).T) / math.sqrt(s)
     quadratic = math.sqrt(s) * (corrections @ psi.conj()).real
     return SimulationTrace(
-        d=d,
-        n=n,
         psi=psi,
         probabilities=quadratic / s,
         fidelities=quadratic,
         corrections=corrections,
-        residual_schmidts=(1,) * s,  # |M_j> (x) |c_j> is a product state
-        classical_bits=math.log2(s),
         table=table,
     )
 
@@ -239,25 +211,3 @@ def random_input_sweep(table: ProtocolTable, trials: int, seed: int) -> SweepRep
         min_fid = min(min_fid, float(fidelities.min()))
         max_fid_dev = max(max_fid_dev, float(np.abs(fidelities - 1.0).max()))
     return SweepReport(min_fidelity=min_fid, max_fidelity_deviation=max_fid_dev)
-
-
-def one_pair_double_bell_trace(psi) -> SimulationTrace:
-    """Teleport a qubit through one Bell pair of a two-Bell-pair resource.
-
-    The resource is the four-term uniform state viewed as two Bell pairs;
-    Alice measures only her input and her half of the first pair (the
-    four-outcome qubit protocol), Bob corrects his half of the first pair,
-    and the second pair sits idle.  Two classical bits are sent, and every
-    outcome retains residual Schmidt number 2 across the Alice|Bob cut from
-    the untouched pair.
-
-    Systems are ordered (input, A-half-1, A-half-2 | B-half-1, B-half-2), so
-    the (1,2)|(3) cut is 8 x 4.  The idle pair is normalized, so it leaves
-    every probability and fidelity of the one-pair run unchanged.
-    """
-    pair = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
-    table = _protocol.synthesize_d2(pair, _phases.solve_d2(pair))
-    idle = np.diag(np.sqrt(pair.as_array()))  # the idle pair sum_k sqrt(p_k) |k>|k>
-    trace = dataclasses.replace(run_protocol(psi, table), n=4, idle=idle)
-    measured = tuple(residual_schmidt(rec) for rec in trace.outcomes)
-    return dataclasses.replace(trace, residual_schmidts=measured)

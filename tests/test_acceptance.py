@@ -15,7 +15,7 @@ from qteleport.bounds import (
     teleport_ccc_bound,
 )
 from qteleport.errors import InfeasibleSpectrum, PhaseFactorsNotFound
-from qteleport.linalg import BipartiteShape, basis_state, schmidt_decompose, tensor
+from qteleport.linalg import BipartiteShape, basis_state, schmidt_decompose, schmidt_number, tensor
 from qteleport.phases import solve_d2
 from qteleport.protocol import (
     bob_unitaries,
@@ -24,12 +24,7 @@ from qteleport.protocol import (
     synthesize_d2,
     verify_conditions,
 )
-from qteleport.sim import (
-    haar_random_state,
-    one_pair_double_bell_trace,
-    random_input_sweep,
-    run_protocol,
-)
+from qteleport.sim import haar_random_state, random_input_sweep, run_protocol
 from qteleport.spectrum import SchmidtSpectrum
 
 from conftest import feasible_spectrum, random_state
@@ -51,11 +46,11 @@ def test_criterion_1_golden_six_outcome_protocol():
 
     table = synthesize_d2(GOLDEN, theta)
     assert table.s == 6
-    conditions = verify_conditions(table)
+    unitarity = verify_conditions(table)
     states = measurement_basis(table)
     orthonormality = np.abs(states.conj() @ states.T - np.eye(table.s)).max()
     assert orthonormality < 1e-10
-    assert conditions.unitarity_residual < 1e-10
+    assert unitarity < 1e-10
 
     rng = np.random.default_rng(1)
     worst_fid, worst_prob = 1.0, 0.0
@@ -70,7 +65,7 @@ def test_criterion_1_golden_six_outcome_protocol():
     report(
         "criterion 1 (six-outcome qubit protocol)",
         f"phasor sum {phasor:.2e}, residuals ({orthonormality:.2e}, "
-        f"{conditions.unitarity_residual:.2e}), 100 inputs: min fidelity {worst_fid!r}, "
+        f"{unitarity:.2e}), 100 inputs: min fidelity {worst_fid!r}, "
         f"max prob dev {worst_prob:.2e}, {elapsed:.2f}s",
     )
 
@@ -129,8 +124,9 @@ def test_criterion_3_feasibility_gate_both_directions():
                 unfound += 1
                 continue
             assert feasible, "synthesis succeeded on an infeasible spectrum"
-            conditions = verify_conditions(table)
-            assert max(conditions.orthonormality_residual, conditions.unitarity_residual) <= 1e-10
+            states = measurement_basis(table)
+            orthonormality = np.abs(states.conj() @ states.T - np.eye(table.s)).max()
+            assert max(orthonormality, verify_conditions(table)) <= 1e-10
             sweep = random_input_sweep(table, trials=1, seed=i)
             assert sweep.min_fidelity >= 1 - 1e-10
             synthesized += 1
@@ -168,10 +164,15 @@ def test_criterion_5_residual_entanglement():
     for spectrum, d in [(PAIR, 2), (GOLDEN, 2), (SchmidtSpectrum.from_rationals(["1/4"] * 4), 2)]:
         _, table = synthesize_auto(spectrum, d)
         trace = run_protocol(haar_random_state(d, rng), table)
-        assert all(rec.residual_schmidt == 1 for rec in trace.outcomes)
+        shape = BipartiteShape(d * spectrum.n, spectrum.n)
+        assert all(schmidt_number(rec.corrected_state, shape) == 1 for rec in trace.outcomes)
 
-    trace = one_pair_double_bell_trace(haar_random_state(2, rng))
-    assert all(rec.residual_schmidt == 2 for rec in trace.outcomes)
+    # one Bell pair of a two-Bell-pair resource: a Bell-pair run joined with the
+    # idle second pair, read as the 8 x 4 (input, A1, A2 | B1, B2) matrix
+    trace = run_protocol(haar_random_state(2, rng), synthesize_d2(PAIR, solve_d2(PAIR)))
+    idle = np.eye(2) / np.sqrt(2)
+    joined = [np.kron(rec.corrected_state.reshape(4, 2), idle).ravel() for rec in trace.outcomes]
+    assert all(schmidt_number(state, BipartiteShape(8, 4)) == 2 for state in joined)
     assert trace.min_fidelity >= 1 - 1e-10
     report(
         "criterion 5 (residual entanglement)",

@@ -132,6 +132,22 @@ class TestBounds:
         assert reportio.loads(capsys.readouterr().out)["bounds"]["teleportFeasible"] is False
         assert run(["synthesize", path]) == 4
 
+    @pytest.mark.parametrize("doc,code", [
+        ({"spectrum": [0.5, 0.5]}, 4),
+        ({"spectrum": ["1/2", "1/2"]}, 4),
+        ({"spectrum": [0.5, 0.5], "inputState": [[1, 0], [0, 0]]}, 3),
+    ], ids=["float", "exact", "input-state"])
+    def test_a_huge_dimension_is_named_by_its_digit_count(self, tmp_path, capsys, doc, code):
+        # the messages wrote a 401-digit d in full, once or twice: up to 904 bytes
+        path = write_problem(tmp_path, {"d": 10**400, **doc})
+        for command in ("synthesize", "simulate"):
+            assert run([command, path]) == code
+            err = capsys.readouterr().err
+            assert len(err) < 200 and "<401-digit integer>" in err, err
+        if code == 4:  # in a report d is data, and is written in full
+            assert run(["bounds", path]) == 0
+            assert str(10**400) in capsys.readouterr().out
+
     def test_fewer_terms_than_d_reports_null_bounds(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/2", "1/2"]})
         assert run(["bounds", path]) == 0
@@ -244,7 +260,7 @@ class TestSynthesize:
     def test_phase_failure_says_proved_or_exhausted(self, tmp_path, capsys, monkeypatch):
         path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/3", "3/10", "4/15", "1/10"]})
         assert run(["synthesize", path]) == 5
-        assert "(proved none exist; best residual inf)" in capsys.readouterr().err
+        assert "(proved no phase-form protocol exists; best residual inf)" in capsys.readouterr().err
 
         def exhausted(*args, **kwargs):
             raise PhaseFactorsNotFound("no phase factors found", best_residual=0.01)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qteleport import cli, sim
-from qteleport.errors import DegenerateColumns
+from qteleport.errors import DegenerateColumns, PhaseFactorsNotFound
+from qteleport.linalg import BipartiteShape, schmidt_number
 from qteleport.phases import CONDITION_TOL, Partition, PhaseMatrix, phases_from_partition, solve_general
 from qteleport.protocol import (
     Construction,
@@ -23,9 +24,7 @@ from qteleport.protocol import (
 from qteleport.sim import (
     as_input_qudit,
     haar_random_state,
-    one_pair_double_bell_trace,
     random_input_sweep,
-    residual_schmidt,
     run_protocol,
 )
 from qteleport.spectrum import SchmidtSpectrum
@@ -145,24 +144,49 @@ class TestProbabilities:
             assert abs(np.vdot(rec.post_state, rec.post_state).real - rec.probability) < 1e-12
 
 
+def branch_schmidt_number(rec, table) -> int:
+    """SVD Schmidt number of a corrected branch across the (1, 2)|(3) cut."""
+    return schmidt_number(rec.corrected_state, BipartiteShape(table.d * table.n, table.n))
+
+
 class TestResidualEntanglement:
     def test_full_protocol_leaves_nothing(self, rng):
         for spectrum, d in PROTOCOL_CASES:
             table = protocol_table(spectrum, d)
             trace = run_protocol(random_state(rng, d), table)
             for rec in trace.outcomes:
-                assert rec.residual_schmidt == 1
-                assert residual_schmidt(rec) == 1
+                assert branch_schmidt_number(rec, table) == 1
 
     def test_one_pair_of_double_bell_keeps_one_pair(self, rng):
-        trace = one_pair_double_bell_trace(random_state(rng, 2))
+        # a Bell-pair run joined with an idle second Bell pair, read as the 8 x 4
+        # (input, A1, A2 | B1, B2) matrix: Alice measures her input and her half of
+        # the first pair, and Bob corrects his half of it, on two classical bits
+        table = protocol_table(PAIR, 2)
+        trace = run_protocol(random_state(rng, 2), table)
         assert trace.classical_bits == 2.0
         assert trace.min_fidelity >= 1 - 1e-10
         for rec in trace.outcomes:
-            assert rec.residual_schmidt == 2
+            joined = np.kron(rec.corrected_state.reshape(4, 2), np.eye(2) / math.sqrt(2))
+            residual = schmidt_number(joined.ravel(), BipartiteShape(8, 4))
+            assert residual == 2
             assert abs(rec.probability - 0.25) < 1e-10
             # Bob's 4-level system hosts the entangled part and the qubit
-            assert rec.residual_schmidt * rec.d <= rec.n
+            assert residual * table.d <= 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_every_corrected_branch_is_a_normalized_product(self, d, extra, seed):
+        # measured by SVD, not read from the construction
+        rng = np.random.default_rng(seed)
+        spectrum = SchmidtSpectrum.from_probs(feasible_spectrum(rng, d + extra, 1 / d))
+        try:
+            table = synthesize_auto(spectrum, d, restarts=6, max_nfev=1500)[1]
+        except PhaseFactorsNotFound:
+            return
+        trace = run_protocol(random_state(rng, d), table)
+        for rec in trace.outcomes:
+            assert abs(np.linalg.norm(rec.corrected_state) - 1) <= 1e-12
+            assert branch_schmidt_number(rec, table) == 1
 
 
 class TestBranchAlgebra:
@@ -447,12 +471,11 @@ class TestOnePath:
         s, d = table.s, table.d
         states = measurement_basis(table)
         assert np.abs(states.conj() @ states.T - np.eye(s)).max() <= 1e-13
-        assert verify_conditions(table).orthonormality_residual == 0.0
         weighted = table.V * np.sqrt(s * table.spectrum.as_array())
         dense = weighted @ weighted.conj().transpose(0, 2, 1)
         np.testing.assert_allclose(table.grams, dense, rtol=0, atol=1e-13)
         defect = np.abs(dense - np.eye(d)).max()
-        assert abs(verify_conditions(table).unitarity_residual - defect) <= 1e-13
+        assert abs(verify_conditions(table) - defect) <= 1e-13
         eigenvalues = np.linalg.eigvalsh(table.phase_gram)
         assert np.abs(np.linalg.eigvalsh(dense) - eigenvalues).max() <= 1e-13
         np.testing.assert_array_equal(table.gram_eigenvalues, eigenvalues)
