@@ -9,10 +9,9 @@ Subcommands:
   concentrate  classical-cost budget for copies -> Bell-pairs conversion
 
 A problem file is a JSON object: {"d": 2, "spectrum": ["1/2", "1/3", "1/6"]}
-with optional "inputState" (list of [re, im] pairs), "seed" (default 0) and
-"trials" (default 100, at most 10**6).  The problem file is the only place to
-set a sweep's seed and trials: a report echoes its problem, so verify checks
-the ones it states.
+with optional "seed" (default 0) and "trials" (default 100, at most 10**6);
+it is the only place to set them.  A report echoes the whole file, fields the
+tool does not read included, and verify checks the seed and trials it states.
 Spectrum entries given as "num/den" strings switch the solvers to exact
 rational arithmetic.
 
@@ -43,8 +42,8 @@ import numpy as np
 
 from . import __version__, reportio
 from .bounds import build_bounds_report, concentration_bounds, entanglement_of_teleportation, schmidt_entanglement
-from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound, int_text
-from .linalg import basis_state, is_normalized
+from .errors import DegenerateColumns, InfeasibleSpectrum, PhaseFactorsNotFound
+from .linalg import basis_state
 # solve_general and bob_unitaries are unused here but stay importable:
 # bench/tracing.py wraps them by these names.
 from .phases import CONDITION_TOL, PhaseMatrix, solve_general  # noqa: F401
@@ -109,7 +108,6 @@ class Problem:
     d: int
     spectrum: SchmidtSpectrum
     raw: dict
-    input_state: np.ndarray | None = None
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
 
@@ -194,28 +192,11 @@ def parse_problem_doc(doc) -> Problem:
     if d < 2:
         raise InputFailure("field 'd' must be at least 2")
     spectrum = parse_spectrum_items(doc["spectrum"])
-
-    input_state = None
-    if "inputState" in doc and doc["inputState"] is not None:
-        pairs = doc["inputState"]
-        if not isinstance(pairs, list) or any(
-            not isinstance(p, list) or len(p) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in p)
-            for p in pairs
-        ):
-            raise ParseFailure("field 'inputState' must be a list of [re, im] pairs")
-        amps = np.array([complex(_as_double(p[0]), _as_double(p[1])) for p in pairs])
-        if amps.size != d:
-            raise InputFailure(f"field 'inputState' must have {int_text(d)} amplitudes, got {amps.size}")
-        if not is_normalized(amps):
-            raise InputFailure("field 'inputState' must be normalized")
-        input_state = amps
-
     counts = {  # an absent or null count takes its default
         key: default if doc.get(key) is None else _sweep_count(doc[key], key)
         for key, default in (("seed", DEFAULT_SEED), ("trials", DEFAULT_TRIALS))
     }
-    return Problem(d=d, spectrum=spectrum, raw=doc, input_state=input_state, **counts)
+    return Problem(d=d, spectrum=spectrum, raw=doc, **counts)
 
 
 def _read_json(path: str, what: str):
@@ -264,8 +245,9 @@ def _claims(problem: Problem, table: ProtocolTable, simulated: bool) -> dict:
     """Every number a report derives from its problem and table, keyed
     "section.field": what synthesize and simulate write and verify compares.
     With simulated, the simulation section's too: the sweep's settings, and a
-    run at the problem's reference input (its first basis state by default); a
-    table past the tolerance has no run, and outcomeProbabilities None."""
+    run at the first basis state (every input's outcome probabilities agree
+    within C's eigenvalue defect over s); a table past the tolerance has no
+    run, and outcomeProbabilities None."""
     claims = {
         "table.d": table.d,
         "table.n": table.n,
@@ -274,9 +256,8 @@ def _claims(problem: Problem, table: ProtocolTable, simulated: bool) -> dict:
         "table.unitarityResidual": verify_conditions(table),
     }
     if simulated:
-        reference = problem.input_state if problem.input_state is not None else basis_state(table.d, 0)
         try:
-            probabilities = run_protocol(reference, table).probabilities
+            probabilities = run_protocol(basis_state(table.d, 0), table).probabilities
         except DegenerateColumns:  # verify names such a table by its tolerances
             probabilities = None
         claims |= {

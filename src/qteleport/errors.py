@@ -1,11 +1,15 @@
 """Exception types shared across the package, and how their messages name an integer."""
 
+import math
+
 
 def int_text(value: int) -> str:
-    """An integer for an error message: in full up to 20 digits, past that by its
-    digit count, so that a huge d cannot make a message thousands of bytes long."""
-    text = str(value)
-    return text if len(text) <= 20 else f"<{len(text)}-digit integer>"
+    """An integer for an error message: in full up to 20 digits, past that by the
+    digit count of |value|, found without str(), which refuses a huge integer."""
+    if abs(value) < 10**20:
+        return str(value)
+    digits = int((abs(value).bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bits - 1)
+    return f"<{digits + (abs(value) >= 10**digits)}-digit integer>"  # or one more
 
 
 class QTeleportError(Exception):

@@ -61,8 +61,8 @@ from .spectrum import SchmidtSpectrum
 TWO_PI = 2.0 * np.pi
 
 CONDITION_TOL = 1e-10       # largest eigenvalue defect of the phase Gram of an accepted theta
-DEFAULT_RESTARTS = 64
-DEFAULT_MAX_NFEV = 100_000
+SEARCH_RESTARTS = 64        # seeded starts of the least-squares search
+SEARCH_MAX_NFEV = 100_000   # residual evaluations allowed to each start
 PARTITION_NODE_BUDGET = 1_000_000  # first-fit placements before find_partition gives up
 # A float spectrum's search solves in milliseconds what its first fit could
 # spend seconds of the exact budget on; a split found within this many
@@ -510,13 +510,7 @@ def phase_equations(probs: np.ndarray, d: int):
     return equations
 
 
-def _search_phases(
-    probs: np.ndarray,
-    d: int,
-    restarts: int,
-    max_nfev: int,
-    seed: int,
-) -> tuple[float, PhaseMatrix | None]:
+def _search_phases(probs: np.ndarray, d: int) -> tuple[float, PhaseMatrix | None]:
     """Least-squares search for the phase constraints; returns (defect, theta).
 
     Gauge freedom is removed by pinning the first row and first column of
@@ -529,10 +523,10 @@ def _search_phases(
     """
     n = probs.size
     equations = phase_equations(probs, d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEARCH_SEED)
     best = math.inf
-    for _ in range(restarts):
-        x = least_squares(equations, rng.uniform(0.0, TWO_PI, (d - 1) * (n - 1)), max_nfev).x
+    for _ in range(SEARCH_RESTARTS):
+        x = least_squares(equations, rng.uniform(0.0, TWO_PI, (d - 1) * (n - 1)), SEARCH_MAX_NFEV).x
         matrix = PhaseMatrix(canonicalize(_unpack(x, d, n)))
         defect = eigenvalue_defect(probs, matrix.theta)
         if defect <= CONDITION_TOL:
@@ -658,13 +652,7 @@ def decide_three_by_four(spectrum: SchmidtSpectrum) -> QuadrilateralVerdict:
     return QuadrilateralVerdict(None)
 
 
-def solve_general(
-    spectrum: SchmidtSpectrum,
-    d: int,
-    *,
-    restarts: int = DEFAULT_RESTARTS,
-    max_nfev: int = DEFAULT_MAX_NFEV,
-) -> PhaseMatrix:
+def solve_general(spectrum: SchmidtSpectrum, d: int) -> PhaseMatrix:
     """Phase factors for general d, trying each strategy in order.
 
     (a) the constructive qubit solver when d = 2;
@@ -706,10 +694,10 @@ def solve_general(
                 proved=True,
             )
 
-    best, matrix = _search_phases(probs, d, restarts, max_nfev, _SEARCH_SEED)
+    best, matrix = _search_phases(probs, d)
     if matrix is None:
         raise PhaseFactorsNotFound(
-            f"no phase factors found for d={d}, n={spectrum.n} after {restarts} restarts",
+            f"no phase factors found for d={d}, n={spectrum.n} after {SEARCH_RESTARTS} restarts",
             best_residual=best,
         )
     return matrix

@@ -46,8 +46,6 @@ import numpy as np
 from .errors import DegenerateColumns
 from .phases import (
     CONDITION_TOL,
-    DEFAULT_MAX_NFEV,
-    DEFAULT_RESTARTS,
     TWO_PI,
     PhaseMatrix,
     _feasibility_gate,
@@ -216,16 +214,10 @@ def synthesize_d2(spectrum: SchmidtSpectrum, thetas: PhaseMatrix) -> ProtocolTab
     return ProtocolTable(spectrum, thetas, Construction.D2_FORMULA)
 
 
-def synthesize_auto(
-    spectrum: SchmidtSpectrum,
-    d: int,
-    *,
-    restarts: int = DEFAULT_RESTARTS,
-    max_nfev: int = DEFAULT_MAX_NFEV,
-) -> tuple[PhaseMatrix, ProtocolTable]:
+def synthesize_auto(spectrum: SchmidtSpectrum, d: int) -> tuple[PhaseMatrix, ProtocolTable]:
     """Solve for phase factors and synthesize a table in one step: (theta, table),
     by the qubit construction at d = 2 and the general formula otherwise."""
-    theta = solve_general(spectrum, d, restarts=restarts, max_nfev=max_nfev)
+    theta = solve_general(spectrum, d)
     synthesize = synthesize_d2 if d == 2 else synthesize_general
     return theta, synthesize(spectrum, theta)
 

@@ -40,18 +40,6 @@ def _check_exact(exact: tuple[Fraction, ...]) -> None:
         raise ValueError(f"entries sum to {sum(exact)}, not 1")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    if isinstance(value, tuple) and len(value) == 2:
-        return Fraction(value[0], value[1])
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
 @dataclass(frozen=True)
 class SchmidtSpectrum:
     """Ordered non-zero probabilities p_k of a bipartite pure resource."""
@@ -79,10 +67,12 @@ class SchmidtSpectrum:
 
     @classmethod
     def from_rationals(cls, values: Sequence) -> "SchmidtSpectrum":
-        """Exact spectrum from Fractions, ints, (num, den) pairs or "num/den"
-        strings.  Raises ValueError for entries that are not positive or do not
-        sum to 1 (or a bad literal's ValueError or ZeroDivisionError)."""
-        exact = tuple(_as_fraction(v) for v in values)
+        """Exact spectrum from Fractions or "num/den" strings; any other entry
+        raises TypeError.  Raises ValueError for entries that are not positive
+        or do not sum to 1 (or a bad literal's ValueError or ZeroDivisionError)."""
+        if wrong := [type(v).__name__ for v in values if not isinstance(v, (Fraction, str))]:
+            raise TypeError(f"an exact entry is a Fraction or a 'num/den' string, not {wrong[0]}")
+        exact = tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in values)
         # |f| > 1 fails the positivity or sum check in __post_init__ before its
         # float image, which could overflow, is compared
         probs = tuple(

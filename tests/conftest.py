@@ -1,5 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
+
+from qteleport import phases
 
 
 def feasible_spectrum(rng: np.random.Generator, n: int, cap: float) -> np.ndarray:
@@ -10,6 +14,19 @@ def feasible_spectrum(rng: np.random.Generator, n: int, cap: float) -> np.ndarra
         t = (p.max() - cap) / (p.max() - 1.0 / n)
         p = (1 - t) * p + t / n
     return p
+
+
+@contextlib.contextmanager
+def search_settings(restarts: int, max_nfev: int):
+    """Run the phase search with restarts and max_nfev in place of its constants
+    SEARCH_RESTARTS and SEARCH_MAX_NFEV, restored on exit: a test looping over
+    many spectra bounds the search's cost this way."""
+    saved = phases.SEARCH_RESTARTS, phases.SEARCH_MAX_NFEV
+    phases.SEARCH_RESTARTS, phases.SEARCH_MAX_NFEV = restarts, max_nfev
+    try:
+        yield
+    finally:
+        phases.SEARCH_RESTARTS, phases.SEARCH_MAX_NFEV = saved
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from qteleport.protocol import (
 from qteleport.sim import haar_random_state, random_input_sweep, run_protocol
 from qteleport.spectrum import SchmidtSpectrum
 
-from conftest import feasible_spectrum, random_state
+from conftest import feasible_spectrum, random_state, search_settings
 
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
 PAIR = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
@@ -114,7 +114,8 @@ def test_criterion_3_feasibility_gate_both_directions():
         for d in (2, 3):
             feasible = s.p_max <= 1 / d + 1e-12
             try:
-                _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
+                with search_settings(6, 1500):
+                    _, table = synthesize_auto(s, d)
             except InfeasibleSpectrum:
                 assert not feasible, "gate rejected a feasible spectrum"
                 gated += 1
@@ -239,7 +240,8 @@ def test_criterion_7_property_suite():
         n = int(rng.integers(d, 7))
         s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
         try:
-            _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
+            with search_settings(6, 1500):
+                _, table = synthesize_auto(s, d)
         except PhaseFactorsNotFound:
             continue
         done += 1

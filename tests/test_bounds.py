@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qteleport.bounds import (
     Bits,
@@ -21,9 +23,49 @@ from qteleport.errors import InfeasibleSpectrum, PhaseFactorsNotFound, RankOrder
 from qteleport.protocol import synthesize_auto
 from qteleport.spectrum import SchmidtSpectrum
 
-from conftest import feasible_spectrum
+from conftest import feasible_spectrum, search_settings
 
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
+
+# A faithful d = 2 measurement through p = (1/2, 3/10, 1/5): six 2 x 3 matrices
+# Phi_j[m][k], Hilbert-Schmidt orthonormal, each with Phi_j P Phi_j^H = q_j I.
+# A least-squares search found it with q_0 pinned to the top of its bracket,
+# 3/16 (q_0 s = 1.125), so its messages are not equally likely
+FAITHFUL_P = [0.5, 0.3, 0.2]
+FAITHFUL_BASIS = [
+    [[(0.327869245267314-0.18135742224109j), (-0.34805103662458+0.519499003766471j),
+      (2.13125075732582e-07-1.60007993329915e-08j)],
+     [(-0.273592413830599-0.399697929066759j), (-0.425587573845276-0.22990536744192j),
+      (5.4602926077891e-08+1.97012542736104e-07j)]],
+    [[(-0.119767032191192-0.421797891924987j), (-0.0478079854055514-0.232998710157056j),
+      (-0.450231631619564-0.00654311926708717j)],
+     [(0.316025342311659-0.123178400164385j), (-0.293984140268625+0.0900949224131957j),
+      (0.0467875944723042+0.580206235249949j)]],
+    [[(-0.450285773704844+0.106354984256478j), (0.113940806602892+0.367357319367893j),
+      (-0.186492033344211-0.252112022680815j)],
+     [(-0.114939955390688-0.33894697424332j), (0.458781837310805-0.191675913585411j),
+      (-0.301576040833506+0.270911236654138j)]],
+    [[(0.341525098894673+0.0187369489928886j), (0.312669668663912-0.139798314603661j),
+      (0.51760438374695+0.211898062526442j)],
+     [(-0.0177650934838703-0.441807617097276j), (0.130595875998049+0.230519142878805j),
+      (-0.125196880676894+0.414138105054717j)]],
+    [[(-0.112800546235157-0.454510562069118j), (0.399102029296274+0.102856994781229j),
+      (0.174132908191505+0.207259733780438j)],
+     [(0.34172727468907-0.120213190693266j), (0.0834295612653974-0.526218022656191j),
+      (0.245371495126613-0.249506545898086j)]],
+    [[(0.038553236884319+0.33985930372188j), (0.19004418839586+0.284936266398357j),
+      (0.122494501914534-0.545719761471534j)],
+     [(0.432638111018125-0.0912881755204027j), (-0.205475794870716+0.167254236838798j),
+      (0.429229840686821+0.0542868937959797j)]],
+]
+
+
+def q_bracket(p, d: int) -> tuple[float, float]:
+    """The range of a faithful outcome's probability q = 1/tr(W P^-1 W^H) over
+    d x n co-isometries W: 1/sum(1/p_k) over the d smallest p_k up to the same
+    over the d largest."""
+    inverse = np.sort(1 / np.asarray(p))
+    return 1 / inverse[-d:].sum(), 1 / inverse[:d].sum()
 
 
 class TestEntanglementOfTeleportation:
@@ -133,6 +175,45 @@ class TestTeleportCccBound:
 
     def test_square_case_matches_bennett(self):
         assert teleport_ccc_bound(3, 3, True).bits.value == 2 * math.log2(3)
+
+
+class TestMessageEntropy:
+    """log2(n d) bounds log2 of the number of messages, not the entropy of the
+    message: a faithful protocol need not send its n d messages uniformly."""
+
+    def test_a_faithful_basis_whose_message_entropy_is_below_log2_s(self):
+        phi, p = np.array(FAITHFUL_BASIS), np.array(FAITHFUL_P)
+        s, d, n = phi.shape
+        assert (s, d, n) == (6, 2, 3)
+        # Hilbert-Schmidt orthonormal: a measurement basis of the d n-dimensional space
+        assert np.abs(np.einsum("imk,jmk->ij", phi.conj(), phi) - np.eye(s)).max() <= 1e-12
+        # faithful: Bob's state P^(1/2) Phi_j^H psi is sqrt(q_j) times an isometry of psi
+        grams = phi @ np.diag(p) @ phi.conj().transpose(0, 2, 1)
+        q = np.trace(grams, axis1=1, axis2=2).real / d
+        assert np.abs(grams - q[:, None, None] * np.eye(d)).max() <= 1e-12
+        assert abs(q.sum() - 1) <= 1e-12
+        low, high = q_bracket(p, d)
+        assert (q > 0).all() and (low - 1e-12 <= q).all() and (q <= high + 1e-12).all()
+        assert abs(q[0] - high) <= 1e-12  # q_0 s = 1.125
+        entropy = -(q * np.log2(q)).sum()
+        assert entropy < math.log2(s) - 1e-3  # 2.5810 against 2.5850
+        bound = teleport_ccc_bound(n, d, assume_zero_residual=False)
+        assert (bound.bits.value, bound.assumption) == (math.log2(s), "d>n/2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_every_co_isometry_gives_a_probability_in_the_bracket(self, d, extra, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(d + extra))
+        z = rng.standard_normal((p.size, d)) + 1j * rng.standard_normal((p.size, d))
+        w = np.linalg.qr(z)[0].conj().T  # d x n with orthonormal rows
+        q = 1 / np.trace(w @ np.diag(1 / p) @ w.conj().T).real
+        low, high = q_bracket(p, d)
+        assert low * (1 - 1e-12) <= q <= high * (1 + 1e-12)
+        # Phi = sqrt(q) W P^(-1/2) is a unit-norm faithful outcome
+        phi = math.sqrt(q) * w / np.sqrt(p)
+        assert np.abs(phi @ np.diag(p) @ phi.conj().T - q * np.eye(d)).max() <= 1e-12
+        assert abs(np.linalg.norm(phi) - 1) <= 1e-12
 
 
 class TestResidualCap:
@@ -273,11 +354,12 @@ class TestReportConsistency:
             s = SchmidtSpectrum.from_probs(p / p.sum())
             d = int(rng.integers(2, 4))
             if not s.admits(d):
-                with pytest.raises(InfeasibleSpectrum):
-                    synthesize_auto(s, d, restarts=2, max_nfev=500)
+                with pytest.raises(InfeasibleSpectrum), search_settings(2, 500):
+                    synthesize_auto(s, d)
             else:
                 try:
-                    _, table = synthesize_auto(s, d, restarts=4, max_nfev=1000)
+                    with search_settings(4, 1000):
+                        _, table = synthesize_auto(s, d)
                 except PhaseFactorsNotFound:
                     continue
                 # the trace's classical bits equal the zero-residual bound exactly

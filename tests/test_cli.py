@@ -19,6 +19,7 @@ import qteleport
 from qteleport import bounds, cli, phases, protocol, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
+from qteleport.sim import run_protocol
 from qteleport.spectrum import SUM_TOL, parse_rational
 
 from conftest import STRETCHED_SPECTRUM, STRETCHED_THETA
@@ -132,21 +133,17 @@ class TestBounds:
         assert reportio.loads(capsys.readouterr().out)["bounds"]["teleportFeasible"] is False
         assert run(["synthesize", path]) == 4
 
-    @pytest.mark.parametrize("doc,code", [
-        ({"spectrum": [0.5, 0.5]}, 4),
-        ({"spectrum": ["1/2", "1/2"]}, 4),
-        ({"spectrum": [0.5, 0.5], "inputState": [[1, 0], [0, 0]]}, 3),
-    ], ids=["float", "exact", "input-state"])
-    def test_a_huge_dimension_is_named_by_its_digit_count(self, tmp_path, capsys, doc, code):
-        # the messages wrote a 401-digit d in full, once or twice: up to 904 bytes
-        path = write_problem(tmp_path, {"d": 10**400, **doc})
+    @pytest.mark.parametrize("spectrum", [[0.5, 0.5], ["1/2", "1/2"]], ids=["float", "exact"])
+    def test_a_huge_dimension_is_named_by_its_digit_count(self, tmp_path, capsys, spectrum):
+        # the messages wrote a 401-digit d in full, twice: 904 bytes
+        path = write_problem(tmp_path, {"d": 10**400, "spectrum": spectrum})
         for command in ("synthesize", "simulate"):
-            assert run([command, path]) == code
+            assert run([command, path]) == 4
             err = capsys.readouterr().err
             assert len(err) < 200 and "<401-digit integer>" in err, err
-        if code == 4:  # in a report d is data, and is written in full
-            assert run(["bounds", path]) == 0
-            assert str(10**400) in capsys.readouterr().out
+        # in a report d is data, and is written in full
+        assert run(["bounds", path]) == 0
+        assert str(10**400) in capsys.readouterr().out
 
     def test_fewer_terms_than_d_reports_null_bounds(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"d": 3, "spectrum": ["1/2", "1/2"]})
@@ -338,36 +335,18 @@ class TestSimulate:
         assert run(["simulate", path]) == 3
         assert "field 'seed'" in capsys.readouterr().err
 
-    def test_input_state_reference(self, tmp_path, capsys):
-        problem = dict(GOLDEN_PROBLEM)
-        problem["inputState"] = [[0.6, 0.0], [0.0, 0.8]]
-        path = write_problem(tmp_path, problem)
-        assert run(["simulate", path]) == 0
-        doc = reportio.loads(capsys.readouterr().out)
-        assert doc["simulation"]["minFidelity"] >= 1 - 1e-10
-
-    def test_unnormalized_input_state(self, tmp_path):
-        problem = dict(GOLDEN_PROBLEM)
-        problem["inputState"] = [[1.0, 0.0], [1.0, 0.0]]
-        path = write_problem(tmp_path, problem)
-        assert run(["simulate", path]) == 3
-
-    def test_nan_input_state_is_parse_failure(self, tmp_path):
-        problem = dict(GOLDEN_PROBLEM)
-        problem["inputState"] = [[float("nan"), 0.0], [1.0, 0.0]]
-        path = write_problem(tmp_path, problem)
-        assert run(["simulate", path]) == 2
-
-    def test_overflowing_input_state_is_invariant_violation(self, tmp_path, capsys):
-        # an amplitude of 1e400, or of a 401-digit integer, reads as inf, whose norm is NaN
-        path = tmp_path / "problem.json"
-        for token in OVERFLOWING_TOKENS:
-            path.write_text(
-                f'{{"d": 2, "spectrum": ["1/2", "1/2"], "inputState": [[{token}, 0], [1, 0]]}}',
-                encoding="utf-8",
-            )
-            assert run(["simulate", str(path)]) == 3, token
-            assert "normalized" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_an_input_state_is_echoed_and_ignored(self, tmp_path, command):
+        # every outcome has probability 1/s whatever the input, so a report runs
+        # at the first basis state: a problem's inputState is echoed, not read
+        state = [[0.6, 0], [0, 0.8]]
+        plain, echoed = tmp_path / "plain.json", tmp_path / "echoed.json"
+        assert run([command, write_problem(tmp_path, GOLDEN_PROBLEM), "--out", str(plain)]) == 0
+        path = write_problem(tmp_path, dict(GOLDEN_PROBLEM, inputState=state), "with-state.json")
+        assert run([command, path, "--out", str(echoed)]) == 0
+        doc = reportio.loads(echoed.read_text(encoding="utf-8"))
+        assert doc["problem"].pop("inputState") == state
+        assert reportio.dumps(doc) == plain.read_text(encoding="utf-8")
 
     def test_round_trip_parse_serialize(self, tmp_path):
         # reports are written from arrays; their parsed lists re-encode through
@@ -565,6 +544,40 @@ class TestVerify:
         out = tmp_path / "synth.json"
         assert run(["synthesize", path, "--out", str(out)]) == 0
         assert run(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("problem, psi", [
+        (GOLDEN_PROBLEM, [0.6, 0.8j]),
+        ({"d": 3, "spectrum": [0.3, 0.25, 0.2, 0.15, 0.1]}, [0.48, 0.6j, -0.64]),
+    ], ids=["d2", "d3"])
+    def test_a_report_run_at_another_input_verifies(self, tmp_path, capsys, problem, psi):
+        # reports once stated outcomeProbabilities at the problem's inputState:
+        # every input's agree with the first basis state's within C's eigenvalue
+        # defect over s, so such a report, its inputState echoed, verifies
+        state = [[z.real, z.imag] for z in map(complex, psi)]
+        path = write_problem(tmp_path, dict(problem, inputState=state))
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        spectrum = cli.parse_problem_doc(doc["problem"]).spectrum
+        table = cli._table_from_phases(doc, spectrum, problem["d"])
+        doc["simulation"]["outcomeProbabilities"] = run_protocol(np.array(psi), table).probabilities
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("section, code", [
+        (None, 0), ("problem", 0), ("phases", 0), ("table", 0), ("simulation", 0), ("tolerances", 2),
+    ], ids=["top-level", "problem", "phases", "table", "simulation", "tolerances"])
+    def test_a_field_verify_does_not_read_is_ignored_but_in_tolerances(self, tmp_path, capsys,
+                                                                        section, code):
+        # a field the tool does not read is echoed and ignored; the retired
+        # fields are checked where stated, and tolerances must be the tool's
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        assert run(["simulate", path, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        (doc if section is None else doc[section])["foo"] = 1.5
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == code
 
     def test_negative_problem_seed_is_invariant_violation(self, tmp_path, capsys):
         # verify samples no inputs, but it reads the echoed problem as a

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qteleport.cli import InputFailure, parse_problem_doc
 from qteleport.errors import ShapeMismatch
 from qteleport.linalg import (
     BipartiteShape,
@@ -74,30 +73,24 @@ class TestTensor:
 
 
 class TestIsNormalized:
-    """The one normalization check behind linalg, the simulator and the problem parser."""
+    """The one normalization check behind linalg and the simulator."""
 
     UNIT = np.array([0.6, 0.8j])
 
     @staticmethod
     def verdicts(amps):
-        """Whether is_normalized, as_input_qudit and parse_problem_doc accept amps."""
+        """Whether is_normalized and as_input_qudit accept amps."""
         out = [is_normalized(amps)]
         try:
             as_input_qudit(amps, 2)
             out.append(True)
         except ValueError:
             out.append(False)
-        doc = {"d": 2, "spectrum": ["1/2", "1/2"], "inputState": [[a.real, a.imag] for a in amps]}
-        try:
-            parse_problem_doc(doc)
-            out.append(True)
-        except InputFailure:
-            out.append(False)
         return out
 
     @pytest.mark.parametrize("defect", [0.0, 5e-13, -5e-13])
     def test_defect_within_tolerance_is_accepted(self, defect):
-        assert self.verdicts(self.UNIT * np.sqrt(1 + defect)) == [True, True, True]
+        assert self.verdicts(self.UNIT * np.sqrt(1 + defect)) == [True, True]
 
     @pytest.mark.parametrize(
         "amps",
@@ -106,7 +99,7 @@ class TestIsNormalized:
         ids=["over", "under", "nan", "inf"],
     )
     def test_defect_beyond_tolerance_is_refused(self, amps):
-        assert self.verdicts(amps) == [False, False, False]
+        assert self.verdicts(amps) == [False, False]
 
 
 class TestSchmidtDecompose:

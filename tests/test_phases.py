@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qteleport import phases
-from qteleport.errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound
+from qteleport.errors import InfeasibleSpectrum, NoPartition, PhaseFactorsNotFound, int_text
 from qteleport.phases import (
     CONDITION_TOL,
-    DEFAULT_MAX_NFEV,
-    DEFAULT_RESTARTS,
+    SEARCH_RESTARTS,
     PhaseMatrix,
     canonicalize,
     decide_three_by_four,
@@ -25,7 +24,7 @@ from qteleport.phases import (
 )
 from qteleport.spectrum import SchmidtSpectrum
 
-from conftest import feasible_spectrum
+from conftest import feasible_spectrum, search_settings
 
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
 
@@ -60,6 +59,14 @@ class TestSchmidtSpectrum:
         assert s.exact == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
         assert s.probs == (0.5, float(Fraction(1, 3)), float(Fraction(1, 6)))
         assert s.p_max_exact == Fraction(1, 2)
+
+    @pytest.mark.parametrize("entries", [[1, 0], [(1, 2), (1, 2)], [0.5, 0.5]],
+                             ids=["int", "pair", "float"])
+    def test_exact_entries_are_fractions_or_strings(self, entries):
+        # an int would reach parse_rational and raise AttributeError
+        with pytest.raises(TypeError, match=type(entries[0]).__name__):
+            SchmidtSpectrum.from_rationals(entries)
+        assert SchmidtSpectrum.from_rationals([Fraction(1, 2), "1/2"]).exact == (Fraction(1, 2),) * 2
 
 
 class TestSolveD2:
@@ -389,6 +396,22 @@ class TestPhasesFromPartition:
         assert theta.constraint_residual(s) < 1e-12
 
 
+INT_TEXTS = [  # (value, how a message writes it)
+    (10**20 - 1, "99999999999999999999"),
+    (-(10**20 - 1), "-99999999999999999999"),
+    (10**20, "<21-digit integer>"),
+    (-(10**25), "<26-digit integer>"),  # the digits of |value|: the sign is not one
+    (2**64 * 10**10, "<30-digit integer>"),
+    (10**5000 - 1, "<5000-digit integer>"),  # past the int-to-str limit
+    (10**5000, "<5001-digit integer>"),
+]
+
+
+@pytest.mark.parametrize("value, text", INT_TEXTS, ids=[text for _, text in INT_TEXTS])
+def test_int_text_writes_20_digits_in_full_and_counts_the_rest(value, text):
+    assert int_text(value) == text
+
+
 class TestSolveGeneral:
     def test_d2_route(self):
         s = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
@@ -418,6 +441,14 @@ class TestSolveGeneral:
             solve_general(s, 3)
         assert err.value.best_residual > 1e-3
 
+    @pytest.mark.parametrize("spectrum", [
+        SchmidtSpectrum.from_probs([0.5, 0.5]), SchmidtSpectrum.from_rationals(["1/2", "1/2"]),
+    ], ids=["float", "exact"])
+    def test_a_dimension_past_the_int_to_str_limit_is_infeasible(self, spectrum):
+        # str() of a 5001-digit d raised ValueError from the message itself
+        with pytest.raises(InfeasibleSpectrum, match="<5001-digit integer>"):
+            solve_general(spectrum, 10**5000)
+
     def test_deep_first_fit_does_not_recurse(self):
         # the recursive search hit Python's recursion limit near n = 1000
         s = SchmidtSpectrum.from_rationals([Fraction(1, 1200)] * 1200)
@@ -435,7 +466,8 @@ class TestSolveGeneral:
             n = int(rng.integers(3, 7))
             s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / 3))
             try:
-                theta = solve_general(s, 3, restarts=4, max_nfev=800)
+                with search_settings(4, 800):
+                    theta = solve_general(s, 3)
             except PhaseFactorsNotFound:
                 continue
             assert theta.constraint_residual(s) < 1e-9
@@ -557,9 +589,7 @@ class TestSearch:
                 for _ in range(3):
                     s = partitionless_spectrum(rng, n, d, alpha, lo)
                     searches.clear()
-                    defect, theta = phases._search_phases(
-                        s.as_array(), d, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
-                    )
+                    defect, theta = phases._search_phases(s.as_array(), d)
                     assert theta is not None and len(searches) == 1
                     if d == 5:  # n = d + 1 costs the most evaluations per start
                         assert searches[0].nfev <= 40
@@ -571,7 +601,7 @@ class TestSearch:
         # 16034 residual evaluations with lam bouncing between /10 and *10
         for p in EXHAUSTED:
             assert search_outcome(SchmidtSpectrum.from_probs(p))[1] is None
-        assert len(searches) == 3 * DEFAULT_RESTARTS
+        assert len(searches) == 3 * SEARCH_RESTARTS
         assert sum(result.nfev for result in searches) < 8000
 
     def test_jacobian_is_built_only_at_kept_points(self):
@@ -612,7 +642,8 @@ class TestSearch:
         for p in EXHAUSTED:
             probs = np.array(p)
             searches.clear()
-            best, theta = phases._search_phases(probs, 3, 4, DEFAULT_MAX_NFEV, phases._SEARCH_SEED)
+            with search_settings(4, phases.SEARCH_MAX_NFEV):
+                best, theta = phases._search_phases(probs, 3)
             assert theta is None and len(searches) == 4
             defects = [
                 phases.eigenvalue_defect(probs, canonicalize(phases._unpack(result.x, 3, 4)))
@@ -624,9 +655,7 @@ class TestSearch:
 
 def search_outcome(spectrum: SchmidtSpectrum):
     """solve_general's own 64-restart search, run directly: (least defect, theta or None)."""
-    return phases._search_phases(
-        spectrum.as_array(), 3, DEFAULT_RESTARTS, DEFAULT_MAX_NFEV, phases._SEARCH_SEED
-    )
+    return phases._search_phases(spectrum.as_array(), 3)
 
 
 def four_term_spectrum(rng) -> np.ndarray:

@@ -21,7 +21,7 @@ from qteleport.protocol import (
 )
 from qteleport.spectrum import SchmidtSpectrum
 
-from conftest import feasible_spectrum
+from conftest import feasible_spectrum, search_settings
 
 PAIR = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
@@ -159,7 +159,8 @@ class TestSynthesis:
             for _ in range(8):
                 s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
                 try:
-                    _, table = synthesize_auto(s, d, restarts=6, max_nfev=1500)
+                    with search_settings(6, 1500):
+                        _, table = synthesize_auto(s, d)
                 except PhaseFactorsNotFound:
                     continue
                 assert conditions_hold(table)

@@ -29,7 +29,9 @@ from qteleport.sim import (
 )
 from qteleport.spectrum import SchmidtSpectrum
 
-from conftest import STRETCHED_SPECTRUM, STRETCHED_THETA, feasible_spectrum, random_state
+from conftest import (
+    STRETCHED_SPECTRUM, STRETCHED_THETA, feasible_spectrum, random_state, search_settings,
+)
 
 PAIR = SchmidtSpectrum.from_rationals(["1/2", "1/2"])
 GOLDEN = SchmidtSpectrum.from_rationals(["1/2", "1/3", "1/6"])
@@ -180,7 +182,8 @@ class TestResidualEntanglement:
         rng = np.random.default_rng(seed)
         spectrum = SchmidtSpectrum.from_probs(feasible_spectrum(rng, d + extra, 1 / d))
         try:
-            table = synthesize_auto(spectrum, d, restarts=6, max_nfev=1500)[1]
+            with search_settings(6, 1500):
+                table = synthesize_auto(spectrum, d)[1]
         except PhaseFactorsNotFound:
             return
         trace = run_protocol(random_state(rng, d), table)
@@ -430,7 +433,8 @@ class TestGeneralFormulaSimulation:
         for n in range(d, 6):
             s = SchmidtSpectrum.from_probs(feasible_spectrum(rng, n, 1 / d))
             try:
-                theta = solve_general(s, d, restarts=6, max_nfev=1500)
+                with search_settings(6, 1500):
+                    theta = solve_general(s, d)
             except PhaseFactorsNotFound:
                 continue
             table = synthesize_general(s, theta)
