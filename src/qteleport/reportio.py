@@ -33,8 +33,6 @@ import math
 
 import numpy as np
 
-from .bounds import Bits, BoundsReport, CccBound, ConcentrationBounds
-
 
 _INLINE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # the C encoder: no indent
 _SCALARS = (str, int, float, type(None))  # bool is an int
@@ -138,59 +136,3 @@ def loads(text: str):
     gives it."""
     return json.loads(text, parse_float=functools.cache(float), parse_constant=_reject_constant)
 
-
-def bits_doc(bits: Bits | None) -> dict | None:
-    """{"bits": float, "exact": [coefNum, coefDen, argNum, argDen] | null}, and
-    "offset": int after exact when the exact form has a nonzero one."""
-    if bits is None:
-        return None
-    doc = {"bits": bits.value, "exact": None}
-    if bits.is_exact:
-        exact = [
-            bits.coefficient.numerator,
-            bits.coefficient.denominator,
-            bits.argument.numerator,
-            bits.argument.denominator,
-        ]
-        try:
-            for k in (*exact, bits.offset):
-                str(k)
-        except ValueError:  # beyond sys.get_int_max_str_digits(): no exact form
-            return doc
-        doc["exact"] = exact
-        if bits.offset:
-            doc["offset"] = bits.offset
-    return doc
-
-
-def ccc_doc(bound: CccBound | None) -> dict | None:
-    if bound is None:
-        return None
-    doc = bits_doc(bound.bits)
-    doc["assumption"] = bound.assumption
-    return doc
-
-
-def concentration_doc(conc: ConcentrationBounds) -> dict:
-    return {
-        "copies": conc.n_copies,
-        "bells": conc.m_bells,
-        "feasible": conc.feasible,
-        "mMax": conc.m_max,
-        "C1LowerBound": bits_doc(conc.c1_lower_bound),
-        "C2": bits_doc(conc.c2),
-    }
-
-
-def bounds_doc(report: BoundsReport) -> dict:
-    return {
-        "d": report.d,
-        "n": report.n,
-        "Et": bits_doc(report.et),
-        "ESch": bits_doc(report.e_sch),
-        "teleportFeasible": report.teleport_feasible,
-        "cccLowerBound": ccc_doc(report.ccc_lower_bound),
-        "residualCap": bits_doc(report.residual_cap),
-        "residualCapInteger": bits_doc(report.residual_cap_integer),
-        "loccBound": bits_doc(report.locc_bound),
-    }

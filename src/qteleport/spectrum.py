@@ -57,9 +57,9 @@ class SchmidtSpectrum:
             if any(f.numerator / f.denominator != p for f, p in zip(self.exact, self.probs)):
                 raise ValueError("probs must be the floating images of the exact values")
         if any(not p > 0.0 for p in self.probs):  # NaN fails too, and exact values that underflow
-            raise ValueError("all probabilities must be strictly positive")
+            raise ValueError("entries must be positive")
         if self.exact is None and not abs(sum(self.probs) - 1.0) <= SUM_TOL:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
+            raise ValueError(f"entries sum to {sum(self.probs)!r}, not 1")
 
     @classmethod
     def from_probs(cls, probs: Iterable[float]) -> "SchmidtSpectrum":

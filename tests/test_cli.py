@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qteleport
-from qteleport import bounds, cli, phases, protocol, reportio
+from qteleport import bounds, cli, parsing, phases, protocol, report, reportio
 from qteleport.cli import main
 from qteleport.errors import PhaseFactorsNotFound
 from qteleport.sim import run_protocol
@@ -269,7 +269,7 @@ class TestSynthesize:
     def test_float_sum_within_the_window_is_renormalized(self, tmp_path):
         doc = {"d": 2, "spectrum": [0.5, 0.3, 0.2 + 5e-10]}
         assert abs(sum(doc["spectrum"]) - 1) > SUM_TOL
-        assert abs(sum(cli.parse_problem_doc(doc).spectrum.probs) - 1) <= SUM_TOL
+        assert abs(sum(parsing.parse_problem_doc(doc).spectrum.probs) - 1) <= SUM_TOL
         out = tmp_path / "report.json"
         assert run(["synthesize", write_problem(tmp_path, doc), "--out", str(out)]) == 0
         assert run(["verify", str(out)]) == 0
@@ -402,13 +402,13 @@ class TestNearPartition:
         # the split's own theta at eps = 5e-11: every entry of C - I is within
         # 1e-10, but C's eigenvalues are 1 +- 1.5e-10, so some input's fidelity
         # is 1 - 1.5e-10, whichever seed the report's problem carries
-        problem = cli.parse_problem_doc(near_partition(5e-11, seed))
+        problem = parsing.parse_problem_doc(near_partition(5e-11, seed))
         theta = phases.phases_from_partition(phases.find_partition(problem.spectrum, 3))
         table = protocol.synthesize_general(problem.spectrum, theta)
-        sections = cli._protocol_sections(problem, table, emit_table=False)
-        assert sections["table"]["unitarityResidual"] < cli.CONDITION_TOL
+        sections = report.protocol_sections(problem, table, emit_table=False)
+        assert sections["table"]["unitarityResidual"] < phases.CONDITION_TOL
         out = tmp_path / "report.json"
-        cli._write_report(str(out), **sections)
+        report.write(str(out), **sections)
         assert run(["verify", str(out)]) == 6
         assert "violated: worst-case fidelity" in capsys.readouterr().err
 
@@ -468,8 +468,8 @@ class TestTableElision:
         full = tmp_path / "full.json"
         assert run([command, path, "--emit-table", "--out", str(full)]) == 0
         emitted = np.array(reportio.loads(full.read_text(encoding="utf-8"))["table"]["V"])
-        spectrum = cli.parse_problem_doc(doc["problem"]).spectrum
-        rebuilt = cli._table_from_phases(doc, spectrum, doc["table"]["d"])
+        spectrum = parsing.parse_problem_doc(doc["problem"]).spectrum
+        rebuilt = report.table_from_phases(doc, spectrum, doc["table"]["d"])
         np.testing.assert_array_equal(rebuilt.V, emitted[..., 0] + 1j * emitted[..., 1])
 
     def elided_report(self, tmp_path, *flags):
@@ -489,7 +489,7 @@ class TestTableElision:
             return wrapped
 
         monkeypatch.setattr(cli, "random_input_sweep", keep(cli.random_input_sweep))
-        monkeypatch.setattr(cli, "verify_conditions", keep(cli.verify_conditions))
+        monkeypatch.setattr(protocol, "verify_conditions", keep(protocol.verify_conditions))
         out, doc = self.elided_report(tmp_path)
         assert run(["verify", str(out)]) == 0
         assert len(tables) == 3  # simulate's sweep and table doc, verify's conditions
@@ -558,8 +558,8 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert run(["simulate", path, "--out", str(out)]) == 0
         doc = reportio.loads(out.read_text(encoding="utf-8"))
-        spectrum = cli.parse_problem_doc(doc["problem"]).spectrum
-        table = cli._table_from_phases(doc, spectrum, problem["d"])
+        spectrum = parsing.parse_problem_doc(doc["problem"]).spectrum
+        table = report.table_from_phases(doc, spectrum, problem["d"])
         doc["simulation"]["outcomeProbabilities"] = run_protocol(np.array(psi), table).probabilities
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 0
@@ -670,7 +670,7 @@ class TestVerify:
     def test_tolerances_of_the_tool_or_none_verify(self, tmp_path, capsys):
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
-        assert doc["tolerances"] == cli.TOLERANCES
+        assert doc["tolerances"] == report.TOLERANCES
         del doc["tolerances"]
         out.write_text(reportio.dumps(doc), encoding="utf-8")
         assert run(["verify", str(out)]) == 0
@@ -717,7 +717,7 @@ class TestVerify:
             pairs = np.nextafter(pairs, np.inf)
         else:
             delta = (math.sqrt(s + s * eta) - math.sqrt(s)) / s  # the root of eta's quadratic
-            assert delta <= cli.CONDITION_TOL / 4
+            assert delta <= phases.CONDITION_TOL / 4
             pairs[2, 1, 0, 0] += 1.0001 * delta
         doc["table"]["V"] = pairs.tolist()
         out.write_text(reportio.dumps(doc), encoding="utf-8")
@@ -747,8 +747,14 @@ class TestVerify:
          "report table construction ['D2Formula'] cannot be rebuilt from theta"),
         (lambda doc: doc | {"table": doc["table"] | {"construction": {"a": 1}}},
          "report table construction {'a': 1} cannot be rebuilt from theta"),
+        # a report states the sections of one kind, which verify names by them
+        (lambda doc: {"toolVersion": doc["toolVersion"], "note": 1},
+         "report is of no known kind: it holds no report section"),
+        (lambda doc: doc | {"bounds": {}}, "report with section 'bounds' also holds section 'phases'"),
+        (lambda doc: doc | {"concentration": {}},
+         "report with section 'table' also holds section 'concentration'"),
     ], ids=["not-an-object", "no-problem", "no-table", "table-not-an-object", "construction-list",
-            "construction-object"])
+            "construction-object", "no-known-kind", "bounds-and-table", "table-and-concentration"])
     def test_malformed_report_is_parse_failure(self, tmp_path, capsys, edit, message):
         out = self.emit_report(tmp_path)
         doc = reportio.loads(out.read_text(encoding="utf-8"))
@@ -884,16 +890,17 @@ class TestVerify:
     }
 
     def test_every_written_number_is_checked(self, tmp_path, capsys):
-        # the tamper cases come from the report simulate writes, not from a list
-        # kept by hand: a number that is written but never checked fails here.
-        # A dropped field is checked where an older report states it: the report
-        # verifies without it and with its true value, and not with a tampered one
+        # the tamper cases come from the reports simulate, bounds and concentrate
+        # write, not from a list kept by hand: a number that is written but never
+        # checked fails here.  A dropped field is checked where an older report
+        # states it: the report verifies without it and with its true value, and
+        # not with a tampered one
         path = write_problem(tmp_path, GOLDEN_PROBLEM)
         out = tmp_path / "report.json"
         assert run(["simulate", path, "--out", str(out)]) == 0
         assert run(["verify", str(out)]) == 0
         template = reportio.loads(out.read_text(encoding="utf-8"))
-        _, table = protocol.synthesize_auto(cli.parse_problem_doc(GOLDEN_PROBLEM).spectrum, 2)
+        _, table = protocol.synthesize_auto(parsing.parse_problem_doc(GOLDEN_PROBLEM).spectrum, 2)
         for field, true in self.DROPPED.items():
             section, key = field.split(".")
             assert key not in template[section]
@@ -924,7 +931,48 @@ class TestVerify:
             field = f"{section}.{key}" + ("" if index is None else f"[{index}]")
             if code != 6 or f"violated: stated {field} " not in err:
                 unchecked.append((field, code, err))
+        path = write_problem(tmp_path, {"d": 2, "spectrum": [0.5, 0.3, 0.2]}, "float.json")
+        for argv in (["bounds", str(tmp_path / "problem.json")], ["bounds", path],
+                     ["concentrate", "--spectrum", "1/2,1/3,1/6", "--copies", "4", "--bells", "3"]):
+            unchecked += self.unchecked_leaves(tmp_path, capsys, argv)
         assert unchecked == []
+
+    @staticmethod
+    def unchecked_leaves(tmp_path, capsys, argv):
+        """Each number and boolean of a bounds or concentrate report, outside the
+        echo, tampered in turn, with verify's exit code and stderr where the
+        tamper did not exit 6 naming its field (an exact form is one field)."""
+        def leaves(value, path, field):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, (*path, key), f"{field}.{key}")
+            elif isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from leaves(item, (*path, index), field)
+            elif isinstance(value, (int, float)):
+                yield path, field
+
+        out = tmp_path / f"{argv[0]}-report.json"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert run(["verify", str(out)]) == 0
+        written = out.read_text(encoding="utf-8")
+        template = reportio.loads(written)
+        found, unchecked = [], []
+        for section in ("bounds", "concentration"):
+            for path, field in leaves(template.get(section, {}), (section,), section):
+                doc = reportio.loads(written)
+                holder = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+                value = holder[path[-1]]
+                holder[path[-1]] = (not value) if isinstance(value, bool) else value + 1
+                out.write_text(reportio.dumps(doc), encoding="utf-8")
+                capsys.readouterr()
+                code, err = run(["verify", str(out)]), capsys.readouterr().err
+                found.append(field)
+                if code != 6 or f"violated: stated {field} " not in err:
+                    unchecked.append((argv[0], field, code, err))
+        assert {"bounds.Et.bits", "bounds.ESch.exact"} <= set(found)  # in both kinds
+        assert {"bounds.teleportFeasible", "concentration.feasible"} & set(found)  # a boolean
+        return unchecked
 
     WRONG_VALUES = [[1], {"a": 1}, None, "x", True, 10**30, -1, 0.5]
 
@@ -1128,9 +1176,91 @@ class TestVerify:
         assert started == dict.fromkeys(cases, [0, 0, 0])
 
     def test_simulate_refuses_trials_past_the_bound(self, tmp_path, capsys):
-        problem = {"d": 2, "spectrum": ["1/2", "1/2"], "trials": cli.MAX_TRIALS + 1}
+        problem = {"d": 2, "spectrum": ["1/2", "1/2"], "trials": parsing.MAX_TRIALS + 1}
         assert run(["simulate", write_problem(tmp_path, problem)]) == 3
-        assert f"must be at most {cli.MAX_TRIALS}" in capsys.readouterr().err
+        assert f"must be at most {parsing.MAX_TRIALS}" in capsys.readouterr().err
+
+
+WRITERS = ["bounds", "synthesize", "simulate", "concentrate"]
+
+
+def writer_argv(command, spectrum, path):
+    """A report writer's arguments: concentrate takes the spectrum as an option,
+    the others read it from the problem file at path."""
+    if command == "concentrate":
+        return ["concentrate", "--spectrum", ",".join(map(str, spectrum)), "--copies", "4", "--bells", "3"]
+    return [command, path]
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("command", WRITERS)
+    @pytest.mark.parametrize("spectrum", [["1/2", "1/3", "1/6"], [0.5, 0.3, 0.2]], ids=["exact", "float"])
+    def test_fresh_report_verifies(self, tmp_path, capsys, command, spectrum):
+        # bounds and concentrate reports once exited 2: verify read only the other two kinds
+        path = write_problem(tmp_path, {"d": 2, "spectrum": spectrum})
+        out = tmp_path / "report.json"
+        assert run([*writer_argv(command, spectrum, path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("report verified: ")
+
+    @pytest.mark.parametrize("command", WRITERS)
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    def test_unwritable_out_is_parse_failure(self, tmp_path, capsys, command, target):
+        # an IsADirectoryError or FileNotFoundError escaped main: exit 1 and a traceback
+        path = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+        assert run([*writer_argv(command, GOLDEN_PROBLEM["spectrum"], path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write report file: [Errno ")
+
+    @pytest.mark.parametrize("edit, code, message", [
+        ({"copies": 0}, 3, "error: --copies must lie in [1, 2**53]"),
+        ({"bells": 2**53 + 1}, 3, "error: --bells must lie in [0, 2**53]"),
+        ({"copies": "4"}, 2, "error: field 'copies' must be an integer"),
+        ({"bells": True}, 2, "error: field 'bells' must be an integer"),
+        ({"spectrum": []}, 2, "error: field 'spectrum' must be a non-empty list"),
+        ({"spectrum": ["1/2", "1/3"]}, 3, "error: field 'spectrum': entries sum to 5/6, not 1"),
+        ({"copies": bounds.MAX_POWER_BITS // 5 + 1, "spectrum": ["7/16", "27/64", "9/64"]}, 3,
+         "bit powers of p_max, past"),
+    ], ids=["no-copies", "bells-past-2**53", "string-copies", "boolean-bells", "no-spectrum",
+            "bad-sum", "power-past-budget"])
+    def test_concentrate_echo_is_read_as_the_options_are(self, tmp_path, capsys, edit, code, message):
+        out = tmp_path / "report.json"
+        argv = ["concentrate", "--spectrum", "1/2,1/3,1/6", "--copies", "4", "--bells", "3"]
+        assert run([*argv, "--out", str(out)]) == 0
+        doc = reportio.loads(out.read_text(encoding="utf-8"))
+        doc["concentrate"] |= edit
+        out.write_text(reportio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(out)]) == code
+        assert message in capsys.readouterr().err
+
+    def test_a_huge_dimension_leaves_every_message_short(self, tmp_path, capsys):
+        # verify printed a 401-digit d in full: "report phases has shape (2, 3), expected (1000...000, 3)"
+        huge = 10**400
+        path = write_problem(tmp_path, {"d": huge, "spectrum": ["1/2", "1/2"]}, "huge.json")
+        golden = write_problem(tmp_path, GOLDEN_PROBLEM)
+        out = tmp_path / "report.json"
+        codes = [run(["synthesize", path]), run(["simulate", path])]
+        assert run(["bounds", path, "--out", str(out)]) == 0
+        bounds_report = reportio.loads(out.read_text(encoding="utf-8"))
+        assert run(["simulate", golden, "--out", str(out)]) == 0
+        simulate_report = reportio.loads(out.read_text(encoding="utf-8"))
+        edits = [
+            (bounds_report, lambda doc: None),
+            (bounds_report, lambda doc: doc["bounds"].update(d=2)),
+            (bounds_report, lambda doc: doc["bounds"].update(teleportFeasible=True)),
+            (simulate_report, lambda doc: doc["problem"].update(d=huge)),
+            (simulate_report, lambda doc: doc["table"].update(d=huge)),
+        ]
+        for template, edit in edits:
+            doc = reportio.loads(reportio.dumps(template))
+            edit(doc)
+            out.write_text(reportio.dumps(doc), encoding="utf-8")
+            codes.append(run(["verify", str(out)]))
+        assert codes == [4, 4, 0, 6, 6, 2, 6]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 6 and sum("<401-digit integer>" in line for line in lines) == 5, lines
+        assert max(map(len, lines)) < 200, lines
 
 
 class TestConcentrate:
@@ -1364,7 +1494,7 @@ class TestRationalSpectra:
         assert message in capsys.readouterr().err
 
     def test_exact_values_and_the_cached_p_max(self):
-        spectrum = cli.parse_spectrum_items(["1/6", "1/2", "1/3"])
+        spectrum = parsing.parse_spectrum_items(["1/6", "1/2", "1/3"])
         assert spectrum.exact == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
         assert spectrum.probs == (1 / 6, 1 / 2, 1 / 3)
         assert spectrum.p_max_exact is spectrum.p_max_exact == Fraction(1, 2)

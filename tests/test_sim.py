@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qteleport import cli, sim
+from qteleport import sim
 from qteleport.errors import DegenerateColumns, PhaseFactorsNotFound
 from qteleport.linalg import BipartiteShape, schmidt_number
 from qteleport.phases import CONDITION_TOL, Partition, PhaseMatrix, phases_from_partition, solve_general
@@ -21,6 +21,7 @@ from qteleport.protocol import (
     synthesize_general,
     verify_conditions,
 )
+from qteleport.report import BRACKET_ULPS
 from qteleport.sim import (
     as_input_qudit,
     haar_random_state,
@@ -496,7 +497,7 @@ class TestOnePath:
         report = random_input_sweep(table, trials=8, seed=seed)
         np.testing.assert_allclose(sweep_fields(report), oracle_sweep(table, 8, seed), rtol=0, atol=1e-13)
         # and the sweep lies in the bracket verify holds it to
-        ulps = cli.BRACKET_ULPS * d * d * np.finfo(float).eps
+        ulps = BRACKET_ULPS * d * d * np.finfo(float).eps
         spread = np.abs(eigenvalues - 1).max()
         assert eigenvalues[0] - ulps <= report.min_fidelity <= eigenvalues[-1] + ulps
         assert report.max_fidelity_deviation <= spread + ulps
